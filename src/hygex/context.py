@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .syntax import Name, Symbol, Syntax, base_name, macro_scopes
 
@@ -77,10 +77,22 @@ class Decl:
 
 
 class GlobalContext:
-    """Symbols visible at top level, in declaration order."""
+    """Symbols visible at top level, in declaration order.
+
+    `match_surface` is answered from a suffix index instead of a scan of
+    every global.  A symbol whose base name has two or more components is
+    filed under (last base component, macro scopes), the only key under
+    which it can match an identifier as a proper suffix.  A one-component
+    symbol joins the bucket of its own key only once that bucket exists,
+    so that an exact match keeps its place among the suffix matches; flat
+    namespaces thus add nothing to the index.  Buckets keep declaration
+    order, so candidates come back in it.
+    """
 
     def __init__(self) -> None:
         self.decls: Dict[Symbol, Decl] = {}
+        # (last base component, macro scopes) -> [(base parts, symbol)]
+        self._suffix_index: Dict[Tuple[Any, Tuple[int, ...]], List[Tuple[tuple, Symbol]]] = {}
 
     def __contains__(self, symbol: Symbol) -> bool:
         return symbol in self.decls
@@ -92,7 +104,26 @@ class GlobalContext:
         return self.decls.get(symbol)
 
     def add(self, symbol: Symbol, decl: Decl) -> None:
+        if symbol not in self.decls:
+            self._index(symbol)
         self.decls[symbol] = decl
+
+    def _index(self, symbol: Symbol) -> None:
+        scopes = macro_scopes(symbol)
+        base = base_name(symbol).parts
+        if not base:
+            return
+        key = (base[-1], scopes)
+        bucket = self._suffix_index.get(key)
+        if bucket is not None:
+            bucket.append((base, symbol))
+        elif len(base) >= 2:
+            bucket = self._suffix_index[key] = []
+            # a one-component symbol declared earlier under this key
+            flat = Name((base[-1],) + scopes)
+            if flat in self.decls:
+                bucket.append(((base[-1],), flat))
+            bucket.append((base, symbol))
 
     def match_surface(self, name: Name) -> List[Symbol]:
         """Global symbols an identifier could refer to.
@@ -101,18 +132,12 @@ class GlobalContext:
         could spell under some namespace prefix: equal macro scopes and the
         declaration's base name ending in the identifier's base name.
         """
-        scopes = macro_scopes(name)
         nb = base_name(name).parts
-        out = []
-        for g in self.decls:
-            if g == name:
-                out.append(g)
-                continue
-            if nb and macro_scopes(g) == scopes:
-                gb = base_name(g).parts
-                if len(gb) > len(nb) and gb[len(gb) - len(nb):] == nb:
-                    out.append(g)
-        return out
+        bucket = self._suffix_index.get((nb[-1], macro_scopes(name))) if nb else None
+        if bucket is None:
+            return [name] if name in self.decls else []
+        n = len(nb)
+        return [g for gb, g in bucket if g == name or (len(gb) > n and gb[-n:] == nb)]
 
 
 # A transformer rewrites one syntax node.  It returns None when none of its

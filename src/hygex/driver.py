@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .elaborator import ElabEnv, elab_term, interp_type
 from .errors import KernelError, LexError, ParseError
-from .expander import Expander, ExpanderState
+from .expander import Expander, ExpanderState, TraceFn
 from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, Parser
 from .prelude import bootstrap
 from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
@@ -75,7 +75,7 @@ class Runner:
         bootstrap(self.state, prelude=self.cfg.prelude)
         # the prelude loads untraced
         if self.cfg.trace_expansion:
-            self.state.on_macro_step = self._trace_macro_step
+            self.state.on_macro_step = _macro_step_tracer(self.lines)
         self.expander = Expander(self.state)
         self.elab_env = ElabEnv(self.state)
 
@@ -83,9 +83,6 @@ class Runner:
 
     def _emit(self, text: str) -> None:
         self.lines.append(text)
-
-    def _trace_macro_step(self, kind: Name, before: Syntax, after: Syntax) -> None:
-        self._emit(f"{kind}: {render(before)} ==> {render(after)}")
 
     def _trace_tactic(self, stx: Syntax, ts: TacticState) -> None:
         self._emit(f"tac: {render(stx)} ==> {ts}")
@@ -178,6 +175,16 @@ class Runner:
         if decl is not None:
             decl.prop = prop
         self._emit(f"theorem {name.name} : {prop} := proved")
+
+
+def _macro_step_tracer(lines: List[str]) -> TraceFn:
+    # appends to the output lines, not through the runner: the state keeps
+    # the hook, and a bound method would tie the state and the runner in a
+    # cycle that only the garbage collector can free
+    def trace(kind: Name, before: Syntax, after: Syntax) -> None:
+        lines.append(f"{kind}: {render(before)} ==> {render(after)}")
+
+    return trace
 
 
 def _resync(text: str, cmd_start: int, err_offset: int) -> int:

@@ -9,6 +9,7 @@ the table, and the driver only mutates the table between commands.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -123,6 +124,7 @@ class ParserTable:
     def __init__(self) -> None:
         self.categories: Dict[Name, Category] = {}
         self.keywords: Set[str] = set(_CORE_KEYWORDS)
+        self._keyword_snapshot: Optional[frozenset] = None
         self.kinds: Set[Name] = set()
         self.command_heads: Set[str] = {
             "def", "theorem", "syntax", "macro_rules", "declare_syntax_cat",
@@ -142,11 +144,16 @@ class ParserTable:
         self.register_rule(CAT_TERM, ParseRule(K_ARROW, (CatRef(CAT_TERM), Lit("→"), CatRef(CAT_TERM)), prec=25, right_assoc=True))
 
     def snapshot_keywords(self) -> frozenset:
-        return frozenset(self.keywords)
+        """The keyword set as a frozenset, rebuilt only after it changed;
+        an unchanged table hands every lexer the same object."""
+        if self._keyword_snapshot is None:
+            self._keyword_snapshot = frozenset(self.keywords)
+        return self._keyword_snapshot
 
     def enable_command_head(self, name: str) -> None:
         self.command_heads.add(name)
         self.keywords.add(name)
+        self._keyword_snapshot = None
 
     def add_category(self, name: Name) -> None:
         if name in self.categories or name in (CAT_IDENT,):
@@ -175,6 +182,7 @@ class ParserTable:
         for item in rule.items:
             if isinstance(item, Lit):
                 self.keywords.add(item.text)
+        self._keyword_snapshot = None
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
         base = ""
@@ -212,19 +220,42 @@ def _is_ident_rest(c: str) -> bool:
     return c.isalnum() or c in "_'"
 
 
-class Lexer:
-    def __init__(self, text: str, keywords: frozenset):
-        self.text = text
-        self.keywords = keywords
-        self._line_starts = [0]
-        for i, c in enumerate(text):
-            if c == "\n":
-                self._line_starts.append(i + 1)
-        self._symbolic = sorted(
+# The tables a lexer needs are built once per source text and once per
+# keyword set, not once per lexer: the driver builds a lexer for every
+# command of a file, and the text and the keyword set rarely change between
+# two of them.  Both caches hold the key's own object, so a hit costs a
+# hash lookup and an identity check (str and frozenset cache their hash).
+
+
+@functools.lru_cache(maxsize=32)
+def _line_starts(text: str) -> Tuple[int, ...]:
+    starts = [0]
+    i = text.find("\n")
+    while i >= 0:
+        starts.append(i + 1)
+        i = text.find("\n", i + 1)
+    return tuple(starts)
+
+
+@functools.lru_cache(maxsize=32)
+def _symbolic_tokens(keywords: frozenset) -> Tuple[str, ...]:
+    """Keywords and specials that do not start like an identifier,
+    longest first."""
+    return tuple(
+        sorted(
             (k for k in (keywords | _SPECIALS) if not _is_ident_start(k[0])),
             key=len,
             reverse=True,
         )
+    )
+
+
+class Lexer:
+    def __init__(self, text: str, keywords: frozenset):
+        self.text = text
+        self.keywords = keywords
+        self._line_starts = _line_starts(text)
+        self._symbolic = _symbolic_tokens(keywords)
 
     def _info(self, offset: int) -> SourceInfo:
         line = bisect.bisect_right(self._line_starts, offset)
@@ -416,7 +447,8 @@ class Parser:
                 or best.info is None
                 or (err.info and err.info.offset > best.info.offset)
             ):
-                best = err
+                # a kept traceback would tie this frame to itself in a cycle
+                best = err.with_traceback(None)
 
         if tok.kind in ("keyword", "special"):
             for rule in category.rules:
@@ -769,7 +801,7 @@ class Parser:
             if self.at(")"):
                 term_result = (body, self.pos)
         except ParseError as err:
-            term_err = err
+            term_err = err.with_traceback(None)
         self.pos = start
         cmd_result: Optional[Tuple[Syntax, int]] = None
         cmd_err: Optional[ParseError] = None
@@ -781,7 +813,7 @@ class Parser:
                 body = cmds[0] if len(cmds) == 1 else Node(Name.of(KIND_CMDSEQ), tuple(cmds))
                 cmd_result = (body, self.pos)
         except ParseError as err:
-            cmd_err = err
+            cmd_err = err.with_traceback(None)
         if term_result and cmd_result:
             if term_result[0] == cmd_result[0]:
                 self.pos = term_result[1]

@@ -38,6 +38,7 @@ from .parser import (
     CatRef,
     Lit,
     Parser,
+    ParserTable,
 )
 from .quotation import (
     Seq,
@@ -195,7 +196,7 @@ def _string_content(atom: Atom) -> str:
     return text
 
 
-def _macro_transformer(state: ExpanderState):
+def _macro_transformer(table: ParserTable):
     def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
         kw, items, _colon, cat_ident, _arrow, rhs = stx.children
         if not (isinstance(rhs, Node) and is_quotation(rhs)):
@@ -226,7 +227,7 @@ def _macro_transformer(state: ExpanderState):
                 )
             else:
                 raise ExpansionError(f"bad macro item '{render(item)}'")
-        kind = state.table.gen_kind(rule_items)
+        kind = table.gen_kind(rule_items)
         syntax_cmd = Node(
             K_SYNTAX,
             (
@@ -258,7 +259,7 @@ _DEFAULT_QUOT_CATS = {Name.of("term"), Name.of("command")}
 
 def _install_macro_command(state: ExpanderState) -> None:
     state.table.enable_command_head("macro")
-    state.macros.register(K_MACRO, _macro_transformer(state))
+    state.macros.register(K_MACRO, _macro_transformer(state.table))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def _substitute_params(stx: Syntax, params: Dict[Name, Ident]) -> Syntax:
             return stx
 
 
-def _notation_transformer(state: ExpanderState):
+def _notation_transformer(notation_precheck: bool):
     def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
         kw, items, arrow, rhs = stx.children
         macro_items: List[Syntax] = []
@@ -294,7 +295,7 @@ def _notation_transformer(state: ExpanderState):
             else:
                 raise ExpansionError(f"bad notation item '{render(item)}'")
         body = _substitute_params(rhs, params)
-        quot_kind = KIND_DQUOT if state.notation_precheck else KIND_QUOT
+        quot_kind = KIND_DQUOT if notation_precheck else KIND_QUOT
         wrapped = Node(Name((quot_kind,)), (body,))
         return Node(
             K_MACRO,
@@ -313,4 +314,4 @@ def _notation_transformer(state: ExpanderState):
 
 def _install_notation_command(state: ExpanderState) -> None:
     state.table.enable_command_head("notation")
-    state.macros.register(K_NOTATION, _notation_transformer(state))
+    state.macros.register(K_NOTATION, _notation_transformer(state.notation_precheck))

@@ -1,5 +1,6 @@
 """Golden-file runs, exit codes, state threading, and the CLI."""
 
+import gc
 import os
 
 import pytest
@@ -61,6 +62,28 @@ class TestStateThreading:
         assert code == 1
         assert "unknown identifier 'nope'" in out
         assert "def y := 1" in out
+
+
+class TestNoCyclicGarbage:
+    """A dropped runner is freed by reference counting alone: nothing of a
+    run (its state, its transformers, a kept parse error) sits in a cycle
+    that waits for the garbage collector."""
+
+    @pytest.mark.parametrize(
+        "name, kw",
+        [(name, CORPUS_RUNS[name][0]) for name in sorted(CORPUS_RUNS)]
+        + [("tactics", dict(stage="elaborate", trace_expansion=True, trace_tactics=True))],
+    )
+    def test_dropped_runner_leaves_no_cycles(self, name, kw):
+        gc.collect()
+        gc.disable()
+        try:
+            runner = Runner(RunConfig(**kw))
+            runner.run_files([str(CORPUS / f"{name}.hyg")])
+            del runner
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestParseRecovery:

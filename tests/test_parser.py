@@ -337,3 +337,81 @@ class TestSlotPrecedence:
         assert render(first) == src
         again = parse_command(render(first), table)
         assert strip_info(first) == strip_info(again)
+
+
+class TestLexerTables:
+    """Every top-level command gets a new lexer, but the line-start table
+    and the keyword list are built once per source and per keyword set."""
+
+    @pytest.mark.parametrize(
+        "declare, use, expanded",
+        [
+            (
+                'syntax "bump" term : term\nmacro_rules | `(bump $e) => `($e + 1)',
+                "def b := bump a",
+                "def b := a + 1",
+            ),
+            ('macro "twice" e:term : term => `($e + $e)', "def b := twice a", "def b := a + a"),
+            ('notation "dbl" e => e + e', "def b := dbl a", "def b := a + a"),
+            (
+                'syntax term "<+>" term : term\nmacro_rules | `($x <+> $y) => `($x + $y)',
+                "def b := a <+> a",
+                "def b := a + a",
+            ),
+            (
+                'syntax term "++" term : term\nmacro_rules | `($x ++ $y) => `($y + $x + $y)',
+                "def b := 1 ++ a",
+                "def b := a + 1 + a",
+            ),
+        ],
+        ids=["syntax", "macro", "notation", "new_symbol", "longer_symbol"],
+    )
+    def test_keyword_takes_effect_on_the_next_command(self, declare, use, expanded):
+        from hygex.driver import run_string
+
+        code, out = run_string(f"def a := 1\n{declare}\n{use}\n")
+        assert code == 0, out
+        assert out.splitlines()[-1] == expanded
+
+    def test_snapshot_is_rebuilt_only_when_the_keywords_change(self, table):
+        before = table.snapshot_keywords()
+        assert table.snapshot_keywords() is before
+        table.register_rule(
+            CAT_TERM, ParseRule(Name.of("bumpRule"), (Lit("bump"), CatRef(CAT_TERM)))
+        )
+        after = table.snapshot_keywords()
+        assert "bump" in after and "bump" not in before
+        assert table.snapshot_keywords() is after
+        table.enable_command_head("bumpcmd")
+        assert "bumpcmd" in table.snapshot_keywords()
+
+    def test_late_diagnostics_report_their_own_line(self):
+        from hygex.driver import run_string
+
+        def filler(prefix):
+            return "".join(f"def {prefix}{i} := {i}\n" for i in range(400))
+
+        src = filler("d") + "def bad := nope\n" + filler("e") + "def worse := )\n"
+        code, out = run_string(src)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[400] == "error: unknown identifier 'nope' @401:12"
+        assert lines[401:403] == ["def e0 := 0", "def e1 := 1"]
+        assert lines[-1] == "error: expected term, found ')' @802:14"
+
+    def test_each_source_keeps_its_own_line_table(self, tmp_path):
+        from hygex.driver import Runner
+
+        a = tmp_path / "a.hyg"
+        b = tmp_path / "b.hyg"
+        a.write_text("def x := 1\n\n\ndef y := nope\n", encoding="utf-8")
+        b.write_text("def z := nope\n", encoding="utf-8")
+        runner = Runner()
+        runner.run_files([str(a), str(b), str(a)])
+        errors = [line for line in runner.output.splitlines() if line.startswith("error")]
+        assert errors == [
+            "error: unknown identifier 'nope' @4:10",
+            "error: unknown identifier 'nope' @1:10",
+            "error: 'x' has already been declared",
+            "error: unknown identifier 'nope' @4:10",
+        ]
