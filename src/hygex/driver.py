@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .elaborator import ElabEnv, elab_term, interp_type
-from .errors import KernelError, LexError, ParseError
+from .errors import KernelError
 from .expander import Expander, ExpanderState, TraceFn
-from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, Parser
+from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, iter_commands
 from .prelude import bootstrap
 from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
 from .tactic import TacticState, interp_prop, run_proof
@@ -111,33 +111,28 @@ class Runner:
         return 1 if self.diagnostics else 0
 
     def run_source(self, text: str) -> None:
-        pos = 0
-        while True:
-            parser = Parser(text, self.state.table, pos)
-            try:
-                if parser.at_eof():
-                    return
-                cmd = parser.parse_command()
-                pos = parser.pos
-            except (LexError, ParseError) as err:
-                self._diagnose(err)
-                if self.cfg.recover:
-                    self._emit(render(Missing()))
-                next_pos = _resync(text, pos, err.info.offset if err.info else pos)
-                if next_pos <= pos:
-                    return
-                pos = next_pos
-                continue
+        def recover(err: KernelError, cmd_start: int) -> int:
+            self._diagnose(err)
+            if self.cfg.recover:
+                self._emit(render(Missing()))
+            return _resync(text, cmd_start, err.info.offset if err.info else cmd_start)
+
+        for start, cmd in iter_commands(text, self.state.table, recover):
             try:
                 outputs = self.expander.process_command(cmd)
             except KernelError as err:
                 self._diagnose(err)
+                continue
+            except RecursionError:
+                self._diagnose(_too_deep(start))
                 continue
             for out in outputs:
                 try:
                     self._emit_command(out)
                 except KernelError as err:
                     self._diagnose(err)
+                except RecursionError:
+                    self._diagnose(_too_deep(start))
 
     def _emit_command(self, out: Syntax) -> None:
         if self.cfg.stage == "expand":
@@ -187,11 +182,17 @@ def _macro_step_tracer(lines: List[str]) -> TraceFn:
     return trace
 
 
+def _too_deep(start: SourceInfo) -> KernelError:
+    # the stack ran out under the command: nesting or a macro that keeps
+    # expanding deeper than the Python stack can follow
+    return KernelError("recursion limit reached while processing this command", start)
+
+
 def _resync(text: str, cmd_start: int, err_offset: int) -> int:
     """Skip to the next line that looks like a command start.
 
-    The error's own line counts, as long as it lies past the start of the
-    command that failed."""
+    `cmd_start` is the offset of the failed command's first token.  The
+    error's own line counts, as long as it starts past that token."""
     pos = text.rfind("\n", 0, max(err_offset, 0)) + 1
     while True:
         line_end = text.find("\n", pos)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import LexError, ParseError
+from .errors import KernelError, LexError, ParseError
 from .syntax import (
     Atom,
     Ident,
@@ -216,8 +217,9 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def _is_ident_rest(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+# the rest of an identifier: `\w` in a str pattern is exactly what
+# `str.isalnum()` accepts, plus "_"
+_IDENT_REST = re.compile(r"[\w']*")
 
 
 # The tables a lexer needs are built once per source text and once per
@@ -238,16 +240,16 @@ def _line_starts(text: str) -> Tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=32)
-def _symbolic_tokens(keywords: frozenset) -> Tuple[str, ...]:
-    """Keywords and specials that do not start like an identifier,
-    longest first."""
-    return tuple(
-        sorted(
-            (k for k in (keywords | _SPECIALS) if not _is_ident_start(k[0])),
-            key=len,
-            reverse=True,
-        )
-    )
+def _symbolic_tokens(keywords: frozenset) -> Dict[str, Tuple[str, ...]]:
+    """Keywords and specials that do not start like an identifier, keyed
+    by their first character, each tuple longest first.  A symbol that
+    matches at a position starts with the character there, so probing
+    that one tuple finds what a longest-first scan of them all finds."""
+    by_first: Dict[str, List[str]] = {}
+    for k in sorted(keywords | _SPECIALS, key=len, reverse=True):
+        if not _is_ident_start(k[0]):
+            by_first.setdefault(k[0], []).append(k)
+    return {c: tuple(ks) for c, ks in by_first.items()}
 
 
 class Lexer:
@@ -256,12 +258,25 @@ class Lexer:
         self.keywords = keywords
         self._line_starts = _line_starts(text)
         self._symbolic = _symbolic_tokens(keywords)
+        # position -> the token that starts there once blanks and comments
+        # are skipped; a lexer serves one command, so this dies with it
+        self._tokens: Dict[int, Token] = {}
+
+    def token(self, pos: int) -> Token:
+        """The token at `pos`, lexed at most once per lexer.  A `LexError`
+        is not kept: asking again raises it again."""
+        tok = self._tokens.get(pos)
+        if tok is None:
+            tok = self._tokens[pos] = self.token_at(pos)
+        return tok
 
     def _info(self, offset: int) -> SourceInfo:
         line = bisect.bisect_right(self._line_starts, offset)
         return SourceInfo(line, offset - self._line_starts[line - 1] + 1, offset)
 
     def token_at(self, pos: int) -> Token:
+        """Lex one token at `pos`, uncached; the parser goes through
+        `token`."""
         text = self.text
         n = len(text)
         while pos < n:
@@ -302,7 +317,7 @@ class Lexer:
             if end >= n:
                 raise LexError("unterminated '«' identifier", info)
             return Token("ident", text[pos + 1 : end], info, end + 1)
-        for kw in self._symbolic:
+        for kw in self._symbolic.get(c, ()):
             if text.startswith(kw, pos):
                 kind = "special" if kw in _SPECIALS else "keyword"
                 return Token(kind, kw, info, pos + len(kw))
@@ -312,17 +327,13 @@ class Lexer:
                 end += 1
             return Token("num", text[pos:end], info, end)
         if _is_ident_start(c):
-            end = pos
-            while end < n and _is_ident_rest(text[end]):
-                end += 1
+            end = _IDENT_REST.match(text, pos).end()
             while (
                 end + 1 < n
                 and text[end] == "."
                 and _is_ident_start(text[end + 1])
             ):
-                end += 1
-                while end < n and _is_ident_rest(text[end]):
-                    end += 1
+                end = _IDENT_REST.match(text, end + 1).end()
             word = text[pos:end]
             kind = "keyword" if word in self.keywords else "ident"
             return Token(kind, word, info, end)
@@ -335,7 +346,7 @@ def tokenize(text: str, keywords: frozenset = frozenset()) -> List[Token]:
     out = []
     pos = 0
     while True:
-        tok = lexer.token_at(pos)
+        tok = lexer.token(pos)
         if tok.kind == "eof":
             return out
         out.append(tok)
@@ -356,11 +367,9 @@ class Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        pos = self.pos
-        tok = self.lexer.token_at(pos)
+        tok = self.lexer.token(self.pos)
         for _ in range(ahead):
-            pos = tok.end
-            tok = self.lexer.token_at(pos)
+            tok = self.lexer.token(tok.end)
         return tok
 
     def bump(self) -> Token:
@@ -369,7 +378,8 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("keyword", "special")
+        tok = self.peek()
+        return tok.text == text and tok.kind in ("keyword", "special")
 
     def at_eof(self) -> bool:
         return self.peek().kind == "eof"
@@ -1044,3 +1054,46 @@ def describe(tok: Token) -> str:
         return "end of input"
     return f"'{tok.text}'"
 
+
+def iter_commands(
+    text: str,
+    table: ParserTable,
+    on_error: Optional[Callable[[KernelError, int], int]] = None,
+) -> Iterator[Tuple[SourceInfo, Syntax]]:
+    """The commands of `text` in order, each with the position of its
+    first token.
+
+    Every command gets a new lexer over the table's keywords as they stand
+    when it is asked for, so a caller that processes each command before
+    asking for the next sees new keywords take effect on the next command.
+    A parse that runs out of Python stack fails as a `ParseError` at the
+    command's first token.  Without `on_error` a lex or parse error
+    propagates; with it, `on_error(err, start)` gets the error and the
+    offset of the failed command's first token, and returns the offset to
+    go on from; the iteration stops if that is no further on.
+    """
+    pos = 0
+    while True:
+        parser = Parser(text, table, pos)
+        first: Optional[Token] = None
+        try:
+            first = parser.peek()
+            if first.kind == "eof":
+                return
+            try:
+                cmd = parser.parse_command()
+            except RecursionError:
+                raise ParseError(
+                    "recursion limit reached while parsing this command", first.info
+                ) from None
+        except (LexError, ParseError) as err:
+            if on_error is None:
+                raise
+            start = first.info.offset if first is not None else err.info.offset
+            next_pos = on_error(err.with_traceback(None), start)
+            if next_pos <= pos:
+                return
+            pos = next_pos
+            continue
+        pos = parser.pos
+        yield first.info, cmd

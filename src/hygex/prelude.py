@@ -39,6 +39,7 @@ from .parser import (
     Lit,
     Parser,
     ParserTable,
+    iter_commands,
 )
 from .quotation import (
     Seq,
@@ -84,18 +85,12 @@ notation "twice" f x => f (f x)
 
 
 def run_source(state: ExpanderState, src: str) -> List[Syntax]:
-    """Feed commands through the pipeline, re-lexing after each command so
-    freshly registered keywords take effect."""
+    """Feed commands through the pipeline; any error propagates."""
     expander = Expander(state)
     outputs: List[Syntax] = []
-    pos = 0
-    while True:
-        parser = Parser(src, state.table, pos)
-        if parser.at_eof():
-            return outputs
-        cmd = parser.parse_command()
-        pos = parser.pos
+    for _, cmd in iter_commands(src, state.table):
         outputs.extend(expander.process_command(cmd))
+    return outputs
 
 
 def bootstrap(state: ExpanderState, prelude: bool = True) -> None:

@@ -102,6 +102,58 @@ class TestParseRecovery:
         assert "def y := 2" in out
 
 
+class TestOneDiagnosticPerBadCommand:
+    """A bad command yields exactly one diagnostic, at its own position,
+    and the run goes on with the next command."""
+
+    ELAB = RunConfig(stage="elaborate")
+    LOOP = (
+        'syntax "loop" term : term\n'
+        "macro_rules\n"
+        "  | `(loop $e) => `(loop $e)\n"
+        "def x := loop 1\n"
+    )
+
+    def test_parse_error_in_a_later_command(self):
+        code, out = run_string("def a := 1\ndef b := )\ndef y := 2\n", self.ELAB)
+        assert code == 1
+        assert out.splitlines() == [
+            "def a : nat := natLit(1)",
+            "error: expected term, found ')' @2:10",
+            "def y : nat := natLit(2)",
+        ]
+
+    def test_parse_error_in_the_first_command(self):
+        code, out = run_string("def a := )\ndef b := 2\n", self.ELAB)
+        assert code == 1
+        assert out.splitlines() == [
+            "error: expected term, found ')' @1:10",
+            "def b : nat := natLit(2)",
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (LOOP, "error: recursion limit reached while processing this command @4:1"),
+            (
+                "def x := " + " + ".join(["1"] * 500) + "\n",
+                "error: recursion limit reached while processing this command @1:1",
+            ),
+            (
+                "def x := " + "(" * 400 + "1" + ")" * 400 + "\n",
+                "error: recursion limit reached while parsing this command @1:1",
+            ),
+        ],
+        ids=["self_recursive_macro", "long_sum", "nested_parens"],
+    )
+    def test_running_out_of_stack_is_a_diagnostic(self, bad, error):
+        code, out = run_string(bad + "def y := 2\n", self.ELAB)
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == [error]
+        assert lines[-1] == "def y : nat := natLit(2)"
+
+
 class TestConfig:
     def test_bad_stage_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
 from hygex.driver import RunConfig, Runner
 from hygex.expander import Expander, ExpanderState
-from hygex.parser import Parser
+from hygex.parser import Parser, iter_commands
 from hygex.prelude import bootstrap, run_source
 from hygex.syntax import Ident, Name, Node, macro_scopes, render
 
@@ -103,13 +103,7 @@ class TestCorpusProperties:
         bootstrap(state)
         expander = Expander(state)
         text = (CORPUS / f"{name}.hyg").read_text(encoding="utf-8")
-        pos = 0
-        while True:
-            parser = Parser(text, state.table, pos)
-            if parser.at_eof():
-                break
-            cmd = parser.parse_command()
-            pos = parser.pos
+        for _, cmd in iter_commands(text, state.table):
             reparser = Parser(render(cmd), state.table)
             again = reparser.parse_command()
             assert strip_info(cmd) == strip_info(again)

@@ -1,18 +1,28 @@
 """Tokenizer and table-driven parsing, including quotation syntax."""
 
-import pytest
+from collections import Counter
 
-from conftest import strip_info
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS, strip_info
+from corpus_config import CORPUS_RUNS
+from hygex.driver import RunConfig, Runner
 from hygex.errors import LexError, ParseError
 from hygex.parser import (
+    _CORE_KEYWORDS,
+    _SPECIALS,
     CAT_COMMAND,
     CAT_TACTIC,
     CAT_TERM,
     CatRef,
+    Lexer,
     Lit,
     ParseRule,
     Parser,
     ParserTable,
+    Token,
     tokenize,
 )
 from hygex.syntax import (
@@ -20,6 +30,7 @@ from hygex.syntax import (
     Ident,
     Name,
     Node,
+    SourceInfo,
     is_antiquot,
     is_quotation,
     render,
@@ -415,3 +426,141 @@ class TestLexerTables:
             "error: 'x' has already been declared",
             "error: unknown identifier 'nope' @4:10",
         ]
+
+
+def reference_tokens(text, keywords):
+    """The lexer as a plain scan: every symbolic keyword is tried at every
+    position, longest first, and positions are counted from scratch."""
+    keywords = frozenset(keywords) | frozenset(_CORE_KEYWORDS)
+    symbolic = sorted(
+        (k for k in keywords | _SPECIALS if not (k[0].isalpha() or k[0] == "_")),
+        key=len,
+        reverse=True,
+    )
+
+    def info(off):
+        return SourceInfo(
+            text.count("\n", 0, off) + 1, off - (text.rfind("\n", 0, off) + 1) + 1, off
+        )
+
+    def word_end(end):
+        while end < n and (text[end].isalnum() or text[end] in "_'"):
+            end += 1
+        return end
+
+    out, pos, n = [], 0, len(text)
+    while True:
+        while pos < n and (text[pos].isspace() or text.startswith("--", pos)):
+            if text[pos].isspace():
+                pos += 1
+            else:
+                while pos < n and text[pos] != "\n":
+                    pos += 1
+        if pos >= n:
+            return out
+        c, here = text[pos], info(pos)
+        sym = next((k for k in symbolic if text.startswith(k, pos)), None)
+        if c == "`":
+            head = next((h for h in ("``(", "`(") if text.startswith(h, pos)), None)
+            if head is None:
+                raise LexError("stray '`' (expected '`(' or '``(')", here)
+            tok = Token("dquote" if head == "``(" else "quote", head, here, pos + len(head))
+        elif c == "$":
+            head = "$[" if text.startswith("$[", pos) else "$"
+            tok = Token("special", head, here, pos + len(head))
+        elif c == '"':
+            end = text.find('"', pos + 1)
+            if end < 0 or "\n" in text[pos:end]:
+                raise LexError("unterminated string literal", here)
+            tok = Token("str", text[pos : end + 1], here, end + 1)
+        elif c == "«":
+            end = text.find("»", pos + 1)
+            if end < 0:
+                raise LexError("unterminated '«' identifier", here)
+            tok = Token("ident", text[pos + 1 : end], here, end + 1)
+        elif sym is not None:
+            kind = "special" if sym in _SPECIALS else "keyword"
+            tok = Token(kind, sym, here, pos + len(sym))
+        elif c.isdigit():
+            end = pos
+            while end < n and text[end].isdigit():
+                end += 1
+            tok = Token("num", text[pos:end], here, end)
+        elif c.isalpha() or c == "_":
+            end = word_end(pos)
+            while end + 1 < n and text[end] == "." and (
+                text[end + 1].isalpha() or text[end + 1] == "_"
+            ):
+                end = word_end(end + 1)
+            word = text[pos:end]
+            tok = Token("keyword" if word in keywords else "ident", word, here, end)
+        else:
+            raise LexError(f"illegal character {c!r}", here)
+        out.append(tok)
+        pos = tok.end
+
+
+def lex_outcome(lex, text, keywords):
+    try:
+        return lex(text, keywords)
+    except LexError as err:
+        return ("LexError", err.message, err.info)
+
+
+# Symbols that share first characters, so that the longest match matters.
+_SYMBOLS = ["+", "++", "+>", "+++", ":=", "::", ":::", "<+>", "<", "<=", "=>",
+            "==", "-", "->", "→", "⟶", ".", "..", "'"]
+_WORDS = ["x", "ab", "k", "dup", "x.y", "x.", "_z", "a'", "λ", "é", "Ωx", "x²"]
+_PIECES = _SYMBOLS + _WORDS + [
+    " ", " ", "\n", "\t", "0", "42", "²", "-- note\n", "--", "«", "»", "«a b»",
+    '"', '"s"', "`", "`(", "``(", "$", "$[", "(", ")", "⟨", ",", "@",
+]
+
+
+class TestTokenCache:
+    """Each position is lexed once per lexer, and only the symbols that
+    share the first character there are tried; the tokens stay those of
+    a longest-first scan of every symbol."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        keywords=st.frozensets(st.sampled_from(_SYMBOLS + ["k", "dup", "x.y"])),
+        pieces=st.lists(st.sampled_from(_PIECES), max_size=40),
+    )
+    def test_tokenize_agrees_with_a_longest_first_scan(self, keywords, pieces):
+        text = "".join(pieces)
+        assert lex_outcome(tokenize, text, keywords) == lex_outcome(
+            reference_tokens, text, keywords
+        )
+
+    @pytest.mark.parametrize(
+        "src", ['def x := "open', "def x := @", "def x := ` y", "def «x := 1"]
+    )
+    def test_a_lex_error_is_raised_again(self, src, table):
+        p = Parser(src, table)
+        while True:
+            try:
+                p.bump()
+            except LexError as err:
+                first = err
+                break
+        with pytest.raises(LexError) as again:
+            p.peek()
+        assert (again.value.message, again.value.info) == (first.message, first.info)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+    def test_each_position_is_lexed_once_per_lexer(self, name, monkeypatch):
+        calls = Counter()
+        alive = {}  # keeps every lexer alive, so no two share an id
+        raw = Lexer.token_at
+
+        def counted(lexer, pos):
+            alive[id(lexer)] = lexer
+            calls[id(lexer), pos] += 1
+            return raw(lexer, pos)
+
+        monkeypatch.setattr(Lexer, "token_at", counted)
+        kw, code = CORPUS_RUNS[name]
+        assert Runner(RunConfig(**kw)).run_files([str(CORPUS / f"{name}.hyg")]) == code
+        assert len(alive) > 1
+        assert max(calls.values()) == 1
