@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .parser import ParserTable
 from .syntax import Name, Symbol, Syntax, base_name, macro_scopes
 
 # Scope value reserved for kernel-synthesized constant references; the
@@ -67,9 +68,12 @@ class ScopeState:
             self._stack.pop()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decl:
-    """What a global symbol stands for."""
+    """What a global symbol stands for.
+
+    Frozen: copies of a context share their `Decl`s, so a run records what
+    elaboration learns by adding a replacement (`dataclasses.replace`)."""
 
     kind: str  # "def" | "theorem" | "type" | "const"
     type_: Any = None  # CoreType of value constants, when elaborated
@@ -102,6 +106,13 @@ class GlobalContext:
 
     def get(self, symbol: Symbol) -> Optional[Decl]:
         return self.decls.get(symbol)
+
+    def copy(self) -> "GlobalContext":
+        """An independent context with the same globals; `Decl`s are shared."""
+        new = GlobalContext()
+        new.decls = dict(self.decls)
+        new._suffix_index = {k: list(b) for k, b in self._suffix_index.items()}
+        return new
 
     def add(self, symbol: Symbol, decl: Decl) -> None:
         if symbol not in self.decls:
@@ -154,6 +165,11 @@ class MacroTable:
     def register(self, kind: Name, transformer: Transformer) -> None:
         self._by_kind.setdefault(kind, []).insert(0, transformer)
 
+    def copy(self) -> "MacroTable":
+        new = MacroTable()
+        new._by_kind = {k: list(ts) for k, ts in self._by_kind.items()}
+        return new
+
     def lookup(self, kind: Name) -> List[Transformer]:
         return self._by_kind.get(kind, [])
 
@@ -163,13 +179,19 @@ class MacroTable:
 
 @dataclass
 class TransformerEnv:
-    """What a transformer invocation sees: globals and its macro scope."""
+    """What a transformer invocation sees: globals, its macro scope, and
+    the run's parser table and notation setting.
+
+    Transformers read run state from here and capture none of it, so one
+    transformer object serves every run that shares it."""
 
     gctx: GlobalContext
     scopes: ScopeState
     # test-only mode: keep just the newest scope instead of the full stack,
     # to demonstrate why the stack is needed
     single_scope: bool = False
+    table: Optional[ParserTable] = None
+    notation_precheck: bool = True
 
     def current_macro_scope(self) -> int:
         return self.scopes.current()

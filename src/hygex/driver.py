@@ -4,12 +4,18 @@ Commands are processed strictly in order; the parser table and global
 context thread through the whole run.  A diagnostic aborts only its own
 command, and the scope counter starts fresh per run, so identical inputs
 give byte-identical output.
+
+A run owns all of its mutable state: its parser table, global context,
+macro table, elaborator and tactic registries, scope counter and
+prechecker.  The prelude is built once per process; each run starts from
+its own copy of it (see `prelude.bootstrap`), so runs in one process
+cannot see each other, whatever their configuration.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .elaborator import ElabEnv, elab_term, interp_type
@@ -62,7 +68,11 @@ _COMMAND_START = re.compile(
 
 
 class Runner:
-    """One deterministic run over one or more input files."""
+    """One deterministic run over one or more input files.
+
+    Construction is cheap: the state starts as a copy of the prelude built
+    once per process, and every command of the run changes only that copy.
+    """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
         self.cfg = cfg or RunConfig()
@@ -73,7 +83,7 @@ class Runner:
         self.lines: List[str] = []
         self.diagnostics: List[Diagnostic] = []
         bootstrap(self.state, prelude=self.cfg.prelude)
-        # the prelude loads untraced
+        # the prelude loaded untraced, when the prototype was built
         if self.cfg.trace_expansion:
             self.state.on_macro_step = _macro_step_tracer(self.lines)
         self.expander = Expander(self.state)
@@ -155,9 +165,10 @@ class Runner:
             _kw, name, _a, rhs = out.children
             expr, ty = elab_term(rhs, self.elab_env, None)
         assert isinstance(name, Ident)
-        decl = self.state.gctx.get(name.name)
+        gctx = self.state.gctx
+        decl = gctx.get(name.name)
         if decl is not None:
-            decl.type_ = ty
+            gctx.add(name.name, replace(decl, type_=ty))
         self._emit(f"def {name.name} : {ty} := {expr}")
 
     def _run_theorem(self, out: Node) -> None:
@@ -166,9 +177,10 @@ class Runner:
         prop = interp_prop(target)
         trace = self._trace_tactic if self.cfg.trace_tactics else None
         run_proof(by, prop, self.state, self.cfg.max_repeat, trace)
-        decl = self.state.gctx.get(name.name)
+        gctx = self.state.gctx
+        decl = gctx.get(name.name)
         if decl is not None:
-            decl.prop = prop
+            gctx.add(name.name, replace(decl, prop=prop))
         self._emit(f"theorem {name.name} : {prop} := proved")
 
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .context import TransformerEnv
 from .errors import ElabError
-from .expander import ExpanderState, resolve_identifier
+from .expander import ExpanderState, _seq_elements, resolve_identifier
 from .parser import K_APP, K_ARROW, K_FUN, K_NUM, K_PLUS
 from .quotation import mk_c_ident
 from .syntax import (
-    Atom,
     Ident,
     KIND_CHOICE,
     Name,
@@ -222,7 +220,7 @@ def transformer_to_elaborator(
     state threaded through, then elaborate the output."""
     state = env.state
     with state.scopes.fresh():
-        tenv = TransformerEnv(state.gctx, state.scopes, state.single_scope)
+        tenv = state.tenv()
         out: Optional[Syntax] = None
         for transformer in state.macros.lookup(stx.kind):
             out = transformer(stx, tenv)
@@ -325,11 +323,7 @@ def elab_anonymous_ctor(
     if entry is None:
         raise ElabError(f"no constructor known for expected type {expected}")
     ctor, arity = entry
-    args = [
-        c
-        for c in stx.children[1].children
-        if not (isinstance(c, Atom) and c.text == ",")
-    ]
+    args = _seq_elements(stx.children[1])
     if len(args) != arity:
         raise ElabError(
             f"'{ctor}' expects {arity} argument(s), got {len(args)}"

@@ -92,11 +92,18 @@ class ExpanderState:
     prechecker: Optional[Prechecker] = None
 
     def tenv(self) -> TransformerEnv:
-        return TransformerEnv(self.gctx, self.scopes, self.single_scope)
+        return TransformerEnv(
+            self.gctx, self.scopes, self.single_scope, self.table, self.notation_precheck
+        )
 
     def make_prechecker(self) -> Prechecker:
         if self.prechecker is None:
-            self.prechecker = Prechecker(self.gctx, self.macros)
+            self.prechecker = Prechecker(
+                self.gctx,
+                self.macros,
+                table=self.table,
+                notation_precheck=self.notation_precheck,
+            )
         return self.prechecker
 
 
@@ -387,6 +394,8 @@ class Expander:
 
 
 def _seq_elements(stx: Syntax) -> Tuple[Syntax, ...]:
+    """The elements of a `seq`/`sepseq` node without its separator atoms;
+    any other syntax is a sequence of itself."""
     if isinstance(stx, Node) and stx.kind in _SEQ_KINDS:
         return tuple(
             c for c in stx.children if not (isinstance(c, Atom) and c.text in (",", ";"))

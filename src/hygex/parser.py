@@ -144,6 +144,17 @@ class ParserTable:
         self.register_rule(CAT_TERM, ParseRule(K_PLUS, (CatRef(CAT_TERM), Lit("+"), CatRef(CAT_TERM)), prec=65))
         self.register_rule(CAT_TERM, ParseRule(K_ARROW, (CatRef(CAT_TERM), Lit("→"), CatRef(CAT_TERM)), prec=25, right_assoc=True))
 
+    def copy(self) -> "ParserTable":
+        """An independent table with the same categories, rules and
+        keywords; the immutable rules and keyword snapshot are shared."""
+        new = ParserTable.__new__(ParserTable)
+        new.categories = {n: Category(n, list(c.rules)) for n, c in self.categories.items()}
+        new.keywords = set(self.keywords)
+        new._keyword_snapshot = self._keyword_snapshot
+        new.kinds = set(self.kinds)
+        new.command_heads = set(self.command_heads)
+        return new
+
     def snapshot_keywords(self) -> frozenset:
         """The keyword set as a frozenset, rebuilt only after it changed;
         an unchanged table hands every lexer the same object."""

@@ -11,7 +11,17 @@ from typing import Callable, Dict, Optional, Set
 
 from .context import GlobalContext, MacroTable, ScopeCounter, ScopeState, TransformerEnv
 from .errors import PrecheckError, UnboundIdentifier
-from .parser import K_APP, K_ARROW, K_FUN, K_FUN_MATCH, K_FUN_MULTI, K_MATCH, K_PLUS, K_TUPLE
+from .parser import (
+    K_APP,
+    K_ARROW,
+    K_FUN,
+    K_FUN_MATCH,
+    K_FUN_MULTI,
+    K_MATCH,
+    K_PLUS,
+    K_TUPLE,
+    ParserTable,
+)
 from .syntax import (
     Atom,
     Ident,
@@ -43,9 +53,14 @@ class Prechecker:
         macros: MacroTable,
         hooks: Optional[Dict[Name, Hook]] = None,
         max_unfold: int = 32,
+        table: Optional[ParserTable] = None,
+        notation_precheck: bool = True,
     ):
         self.gctx = gctx
         self.macros = macros
+        # what unfolded transformers read from their environment
+        self.table = table
+        self.notation_precheck = notation_precheck
         self.hooks = dict(builtin_hooks()) if hooks is None else hooks
         self.max_unfold = max_unfold
         self._scratch = ScopeState(ScopeCounter(start=-1, step=-1))
@@ -90,7 +105,12 @@ class Prechecker:
         raise UnboundIdentifier(stx.raw, stx.info)
 
     def _unfold(self, stx: Node) -> Optional[Syntax]:
-        tenv = TransformerEnv(self.gctx, self._scratch)
+        tenv = TransformerEnv(
+            self.gctx,
+            self._scratch,
+            table=self.table,
+            notation_precheck=self.notation_precheck,
+        )
         with self._scratch.fresh():
             for transformer in self.macros.lookup(stx.kind):
                 out = transformer(stx, tenv)

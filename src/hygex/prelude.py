@@ -23,7 +23,7 @@ from .elaborator import (
     elab_anonymous_ctor,
 )
 from .errors import ExpansionError, KernelError
-from .expander import Expander, ExpanderState
+from .expander import Expander, ExpanderState, _seq_elements, _string_content
 from .parser import (
     K_ANON_CTOR,
     K_ARGDECL,
@@ -38,7 +38,6 @@ from .parser import (
     CatRef,
     Lit,
     Parser,
-    ParserTable,
     iter_commands,
 )
 from .quotation import (
@@ -93,10 +92,39 @@ def run_source(state: ExpanderState, src: str) -> List[Syntax]:
     return outputs
 
 
+# the prelude as built by `_build_prelude`; only ever copied from
+_prototype: Optional[ExpanderState] = None
+
+
 def bootstrap(state: ExpanderState, prelude: bool = True) -> None:
-    """Install the prelude; any diagnostic here is a hard error."""
+    """Install the prelude into a fresh state; any diagnostic in the prelude
+    is a hard error.
+
+    The prelude is built once per process, into a private prototype state.
+    Each call gives `state` its own copies of the prototype's tables and
+    context and drops its prechecker, so nothing a run does reaches the
+    prototype or another run.  The state keeps its own scope state and
+    settings (expansion depth, notation precheck, trace hook): prelude
+    transformers read those from their `TransformerEnv`.
+    """
     if not prelude:
         return
+    global _prototype
+    if _prototype is None:
+        _prototype = _build_prelude()
+    proto = _prototype
+    state.table = proto.table.copy()
+    state.gctx = proto.gctx.copy()
+    state.macros = proto.macros.copy()
+    state.elaborators = dict(proto.elaborators)
+    state.tactics = dict(proto.tactics)
+    state.prechecker = None
+
+
+def _build_prelude() -> ExpanderState:
+    """Run the prelude in a new state: the install sequence behind the
+    prototype."""
+    state = ExpanderState()
     try:
         _install_signatures(state)
         _install_macro_command(state)
@@ -107,6 +135,7 @@ def bootstrap(state: ExpanderState, prelude: bool = True) -> None:
         run_source(state, NOTATIONS_SRC)
     except KernelError as err:
         raise RuntimeError(f"prelude failed to load: {err.message}") from err
+    return state
 
 
 def _install_signatures(state: ExpanderState) -> None:
@@ -124,19 +153,9 @@ def _install_signatures(state: ExpanderState) -> None:
 # fun: currying and the combined fun-match form
 
 
-def _seq_items(stx: Syntax) -> List[Syntax]:
-    if isinstance(stx, Node) and stx.kind.parts[0] in ("seq", "sepseq"):
-        return [
-            c
-            for c in stx.children
-            if not (isinstance(c, Atom) and c.text in (",", ";"))
-        ]
-    return [stx]
-
-
 def _fun_multi_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
     kw, binders, arrow, body = stx.children
-    elems = _seq_items(binders)
+    elems = _seq_elements(binders)
     if not elems:
         raise ExpansionError("fun needs at least one binder")
     out = body
@@ -184,69 +203,59 @@ def _install_fun_macros(state: ExpanderState) -> None:
 # The `macro` command
 
 
-def _string_content(atom: Atom) -> str:
-    text = atom.text
-    if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    return text
-
-
-def _macro_transformer(table: ParserTable):
-    def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
-        kw, items, _colon, cat_ident, _arrow, rhs = stx.children
-        if not (isinstance(rhs, Node) and is_quotation(rhs)):
-            raise ExpansionError(
-                f"macro right-hand side must be a quotation, got '{render(rhs)}'"
+def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+    kw, items, _colon, cat_ident, _arrow, rhs = stx.children
+    if not (isinstance(rhs, Node) and is_quotation(rhs)):
+        raise ExpansionError(
+            f"macro right-hand side must be a quotation, got '{render(rhs)}'"
+        )
+    if not isinstance(cat_ident, Ident):
+        raise ExpansionError("macro needs a category name")
+    cat = base_name(cat_ident.name)
+    syntax_items: List[Syntax] = []
+    rule_items: List = []
+    pattern_children: List[Syntax] = []
+    for item in _seq_elements(items):
+        if isinstance(item, Atom):
+            lit = _string_content(item)
+            syntax_items.append(Atom(item.text))
+            rule_items.append(Lit(lit))
+            pattern_children.append(Atom(lit))
+        elif isinstance(item, Node) and item.kind == K_ARGDECL:
+            name, _c, argcat = item.children
+            slot = base_name(argcat.name)
+            syntax_items.append(Ident(argcat.raw, slot, (), None))
+            rule_items.append(CatRef(slot))
+            # a :term tag adds nothing to matching; leave those holes bare
+            suffix = () if slot == Name.of("term") else slot.parts
+            pattern_children.append(
+                Node(Name((KIND_ANTIQUOT,) + suffix), (name,))
             )
-        if not isinstance(cat_ident, Ident):
-            raise ExpansionError("macro needs a category name")
-        cat = base_name(cat_ident.name)
-        syntax_items: List[Syntax] = []
-        rule_items: List = []
-        pattern_children: List[Syntax] = []
-        for item in _seq_items(items):
-            if isinstance(item, Atom):
-                lit = _string_content(item)
-                syntax_items.append(Atom(item.text))
-                rule_items.append(Lit(lit))
-                pattern_children.append(Atom(lit))
-            elif isinstance(item, Node) and item.kind == K_ARGDECL:
-                name, _c, argcat = item.children
-                slot = base_name(argcat.name)
-                syntax_items.append(Ident(argcat.raw, slot, (), None))
-                rule_items.append(CatRef(slot))
-                # a :term tag adds nothing to matching; leave those holes bare
-                suffix = () if slot == Name.of("term") else slot.parts
-                pattern_children.append(
-                    Node(Name((KIND_ANTIQUOT,) + suffix), (name,))
-                )
-            else:
-                raise ExpansionError(f"bad macro item '{render(item)}'")
-        kind = table.gen_kind(rule_items)
-        syntax_cmd = Node(
-            K_SYNTAX,
-            (
-                Atom("syntax"),
-                Node(Name.of(KIND_SEQ), tuple(syntax_items)),
-                Atom(":"),
-                Ident(cat_ident.raw, cat, (), None),
+        else:
+            raise ExpansionError(f"bad macro item '{render(item)}'")
+    kind = tenv.table.gen_kind(rule_items)
+    syntax_cmd = Node(
+        K_SYNTAX,
+        (
+            Atom("syntax"),
+            Node(Name.of(KIND_SEQ), tuple(syntax_items)),
+            Atom(":"),
+            Ident(cat_ident.raw, cat, (), None),
+        ),
+    )
+    quot_kind = (KIND_QUOT,) if cat in _DEFAULT_QUOT_CATS else (KIND_QUOT,) + cat.parts
+    pattern_quot = Node(Name(quot_kind), (Node(kind, tuple(pattern_children)),))
+    macro_rules_cmd = Node(
+        K_MACRO_RULES,
+        (
+            Atom("macro_rules"),
+            Node(
+                Name.of(KIND_SEQ),
+                (Node(K_MR_ALT, (Atom("|"), pattern_quot, Atom("=>"), rhs)),),
             ),
-        )
-        quot_kind = (KIND_QUOT,) if cat in _DEFAULT_QUOT_CATS else (KIND_QUOT,) + cat.parts
-        pattern_quot = Node(Name(quot_kind), (Node(kind, tuple(pattern_children)),))
-        macro_rules_cmd = Node(
-            K_MACRO_RULES,
-            (
-                Atom("macro_rules"),
-                Node(
-                    Name.of(KIND_SEQ),
-                    (Node(K_MR_ALT, (Atom("|"), pattern_quot, Atom("=>"), rhs)),),
-                ),
-            ),
-        )
-        return Node(Name.of(KIND_CMDSEQ), (syntax_cmd, macro_rules_cmd))
-
-    return transformer
+        ),
+    )
+    return Node(Name.of(KIND_CMDSEQ), (syntax_cmd, macro_rules_cmd))
 
 
 _DEFAULT_QUOT_CATS = {Name.of("term"), Name.of("command")}
@@ -254,7 +263,7 @@ _DEFAULT_QUOT_CATS = {Name.of("term"), Name.of("command")}
 
 def _install_macro_command(state: ExpanderState) -> None:
     state.table.enable_command_head("macro")
-    state.macros.register(K_MACRO, _macro_transformer(state.table))
+    state.macros.register(K_MACRO, _macro_transformer)
 
 
 # ---------------------------------------------------------------------------
@@ -271,42 +280,39 @@ def _substitute_params(stx: Syntax, params: Dict[Name, Ident]) -> Syntax:
             return stx
 
 
-def _notation_transformer(notation_precheck: bool):
-    def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
-        kw, items, arrow, rhs = stx.children
-        macro_items: List[Syntax] = []
-        params: Dict[Name, Ident] = {}
-        for item in _seq_items(items):
-            if isinstance(item, Atom):
-                macro_items.append(Atom(item.text))
-            elif isinstance(item, Ident):
-                params[item.name] = item
-                macro_items.append(
-                    Node(
-                        K_ARGDECL,
-                        (item, Atom(":"), Ident("term", Name.of("term"), (), None)),
-                    )
+def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+    kw, items, arrow, rhs = stx.children
+    macro_items: List[Syntax] = []
+    params: Dict[Name, Ident] = {}
+    for item in _seq_elements(items):
+        if isinstance(item, Atom):
+            macro_items.append(Atom(item.text))
+        elif isinstance(item, Ident):
+            params[item.name] = item
+            macro_items.append(
+                Node(
+                    K_ARGDECL,
+                    (item, Atom(":"), Ident("term", Name.of("term"), (), None)),
                 )
-            else:
-                raise ExpansionError(f"bad notation item '{render(item)}'")
-        body = _substitute_params(rhs, params)
-        quot_kind = KIND_DQUOT if notation_precheck else KIND_QUOT
-        wrapped = Node(Name((quot_kind,)), (body,))
-        return Node(
-            K_MACRO,
-            (
-                Atom("macro"),
-                Node(Name.of(KIND_SEQ), tuple(macro_items)),
-                Atom(":"),
-                Ident("term", Name.of("term"), (), None),
-                Atom("=>"),
-                wrapped,
-            ),
-        )
-
-    return transformer
+            )
+        else:
+            raise ExpansionError(f"bad notation item '{render(item)}'")
+    body = _substitute_params(rhs, params)
+    quot_kind = KIND_DQUOT if tenv.notation_precheck else KIND_QUOT
+    wrapped = Node(Name((quot_kind,)), (body,))
+    return Node(
+        K_MACRO,
+        (
+            Atom("macro"),
+            Node(Name.of(KIND_SEQ), tuple(macro_items)),
+            Atom(":"),
+            Ident("term", Name.of("term"), (), None),
+            Atom("=>"),
+            wrapped,
+        ),
+    )
 
 
 def _install_notation_command(state: ExpanderState) -> None:
     state.table.enable_command_head("notation")
-    state.macros.register(K_NOTATION, _notation_transformer(state.notation_precheck))
+    state.macros.register(K_NOTATION, _notation_transformer)

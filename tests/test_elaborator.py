@@ -1,5 +1,7 @@
 """Elaboration, the transformer adapter, and the anonymous constructor."""
 
+from dataclasses import replace
+
 import pytest
 
 from hygex.elaborator import (
@@ -73,7 +75,7 @@ class TestElabTerm:
             "macro_rules | `(const $e) => `(fun x => $e)\n"
             "def q := 1\n",
         )
-        state.gctx.get(Name.of("q")).type_ = TNat()
+        state.gctx.add(Name.of("q"), replace(state.gctx.get(Name.of("q")), type_=TNat()))
         expr, _ = elab_term(
             term(state, "const q"), env_of(state), TArrow(TNat(), TNat())
         )
@@ -81,6 +83,19 @@ class TestElabTerm:
         assert expr.body == Const(Name.of("q"))
         # hygiene survived elaboration: the binder is not what `q` names
         assert expr.binder != Name.of("q")
+
+    def test_separators_of_a_spliced_ctor_are_not_arguments(self, state):
+        # a `;` splice puts `;` atoms between the components; like every
+        # other sequence, the constructor drops them
+        from hygex.prelude import run_source
+
+        run_source(
+            state,
+            'syntax "pr" term : term\n'
+            "macro_rules | `(pr ($xs,*)) => `(⟨$xs;*⟩)\n",
+        )
+        expr, _ = elab_term(term(state, "pr (1, 2)"), env_of(state), TProd(TNat(), TNat()))
+        assert expr == Pair(NatLit(1), NatLit(2))
 
     def test_plus_elaborates_to_add_application(self, state):
         expr, ty = elab_term(term(state, "1 + 2"), env_of(state), None)

@@ -2,10 +2,13 @@
 
 import pytest
 
+from conftest import CORPUS
+from corpus_config import CORPUS_RUNS
 from hygex.context import ScopeCounter, ScopeState
-from hygex.driver import RunConfig, run_string
+from hygex.driver import RunConfig, Runner, run_string
 from hygex.prelude import bootstrap
-from hygex.expander import ExpanderState
+from hygex.expander import _SEQ_KINDS, ExpanderState
+from hygex.syntax import Node
 
 
 class TestNotationEqualsHandWrittenPair:
@@ -109,3 +112,32 @@ class TestPreludeLoads:
         bootstrap(state)
         with pytest.raises(KernelError):
             run_source(state, "def broken := nosuchglobal\n")
+
+
+class TestSequenceElements:
+    """The prelude's sequence helper tested only the head of a node kind;
+    the shared `_seq_elements` tests the whole kind.  No node the corpus
+    parses or expands to has a kind on which the two tests disagree."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+    def test_head_and_whole_kind_agree(self, name):
+        runner = Runner(RunConfig(**CORPUS_RUNS[name][0]))
+        seen = []
+        runner.state.on_macro_step = lambda kind, before, after: seen.extend((before, after))
+        process = runner.expander.process_command
+
+        def recorded(stx, depth=0):
+            seen.append(stx)
+            return process(stx, depth)
+
+        runner.expander.process_command = recorded
+        runner.run_files([str(CORPUS / f"{name}.hyg")])
+        kinds = set()
+        while seen:
+            stx = seen.pop()
+            if isinstance(stx, Node):
+                kinds.add(stx.kind)
+                seen.extend(stx.children)
+        assert any(kind in _SEQ_KINDS for kind in kinds)
+        for kind in kinds:
+            assert (kind.parts[0] in ("seq", "sepseq")) == (kind in _SEQ_KINDS), kind
