@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .elaborator import ElabEnv, elab_term, interp_type
 from .errors import KernelError
 from .expander import Expander, ExpanderState, TraceFn
-from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, iter_commands
+from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, ParserTable, iter_commands
 from .prelude import bootstrap
 from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
 from .tactic import TacticState, interp_prop, run_proof
@@ -76,7 +76,10 @@ class Runner:
 
     def __init__(self, cfg: Optional[RunConfig] = None):
         self.cfg = cfg or RunConfig()
+        # bootstrap gives a prelude run a copy of the prelude's parser
+        # table, so only a run without the prelude builds a fresh one
         self.state = ExpanderState(
+            table=None if self.cfg.prelude else ParserTable(),
             max_expansion_depth=self.cfg.max_expansion_depth,
             notation_precheck=self.cfg.notation_precheck,
         )

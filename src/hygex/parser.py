@@ -19,6 +19,7 @@ from .syntax import (
     Atom,
     Ident,
     KIND_ANTIQUOT,
+    KIND_CHOICE,
     KIND_CMDSEQ,
     KIND_DQUOT,
     KIND_QUOT,
@@ -137,9 +138,15 @@ class ParserTable:
             K_ANON_CTOR, K_APP, K_DEF, K_DEF_TYPED,
             K_THEOREM, K_BINDER, K_BY, K_SYNTAX, K_MACRO_RULES, K_MR_ALT,
             K_DECLARE_CAT, K_MACRO, K_ARGDECL, K_NOTATION, K_INTRO, K_EXACT,
-            K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY, K_TSEQ, K_TPAREN,
+            K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY, K_TSEQ, K_TPAREN, K_SLOT_PREC,
         ):
             self.kinds.add(kind)
+        # the kernel's own node kinds: a generated kind must never take one
+        for kind in (
+            KIND_QUOT, KIND_DQUOT, KIND_ANTIQUOT, KIND_SPLICE, KIND_SPLICEGROUP,
+            KIND_SEPSEQ, KIND_SEQ, KIND_CMDSEQ, KIND_CHOICE,
+        ):
+            self.kinds.add(Name((kind,)))
         # core infix rules; everything else term-level is built in
         self.register_rule(CAT_TERM, ParseRule(K_PLUS, (CatRef(CAT_TERM), Lit("+"), CatRef(CAT_TERM)), prec=65))
         self.register_rule(CAT_TERM, ParseRule(K_ARROW, (CatRef(CAT_TERM), Lit("→"), CatRef(CAT_TERM)), prec=25, right_assoc=True))

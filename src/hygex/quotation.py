@@ -5,15 +5,24 @@ declaration is elaborated: every captured identifier is annotated with the
 global symbols it matches right there.  Instantiating the template later
 applies the invocation's current macro scope to exactly those captured
 identifiers; spliced-in payloads are inserted verbatim.
+
+Patterns and templates are compiled once, at declaration, into closures:
+a pattern into a matcher that checks each node's class, kind, atom text or
+identifier spelling and arity, and a template into a builder in which every
+subtree holding no identifier, hole or splice is prebuilt and shared.  A
+macro step then runs those closures instead of walking the quotation.  The
+closures capture only the quotation, never run state, so one compiled rule
+serves every run that shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .context import RESERVED_SCOPE, GlobalContext, TransformerEnv
 from .errors import ExpansionError
+from .parser import K_NUM
 from .syntax import (
     Atom,
     Ident,
@@ -61,6 +70,11 @@ class Rep:
 Capture = Union[Tree, SepSeq, Seq, Rep]
 MatchEnv = Dict[Name, Capture]
 
+# A compiled pattern writes its captures into the environment it is given
+# and says whether the tree matched; a compiled template builds a tree.
+Matcher = Callable[[Syntax, MatchEnv], bool]
+Builder = Callable[[MatchEnv, TransformerEnv], Syntax]
+
 
 def _elems_of(capture: Capture) -> Tuple[Syntax, ...]:
     match capture:
@@ -82,6 +96,10 @@ class QuotationTemplate:
     body: Syntax
     holes: FrozenSet[Name]
     checked: bool = False  # declared with a double-backtick quotation
+    build: Builder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "build", _compile_builder(self.body))
 
 
 @dataclass(frozen=True)
@@ -89,6 +107,10 @@ class QuotationPattern:
     body: Syntax
     kind: Name
     vars: FrozenSet[Name]
+    match: Matcher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "match", _compile_matcher(self.body))
 
 
 def _hole_var(anti: Node) -> Name:
@@ -162,44 +184,148 @@ def process_pattern(quot: Node) -> QuotationPattern:
 
 def match_quotation(pattern: QuotationPattern, stx: Syntax) -> Optional[MatchEnv]:
     env: MatchEnv = {}
-    if _match(pattern.body, stx, env):
+    if pattern.match(stx, env):
         return env
     return None
 
 
-def _antiquot_admits(anti: Node, stx: Syntax) -> bool:
+def _is_ident(stx: Syntax) -> bool:
+    return type(stx) is Ident
+
+
+def _is_num(stx: Syntax) -> bool:
+    return type(stx) is Node and stx.kind == K_NUM
+
+
+def _admits(anti: Node) -> Optional[Callable[[Syntax], bool]]:
+    """The test an antiquotation's tag puts on what it captures, if any."""
     suffix = anti.kind.parts[1:]
-    if not suffix:
-        return True
     if suffix == ("ident",):
-        return isinstance(stx, Ident)
+        return _is_ident
     if suffix == ("num",):
-        return isinstance(stx, Node) and stx.kind == Name.of("num")
+        return _is_num
     # other category/kind tags only document intent; the surrounding
     # literal structure already pins the shape
-    return True
+    return None
 
 
-def _match(pat: Syntax, stx: Syntax, env: MatchEnv) -> bool:
-    if isinstance(pat, Node) and is_antiquot(pat):
-        if not _antiquot_admits(pat, stx):
-            return False
-        env[_hole_var(pat)] = Tree(stx)
-        return True
-    match pat, stx:
-        case Atom(text=a), Atom(text=b):
-            return a == b
-        case Ident(raw=a), Ident(raw=b):
-            # surface spelling only: scopes and top-level scopes are
-            # irrelevant to structural matching
-            return a == b
-        case Missing(), Missing():
-            return True
-        case Node(kind=k1, children=pats), Node(kind=k2, children=inputs):
-            if k1 != k2:
-                return False
-            return _match_children(pats, inputs, env)
+def _no_match(stx: Syntax, env: MatchEnv) -> bool:
     return False
+
+
+def _compile_matcher(pat: Syntax) -> Matcher:
+    if type(pat) is Node:
+        if is_antiquot(pat):
+            return _compile_hole_matcher(pat)
+        return _compile_node_matcher(pat)
+    if type(pat) is Atom:
+        text = pat.text
+
+        def match_atom(stx: Syntax, env: MatchEnv) -> bool:
+            return type(stx) is Atom and stx.text == text
+
+        return match_atom
+    if type(pat) is Ident:
+        # surface spelling only: scopes and top-level scopes are
+        # irrelevant to structural matching
+        raw = pat.raw
+
+        def match_ident(stx: Syntax, env: MatchEnv) -> bool:
+            return type(stx) is Ident and stx.raw == raw
+
+        return match_ident
+    if type(pat) is Missing:
+        return lambda stx, env: type(stx) is Missing
+    return _no_match
+
+
+def _compile_hole_matcher(anti: Node) -> Matcher:
+    var = _hole_var(anti)
+    admits = _admits(anti)
+    if admits is None:
+
+        def match_hole(stx: Syntax, env: MatchEnv) -> bool:
+            env[var] = Tree(stx)
+            return True
+
+        return match_hole
+
+    def match_tagged_hole(stx: Syntax, env: MatchEnv) -> bool:
+        if not admits(stx):
+            return False
+        env[var] = Tree(stx)
+        return True
+
+    return match_tagged_hole
+
+
+def _compile_node_matcher(pat: Node) -> Matcher:
+    kind = pat.kind
+    parts = kind.parts
+    children = pat.children
+    at = next((i for i, c in enumerate(children) if is_splice(c)), None)
+    if at is None:
+        # Atoms are tested first, in line, and untagged holes are filled
+        # last.  The order cannot change the outcome: a failed match drops
+        # its whole environment, and pattern variables are distinct.
+        atoms, holes, others = [], [], []
+        for i, c in enumerate(children):
+            if type(c) is Atom:
+                atoms.append((i, c.text))
+            elif is_antiquot(c) and _admits(c) is None:
+                holes.append((i, _hole_var(c)))
+            else:
+                others.append((i, _compile_matcher(c)))
+        arity = len(children)
+
+        def match_node(stx: Syntax, env: MatchEnv) -> bool:
+            if type(stx) is not Node:
+                return False
+            k = stx.kind
+            if k is not kind and k.parts != parts:
+                return False
+            inputs = stx.children
+            if len(inputs) != arity:
+                return False
+            for i, text in atoms:
+                c = inputs[i]
+                if type(c) is not Atom or c.text != text:
+                    return False
+            for i, m in others:
+                if not m(inputs[i], env):
+                    return False
+            for i, var in holes:
+                env[var] = Tree(inputs[i])
+            return True
+
+        return match_node
+
+    # only the first splice of a child list is one; any later one matches
+    # as a plain node
+    prefix = tuple(_compile_matcher(c) for c in children[:at])
+    suffix = tuple(_compile_matcher(c) for c in children[at + 1 :])
+    match_middle = _compile_splice_matcher(children[at])
+    n_pre, n_suf = len(prefix), len(suffix)
+
+    def match_spliced_node(stx: Syntax, env: MatchEnv) -> bool:
+        if type(stx) is not Node:
+            return False
+        k = stx.kind
+        if k is not kind and k.parts != parts:
+            return False
+        inputs = stx.children
+        end = len(inputs) - n_suf
+        if end < n_pre:
+            return False
+        for m, c in zip(prefix, inputs):
+            if not m(c, env):
+                return False
+        for m, c in zip(suffix, inputs[end:]):
+            if not m(c, env):
+                return False
+        return match_middle(inputs[n_pre:end], env)
+
+    return match_spliced_node
 
 
 def _split_elements(
@@ -218,64 +344,45 @@ def _split_elements(
     return elems
 
 
-def _match_children(
-    pats: Sequence[Syntax], inputs: Sequence[Syntax], env: MatchEnv
-) -> bool:
-    splice_at = None
-    for i, p in enumerate(pats):
-        if is_splice(p):
-            splice_at = i
-            break
-    if splice_at is None:
-        if len(pats) != len(inputs):
-            return False
-        return all(_match(p, s, env) for p, s in zip(pats, inputs))
-    prefix = pats[:splice_at]
-    suffix = pats[splice_at + 1 :]
-    if len(inputs) < len(prefix) + len(suffix):
-        return False
-    for p, s in zip(prefix, inputs[: len(prefix)]):
-        if not _match(p, s, env):
-            return False
-    if suffix:
-        for p, s in zip(suffix, inputs[len(inputs) - len(suffix) :]):
-            if not _match(p, s, env):
-                return False
-        middle = inputs[len(prefix) : len(inputs) - len(suffix)]
-    else:
-        middle = inputs[len(prefix) :]
-    return _match_splice(pats[splice_at], middle, env)
-
-
-def _match_splice(splice: Node, middle: Sequence[Syntax], env: MatchEnv) -> bool:
+def _compile_splice_matcher(splice: Node) -> Callable[[Sequence[Syntax], MatchEnv], bool]:
+    """A matcher of the run of children a splice stands for."""
     sep = splice_separator(splice)
-    head = splice.kind.parts[0]
-    if head == KIND_SPLICE:
+    if splice.kind.parts[0] == KIND_SPLICE:
         anti = splice.children[0]
+        var = _hole_var(anti)
+        admits = _admits(anti)
+
+        def match_splice(middle: Sequence[Syntax], env: MatchEnv) -> bool:
+            elems = _split_elements(middle, sep)
+            if elems is None:
+                return False
+            if admits is not None and not all(admits(e) for e in elems):
+                return False
+            env[var] = SepSeq(tuple(elems), sep) if sep else Seq(tuple(elems))
+            return True
+
+        return match_splice
+
+    # nested splice: the inner pattern must match every element
+    match_inner = _compile_matcher(splice.children[0])
+    vars_ = tuple(collect_holes(splice.children[0]))
+
+    def match_group(middle: Sequence[Syntax], env: MatchEnv) -> bool:
         elems = _split_elements(middle, sep)
         if elems is None:
             return False
-        if not all(_antiquot_admits(anti, e) for e in elems):
-            return False
-        var = _hole_var(anti)
-        env[var] = SepSeq(tuple(elems), sep) if sep else Seq(tuple(elems))
+        collected: Dict[Name, List[Capture]] = {v: [] for v in vars_}
+        for elem in elems:
+            sub: MatchEnv = {}
+            if not match_inner(elem, sub):
+                return False
+            for v in vars_:
+                collected[v].append(sub[v])
+        for v, items in collected.items():
+            env[v] = Rep(tuple(items))
         return True
-    # nested splice: the inner pattern must match every element
-    inner = splice.children[0]
-    elems = _split_elements(middle, sep)
-    if elems is None:
-        return False
-    vars_ = collect_holes(inner)
-    collected: Dict[Name, List[Capture]] = {v: [] for v in vars_}
-    for elem in elems:
-        sub: MatchEnv = {}
-        if not _match(inner, elem, sub):
-            return False
-        for v in vars_:
-            collected[v].append(sub[v])
-    for v, items in collected.items():
-        env[v] = Rep(tuple(items))
-    return True
+
+    return match_group
 
 
 # ---------------------------------------------------------------------------
@@ -285,82 +392,136 @@ def _match_splice(splice: Node, middle: Sequence[Syntax], env: MatchEnv) -> bool
 def instantiate(
     template: QuotationTemplate, env: MatchEnv, tenv: TransformerEnv
 ) -> Syntax:
-    missing = template.holes - set(env)
+    missing = template.holes.difference(env)
     if missing:
         names = ", ".join(sorted(str(m) for m in missing))
         raise ExpansionError(f"unbound antiquotation variable: {names}")
-    return _instantiate(template.body, env, tenv)
+    return template.build(env, tenv)
 
 
-def _instantiate(stx: Syntax, env: MatchEnv, tenv: TransformerEnv) -> Syntax:
-    match stx:
-        case Ident(raw=raw, name=name, preresolved=pre):
+def _compile_builder(stx: Syntax) -> Builder:
+    build, tree = _compile_part(stx)
+    if build is None:
+        return lambda env, tenv: tree
+    return build
+
+
+def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
+    """Compile one template subtree to `(builder, None)`, or to `(None,
+    tree)` when it holds no identifier, hole or splice: such a subtree is
+    built once, its atoms stripped of source info, and every instantiation
+    shares it."""
+    if type(stx) is Ident:
+        raw, name, pre = stx.raw, stx.name, stx.preresolved
+
+        def build_ident(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
             return Ident(raw, tenv.apply_scope(name), pre, None)
-        case Atom(text=text):
-            return Atom(text, None)
-        case Node() if is_antiquot(stx):
-            capture = env[_hole_var(stx)]
-            if not isinstance(capture, Tree):
-                raise ExpansionError(
-                    f"hole ${_hole_var(stx)} expects a single tree, "
-                    "got a sequence capture"
-                )
-            return capture.stx
-        case Node(kind=kind, children=children):
+
+        return build_ident, None
+    if type(stx) is Atom:
+        return None, stx if stx.info is None else Atom(stx.text, None)
+    if type(stx) is not Node:
+        return None, stx
+    if is_antiquot(stx):
+        return _compile_hole_builder(stx), None
+    kind = stx.kind
+    spliced = tuple(is_splice(c) for c in stx.children)
+    parts = tuple(
+        (_compile_splice_builder(c), None) if s else _compile_part(c)
+        for c, s in zip(stx.children, spliced)
+    )
+    if all(build is None for build, _ in parts):
+        return None, Node(kind, tuple(tree for _, tree in parts))
+    if any(spliced):
+
+        def build_spliced_node(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
             out: List[Syntax] = []
-            for child in children:
-                if is_splice(child):
-                    out.extend(_instantiate_splice(child, env, tenv))
+            for (build, tree), s in zip(parts, spliced):
+                if build is None:
+                    out.append(tree)
+                elif s:
+                    out.extend(build(env, tenv))
                 else:
-                    out.append(_instantiate(child, env, tenv))
+                    out.append(build(env, tenv))
             return Node(kind, tuple(out))
-        case _:
-            return stx
+
+        return build_spliced_node, None
+
+    def build_node(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+        return Node(kind, tuple([t if b is None else b(env, tenv) for b, t in parts]))
+
+    return build_node, None
+
+
+def _compile_hole_builder(anti: Node) -> Builder:
+    var = _hole_var(anti)
+
+    def build_hole(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+        capture = env[var]
+        if type(capture) is not Tree:
+            raise ExpansionError(
+                f"hole ${var} expects a single tree, got a sequence capture"
+            )
+        return capture.stx
+
+    return build_hole
 
 
 def _with_separators(elems: List[Syntax], sep: str) -> List[Syntax]:
     if not sep:
         return elems
+    sep_atom = Atom(sep, None)
     out: List[Syntax] = []
     for i, e in enumerate(elems):
         if i:
-            out.append(Atom(sep, None))
+            out.append(sep_atom)
         out.append(e)
     return out
 
 
-def _instantiate_splice(
-    splice: Node, env: MatchEnv, tenv: TransformerEnv
-) -> List[Syntax]:
+def _compile_splice_builder(
+    splice: Node,
+) -> Callable[[MatchEnv, TransformerEnv], List[Syntax]]:
+    """A builder of the run of children a splice stands for; separators are
+    inserted, removed or replaced to fit this position."""
     sep = splice_separator(splice)
     if splice.kind.parts[0] == KIND_SPLICE:
-        capture = env[_hole_var(splice.children[0])]
-        # separators are inserted/removed/replaced to fit this position
-        return _with_separators(list(_elems_of(capture)), sep)
+        var = _hole_var(splice.children[0])
+
+        def build_splice(env: MatchEnv, tenv: TransformerEnv) -> List[Syntax]:
+            return _with_separators(list(_elems_of(env[var])), sep)
+
+        return build_splice
+
     inner = splice.children[0]
-    vars_ = collect_holes(inner)
-    lengths = set()
-    per_var: Dict[Name, Tuple] = {}
-    for v in vars_:
-        capture = env[v]
-        if isinstance(capture, Rep):
-            per_var[v] = capture.items
-        else:
-            per_var[v] = tuple(Tree(e) for e in _elems_of(capture))
-        lengths.add(len(per_var[v]))
-    if not vars_:
-        raise ExpansionError("nested splice without antiquotations")
-    if len(lengths) != 1:
-        raise ExpansionError(
-            "nested splice variables hold sequences of different lengths"
-        )
-    n = lengths.pop()
-    elems = []
-    for i in range(n):
-        sub = dict(env)
-        sub.update({v: per_var[v][i] for v in vars_})
-        elems.append(_instantiate(inner, sub, tenv))
-    return _with_separators(elems, sep)
+    build_inner = _compile_builder(inner)
+    vars_ = tuple(dict.fromkeys(collect_holes(inner)))
+
+    def build_group(env: MatchEnv, tenv: TransformerEnv) -> List[Syntax]:
+        lengths = set()
+        per_var: Dict[Name, Tuple] = {}
+        for v in vars_:
+            capture = env[v]
+            if type(capture) is Rep:
+                per_var[v] = capture.items
+            else:
+                per_var[v] = tuple(Tree(e) for e in _elems_of(capture))
+            lengths.add(len(per_var[v]))
+        if not vars_:
+            raise ExpansionError("nested splice without antiquotations")
+        if len(lengths) != 1:
+            raise ExpansionError(
+                "nested splice variables hold sequences of different lengths"
+            )
+        elems = []
+        for i in range(lengths.pop()):
+            sub = dict(env)
+            for v in vars_:
+                sub[v] = per_var[v][i]
+            elems.append(build_inner(sub, tenv))
+        return _with_separators(elems, sep)
+
+    return build_group
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import CORPUS, GOLDENS
 from corpus_config import CORPUS_RUNS
 from hygex.cli import main
 from hygex.driver import RunConfig, Runner, run_string
+from hygex.parser import ParserTable
 
 UPDATE = os.environ.get("HYGEX_UPDATE_GOLDENS") == "1"
 
@@ -84,6 +85,27 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestRunnerConstruction:
+    def test_only_a_run_without_the_prelude_builds_a_parser_table(self, monkeypatch):
+        Runner(RunConfig())  # the prelude's prototype exists from here on
+        built = []
+        init = ParserTable.__init__
+
+        def counted(table):
+            built.append(table)
+            init(table)
+
+        monkeypatch.setattr(ParserTable, "__init__", counted)
+        with_prelude = Runner(RunConfig())
+        assert len(built) == 0
+        without = Runner(RunConfig(prelude=False))
+        assert built == [without.state.table]
+        with_prelude.run_source("def x := (1, 2)\n")
+        without.run_source("def x := 1\n")
+        assert with_prelude.output == "def x := Prod.mk 1 2\n"
+        assert without.output == "def x := 1\n"
 
 
 class TestParseRecovery:

@@ -168,6 +168,16 @@ class TestProcessCommand:
         assert code == 0
         assert lines[-1] == "def x := 1"
 
+    @pytest.mark.parametrize("word", ["seq", "sq", "choice", "quot"])
+    def test_a_keyword_spelled_like_a_kernel_kind(self, word):
+        code, out = run_string(
+            f'syntax "{word}" term : term\n'
+            f"macro_rules | `({word} $e) => `($e + 1)\n"
+            f"def x := {word} 2\n"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "def x := 2 + 1"
+
     def test_expansion_depth_guard(self):
         code, lines = expanded_lines(
             'syntax "loop" term : term\n'

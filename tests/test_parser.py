@@ -201,6 +201,15 @@ class TestRegisterRule:
         k2 = table.gen_kind([Lit("w")])
         assert k1 != k2
 
+    @pytest.mark.parametrize(
+        "word",
+        ["quot", "dquot", "antiquot", "splice", "splicegroup", "sepseq", "seq",
+         "cmdseq", "choice", "slotprec"],
+    )
+    def test_generated_kinds_avoid_the_kernel_kinds(self, table, word):
+        kind = table.gen_kind([Lit(word), CatRef(CAT_TERM)])
+        assert kind == Name.of(f"{word}_2")
+
 
 class TestQuotations:
     def test_term_quotation_with_antiquotes(self, table):

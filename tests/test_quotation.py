@@ -1,8 +1,14 @@
 """Capture processing, quotation patterns, and template instantiation."""
 
+import types
+from typing import Dict, List, Sequence, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import strip_info
+from hygex.driver import RunConfig, Runner
 from hygex.context import (
     Decl,
     GlobalContext,
@@ -14,10 +20,18 @@ from hygex.context import (
 from hygex.errors import ExpansionError
 from hygex.parser import Parser, ParserTable
 from hygex.quotation import (
+    Capture,
+    MatchEnv,
+    QuotationPattern,
+    QuotationTemplate,
     Rep,
     Seq,
     SepSeq,
     Tree,
+    _elems_of,
+    _hole_var,
+    _split_elements,
+    collect_holes,
     instantiate,
     make_rule_transformer,
     match_quotation,
@@ -26,12 +40,22 @@ from hygex.quotation import (
     process_quotation,
 )
 from hygex.syntax import (
+    KIND_ANTIQUOT,
+    KIND_SPLICE,
+    KIND_SPLICEGROUP,
+    MISSING,
     Atom,
     Ident,
+    Missing,
     Name,
     Node,
+    SourceInfo,
+    Syntax,
     format_scoped,
+    is_antiquot,
+    is_splice,
     render,
+    splice_separator,
 )
 
 
@@ -232,6 +256,16 @@ class TestMatchQuotation:
         out = instantiate(template, env, tenv())
         assert strip_info(out) == strip_info(stx)
 
+    def test_a_splice_between_fixed_children_needs_an_input_for_each(self, table):
+        pattern = process_pattern(quot("`(fun $a $xs* $b => 1)", table))
+        two = quot("`(fun x y => 1)", table).children[0]
+        kw, binders, *rest = two.children
+        one = Node(two.kind, (kw, Node(binders.kind, binders.children[:1]), *rest))
+        assert match_quotation(pattern, one) is None
+        env = match_quotation(pattern, two)
+        assert env[Name.of("xs")] == Seq(())
+        assert render(env[Name.of("b")].stx) == "y"
+
     def test_duplicate_pattern_variable_rejected(self, table):
         with pytest.raises(ExpansionError):
             process_pattern(quot("`(($e, $e))", table))
@@ -334,3 +368,541 @@ class TestMkCIdent:
     def test_run_counter_never_reuses_the_reserved_scope(self):
         counter = ScopeCounter()
         assert all(counter.alloc() != RESERVED_SCOPE for _ in range(100))
+
+
+# ---------------------------------------------------------------------------
+# The tree-walking interpreters that compiled patterns and templates
+# replaced, kept as the reference the compiled engine is checked against.
+
+
+def ref_match_quotation(pattern: QuotationPattern, stx: Syntax):
+    env: MatchEnv = {}
+    if _ref_match(pattern.body, stx, env):
+        return env
+    return None
+
+
+def _ref_antiquot_admits(anti: Node, stx: Syntax) -> bool:
+    suffix = anti.kind.parts[1:]
+    if not suffix:
+        return True
+    if suffix == ("ident",):
+        return isinstance(stx, Ident)
+    if suffix == ("num",):
+        return isinstance(stx, Node) and stx.kind == Name.of("num")
+    return True
+
+
+def _ref_match(pat: Syntax, stx: Syntax, env: MatchEnv) -> bool:
+    if isinstance(pat, Node) and is_antiquot(pat):
+        if not _ref_antiquot_admits(pat, stx):
+            return False
+        env[_hole_var(pat)] = Tree(stx)
+        return True
+    match pat, stx:
+        case Atom(text=a), Atom(text=b):
+            return a == b
+        case Ident(raw=a), Ident(raw=b):
+            return a == b
+        case Missing(), Missing():
+            return True
+        case Node(kind=k1, children=pats), Node(kind=k2, children=inputs):
+            if k1 != k2:
+                return False
+            return _ref_match_children(pats, inputs, env)
+    return False
+
+
+def _ref_match_children(
+    pats: Sequence[Syntax], inputs: Sequence[Syntax], env: MatchEnv
+) -> bool:
+    splice_at = None
+    for i, p in enumerate(pats):
+        if is_splice(p):
+            splice_at = i
+            break
+    if splice_at is None:
+        if len(pats) != len(inputs):
+            return False
+        return all(_ref_match(p, s, env) for p, s in zip(pats, inputs))
+    prefix = pats[:splice_at]
+    suffix = pats[splice_at + 1 :]
+    if len(inputs) < len(prefix) + len(suffix):
+        return False
+    for p, s in zip(prefix, inputs[: len(prefix)]):
+        if not _ref_match(p, s, env):
+            return False
+    if suffix:
+        for p, s in zip(suffix, inputs[len(inputs) - len(suffix) :]):
+            if not _ref_match(p, s, env):
+                return False
+        middle = inputs[len(prefix) : len(inputs) - len(suffix)]
+    else:
+        middle = inputs[len(prefix) :]
+    return _ref_match_splice(pats[splice_at], middle, env)
+
+
+def _ref_match_splice(splice: Node, middle: Sequence[Syntax], env: MatchEnv) -> bool:
+    sep = splice_separator(splice)
+    if splice.kind.parts[0] == KIND_SPLICE:
+        anti = splice.children[0]
+        elems = _split_elements(middle, sep)
+        if elems is None:
+            return False
+        if not all(_ref_antiquot_admits(anti, e) for e in elems):
+            return False
+        var = _hole_var(anti)
+        env[var] = SepSeq(tuple(elems), sep) if sep else Seq(tuple(elems))
+        return True
+    inner = splice.children[0]
+    elems = _split_elements(middle, sep)
+    if elems is None:
+        return False
+    vars_ = collect_holes(inner)
+    collected: Dict[Name, List[Capture]] = {v: [] for v in vars_}
+    for elem in elems:
+        sub: MatchEnv = {}
+        if not _ref_match(inner, elem, sub):
+            return False
+        for v in vars_:
+            collected[v].append(sub[v])
+    for v, items in collected.items():
+        env[v] = Rep(tuple(items))
+    return True
+
+
+def ref_instantiate(template: QuotationTemplate, env: MatchEnv, env_t: TransformerEnv):
+    missing = template.holes - set(env)
+    if missing:
+        names = ", ".join(sorted(str(m) for m in missing))
+        raise ExpansionError(f"unbound antiquotation variable: {names}")
+    return _ref_instantiate(template.body, env, env_t)
+
+
+def _ref_instantiate(stx: Syntax, env: MatchEnv, env_t: TransformerEnv) -> Syntax:
+    match stx:
+        case Ident(raw=raw, name=name, preresolved=pre):
+            return Ident(raw, env_t.apply_scope(name), pre, None)
+        case Atom(text=text):
+            return Atom(text, None)
+        case Node() if is_antiquot(stx):
+            capture = env[_hole_var(stx)]
+            if not isinstance(capture, Tree):
+                raise ExpansionError(
+                    f"hole ${_hole_var(stx)} expects a single tree, "
+                    "got a sequence capture"
+                )
+            return capture.stx
+        case Node(kind=kind, children=children):
+            out: List[Syntax] = []
+            for child in children:
+                if is_splice(child):
+                    out.extend(_ref_instantiate_splice(child, env, env_t))
+                else:
+                    out.append(_ref_instantiate(child, env, env_t))
+            return Node(kind, tuple(out))
+        case _:
+            return stx
+
+
+def _ref_with_separators(elems: List[Syntax], sep: str) -> List[Syntax]:
+    if not sep:
+        return elems
+    out: List[Syntax] = []
+    for i, e in enumerate(elems):
+        if i:
+            out.append(Atom(sep, None))
+        out.append(e)
+    return out
+
+
+def _ref_instantiate_splice(
+    splice: Node, env: MatchEnv, env_t: TransformerEnv
+) -> List[Syntax]:
+    sep = splice_separator(splice)
+    if splice.kind.parts[0] == KIND_SPLICE:
+        capture = env[_hole_var(splice.children[0])]
+        return _ref_with_separators(list(_elems_of(capture)), sep)
+    inner = splice.children[0]
+    vars_ = collect_holes(inner)
+    lengths = set()
+    per_var: Dict[Name, Tuple] = {}
+    for v in vars_:
+        capture = env[v]
+        if isinstance(capture, Rep):
+            per_var[v] = capture.items
+        else:
+            per_var[v] = tuple(Tree(e) for e in _elems_of(capture))
+        lengths.add(len(per_var[v]))
+    if not vars_:
+        raise ExpansionError("nested splice without antiquotations")
+    if len(lengths) != 1:
+        raise ExpansionError(
+            "nested splice variables hold sequences of different lengths"
+        )
+    n = lengths.pop()
+    elems = []
+    for i in range(n):
+        sub = dict(env)
+        sub.update({v: per_var[v][i] for v in vars_})
+        elems.append(_ref_instantiate(inner, sub, env_t))
+    return _ref_with_separators(elems, sep)
+
+
+# ---------------------------------------------------------------------------
+# Generated patterns, inputs and templates.  Every strategy is built once
+# here; the drawing functions below only draw from them.
+
+
+ATOM_TEXTS = ("(", ")", "+", "k", ",", ";")
+RAWS = ("x", "y", "ns.x")
+INFO = st.sampled_from((None, SourceInfo(1, 0, 0), SourceInfo(2, 4, 17)))
+ATOM_TEXT = st.sampled_from(ATOM_TEXTS)
+RAW = st.sampled_from(RAWS)
+NAME = st.sampled_from(
+    (Name.of("x"), Name(("x", 1)), Name.of("y"), Name(("y", 2, 3)), Name.of("ns.x"))
+)
+PRERESOLVED = st.sampled_from(((), (Name.of("x"),), (Name.of("ns.x"), Name(("x", 1)))))
+KIND = st.sampled_from((Name.of("k1"), Name.of("k2"), Name.of("num")))
+SEP = st.sampled_from(("", ",", ";"))
+LIST_SEP = st.sampled_from((",", ";"))
+TAG = st.sampled_from(((), ("ident",), ("num",), ("term",)))
+VARS = tuple(Name.of(v) for v in ("a", "b", "c"))
+VAR = st.sampled_from(VARS)
+COUNT = st.integers(0, 3)
+DIGIT = st.sampled_from(("1", "2"))
+SPLICES = st.sampled_from((0, 0, 1, 1, 2))  # a second splice matches as a plain node
+SHAPE = st.sampled_from(("atom", "ident", "missing", "hole", "node"))
+LEAF_SHAPE = st.sampled_from(("atom", "ident", "hole"))
+TREE_SHAPE = st.sampled_from(("atom", "ident", "num", "missing", "node"))
+CAPTURE_SHAPE = st.sampled_from(("tree", "seq", "sepseq", "rep"))
+FLIP = st.booleans()
+ONE_IN_5 = st.integers(0, 4)
+ONE_IN_8 = st.integers(0, 7)
+
+
+def _draw_atom(draw) -> Atom:
+    return Atom(draw(ATOM_TEXT), draw(INFO))
+
+
+def _draw_ident(draw) -> Ident:
+    return Ident(draw(RAW), draw(NAME), draw(PRERESOLVED), draw(INFO))
+
+
+def _draw_num(draw) -> Node:
+    return Node(Name.of("num"), (Atom(draw(DIGIT), draw(INFO)),))
+
+
+def _draw_tree(draw, depth: int = 0) -> Syntax:
+    shape = draw(TREE_SHAPE)
+    if shape == "atom":
+        return _draw_atom(draw)
+    if shape == "ident":
+        return _draw_ident(draw)
+    if shape == "num":
+        return _draw_num(draw)
+    if shape == "missing" or depth >= 2:
+        return MISSING
+    return Node(draw(KIND), tuple(_draw_tree(draw, depth + 1) for _ in range(draw(COUNT))))
+
+
+def _draw_capture(draw, depth: int = 0) -> Capture:
+    shape = draw(CAPTURE_SHAPE)
+    if shape == "tree" or (shape == "rep" and depth >= 2):
+        return Tree(_draw_tree(draw))
+    if shape == "rep":
+        return Rep(tuple(_draw_capture(draw, depth + 1) for _ in range(draw(COUNT))))
+    elems = tuple(_draw_tree(draw) for _ in range(draw(COUNT)))
+    return Seq(elems) if shape == "seq" else SepSeq(elems, draw(LIST_SEP))
+
+
+def antiquot(var: Name, tag: Tuple = ()) -> Node:
+    return Node(Name((KIND_ANTIQUOT,) + tag), (Ident(str(var), var, (), None),))
+
+
+def splice_kind(head: str, sep: str) -> Name:
+    return Name((head, sep) if sep else (head,))
+
+
+def _draw_pattern(draw, fresh: List[int], depth: int, top: bool = False) -> Syntax:
+    """A pattern body whose hole variables are all distinct."""
+
+    def var() -> Name:
+        fresh[0] += 1
+        return Name.of(f"v{fresh[0]}")
+
+    shape = "node" if top else draw(SHAPE if depth < 3 else LEAF_SHAPE)
+    if shape == "atom":
+        return _draw_atom(draw)
+    if shape == "ident":
+        return _draw_ident(draw)
+    if shape == "missing":
+        return MISSING
+    if shape == "hole":
+        return antiquot(var(), draw(TAG))
+    children = [_draw_pattern(draw, fresh, depth + 1) for _ in range(draw(COUNT))]
+    for _ in range(draw(SPLICES)):
+        sep = draw(SEP)
+        if depth < 2 and draw(FLIP):
+            inner = _draw_pattern(draw, fresh, depth + 1)
+            spliced = Node(splice_kind(KIND_SPLICEGROUP, sep), (inner,))
+        else:
+            spliced = Node(splice_kind(KIND_SPLICE, sep), (antiquot(var(), draw(TAG)),))
+        children.insert(draw(st.integers(0, len(children))), spliced)
+    return Node(draw(KIND), tuple(children))
+
+
+def _draw_admitted(draw, anti: Node) -> Syntax:
+    """What the antiquotation admits, or now and then anything at all."""
+    tag = anti.kind.parts[1:]
+    if tag and draw(ONE_IN_5) == 0:
+        return _draw_tree(draw)
+    if tag == ("ident",):
+        return _draw_ident(draw)
+    if tag == ("num",):
+        return _draw_num(draw)
+    return _draw_tree(draw)
+
+
+def _draw_input(draw, pat: Syntax) -> Syntax:
+    """A tree the pattern matches, but for a near miss now and then: an
+    atom or identifier spelled otherwise, or a tagged hole's misfit."""
+    if isinstance(pat, Atom):
+        text = draw(ATOM_TEXT) if draw(ONE_IN_8) == 0 else pat.text
+        return Atom(text, draw(INFO))
+    if isinstance(pat, Ident):
+        raw = draw(RAW) if draw(ONE_IN_8) == 0 else pat.raw
+        return Ident(raw, draw(NAME), draw(PRERESOLVED), draw(INFO))
+    if not isinstance(pat, Node):
+        return pat
+    if is_antiquot(pat):
+        return _draw_admitted(draw, pat)
+    out: List[Syntax] = []
+    spliced = False
+    for c in pat.children:
+        if spliced or not is_splice(c):
+            out.append(_draw_input(draw, c))
+            continue
+        spliced = True
+        sep = splice_separator(c)
+        for i in range(draw(COUNT)):
+            if i and sep:
+                out.append(Atom(sep, draw(INFO)))
+            if c.kind.parts[0] == KIND_SPLICE:
+                out.append(_draw_admitted(draw, c.children[0]))
+            else:
+                out.append(_draw_input(draw, c.children[0]))
+    return Node(pat.kind, tuple(out))
+
+
+def _subtrees(stx: Syntax, path=()):
+    yield path, stx
+    if isinstance(stx, Node):
+        for i, c in enumerate(stx.children):
+            yield from _subtrees(c, path + (i,))
+
+
+def _replace(stx: Syntax, path, new: Syntax) -> Syntax:
+    if not path:
+        return new
+    children = list(stx.children)
+    children[path[0]] = _replace(children[path[0]], path[1:], new)
+    return Node(stx.kind, tuple(children))
+
+
+def _draw_mutation(draw, stx: Syntax) -> Syntax:
+    """Change one subtree: another spelling, another atom, or any tree."""
+    path, old = draw(st.sampled_from(list(_subtrees(stx))))
+    if isinstance(old, Ident) and draw(FLIP):
+        new = Ident(draw(RAW), old.name, old.preresolved, old.info)
+    elif isinstance(old, Atom) and draw(FLIP):
+        new = Atom(draw(ATOM_TEXT), old.info)
+    else:
+        new = _draw_tree(draw)
+    return _replace(stx, path, new)
+
+
+@st.composite
+def pattern_and_input(draw):
+    body = _draw_pattern(draw, [0], 0, top=True)
+    stx = _draw_input(draw, body)
+    if draw(FLIP):
+        stx = _draw_mutation(draw, stx)
+    return QuotationPattern(body, body.kind, frozenset(collect_holes(body))), stx
+
+
+def _draw_template(draw, depth: int, top: bool = False) -> Syntax:
+    shape = "node" if top else draw(SHAPE if depth < 3 else LEAF_SHAPE)
+    if shape == "atom":
+        return _draw_atom(draw)
+    if shape == "ident":
+        return _draw_ident(draw)
+    if shape == "missing":
+        return MISSING
+    if shape == "hole":
+        return antiquot(draw(VAR), draw(TAG))
+    children: List[Syntax] = []
+    for _ in range(draw(COUNT) + draw(FLIP)):
+        if draw(ONE_IN_5) > 1:
+            children.append(_draw_template(draw, depth + 1))
+            continue
+        sep = draw(SEP)
+        if depth < 2 and draw(FLIP):
+            if draw(FLIP):
+                # two variables, whose sequences may differ in length
+                inner = Node(Name.of("k1"), (antiquot(draw(VAR)), _draw_ident(draw), antiquot(draw(VAR))))
+            else:  # may hold no hole at all
+                inner = _draw_template(draw, depth + 1)
+            children.append(Node(splice_kind(KIND_SPLICEGROUP, sep), (inner,)))
+        else:
+            children.append(Node(splice_kind(KIND_SPLICE, sep), (antiquot(draw(VAR)),)))
+    return Node(draw(KIND), tuple(children))
+
+
+@st.composite
+def template_and_env(draw):
+    body = _draw_template(draw, 0, top=True)
+    # now and then a variable stays unbound
+    env = {v: _draw_capture(draw) for v in VARS if draw(ONE_IN_8)}
+    return QuotationTemplate(body, frozenset(collect_holes(body))), env, draw(FLIP)
+
+
+def instantiate_outcome(fn, template, env, single_scope):
+    """What instantiating gives: the tree or the error message, and the
+    scope the invocation allocated, if any."""
+    scopes = ScopeState(ScopeCounter(7))
+    env_t = TransformerEnv(GlobalContext(), scopes, single_scope)
+    with scopes.fresh():
+        try:
+            result = ("tree", fn(template, env, env_t))
+        except ExpansionError as err:
+            result = ("error", err.message)
+        return result, scopes.peek()
+
+
+class TestCompiledAgreesWithTheInterpreter:
+    @settings(max_examples=200, deadline=None)
+    @given(pattern_and_input())
+    def test_match(self, case):
+        pattern, stx = case
+        assert match_quotation(pattern, stx) == ref_match_quotation(pattern, stx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(template_and_env())
+    def test_instantiate(self, case):
+        template, env, single_scope = case
+        assert instantiate_outcome(instantiate, template, env, single_scope) == (
+            instantiate_outcome(ref_instantiate, template, env, single_scope)
+        )
+
+    @pytest.mark.parametrize(
+        "src, env, message",
+        [
+            ("`($e + 1)", {"e": Seq(())}, "hole $e expects a single tree"),
+            (
+                "`(($[$xs + $ys],*))",
+                {"xs": Seq((num(1),)), "ys": Seq((num(1), num(2)))},
+                "different lengths",
+            ),
+            ("`(($[x + 1],*))", {}, "nested splice without antiquotations"),
+            ("`(f $e)", {}, "unbound antiquotation variable: e"),
+            ("`(($xs,*))", {"xs": Rep((Tree(num(1)),))}, "element-wise captures"),
+        ],
+    )
+    def test_the_same_errors(self, table, src, env, message):
+        template = process_quotation(quot(src, table), gctx_of())
+        env = {Name.of(k): v for k, v in env.items()}
+        compiled = instantiate_outcome(instantiate, template, env, False)
+        assert compiled[0][0] == "error" and message in compiled[0][1]
+        assert compiled == instantiate_outcome(ref_instantiate, template, env, False)
+
+    def test_a_tagged_splice_element_that_does_not_fit(self, table):
+        pattern = process_pattern(quot("`(($xs:ident,*))", table))
+        stx = quot("`((x, 1))", table).children[0]
+        assert match_quotation(pattern, stx) is None
+        assert ref_match_quotation(pattern, stx) is None
+
+
+class TestLazyScopesAndSharing:
+    def test_a_template_without_identifiers_allocates_no_scope(self, table):
+        template = process_quotation(quot("`(($e, 1))", table), gctx_of())
+        env_t = tenv()
+        out = instantiate(template, {Name.of("e"): Tree(num(2))}, env_t)
+        assert render(out) == "(2, 1)"
+        assert env_t.scopes.peek() is None
+
+    def test_identifiers_under_an_empty_nested_splice_allocate_no_scope(self, table):
+        template = process_quotation(quot("`(($[$xs + y],*))", table), gctx_of())
+        env_t = tenv()
+        out = instantiate(template, {Name.of("xs"): Seq(())}, env_t)
+        assert not out.children[1].children
+        assert env_t.scopes.peek() is None
+        instantiate(template, {Name.of("xs"): Seq((num(1),))}, env_t)
+        assert env_t.scopes.peek() == 1
+
+    def test_ground_subtrees_are_prebuilt_once_without_source_info(self, table):
+        template = process_quotation(quot("`(fun x => (1 + 2))", table), gctx_of())
+        ground = template.body.children[3]
+        assert any(
+            isinstance(s, Atom) and s.info is not None for _, s in _subtrees(ground)
+        )
+        first = instantiate(template, {}, tenv())
+        second = instantiate(template, {}, tenv(start=5))
+        assert first.children[3] is second.children[3]
+        assert first.children[3] == strip_info(ground)
+        assert all(
+            s.info is None for _, s in _subtrees(first) if isinstance(s, (Atom, Ident))
+        )
+        assert first.children[1].name != second.children[1].name
+
+
+RUN_STATE = (GlobalContext, ScopeState, ParserTable, TransformerEnv)
+
+
+def reachable(root):
+    """Every object a transformer can reach through closure cells, default
+    arguments, containers and the fields of hygex objects."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, types.MethodType):
+            stack += [obj.__self__, obj.__func__]
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack += list(obj.keys()) + list(obj.values())
+        elif type(obj).__module__.startswith("hygex") and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return out
+
+
+class TestCompiledRulesCaptureNoRunState:
+    def test_no_transformer_reaches_run_state(self):
+        runner = Runner(RunConfig())
+        runner.run_source(
+            'syntax "pick" term : term\n'
+            "macro_rules | `(pick ($x, $[$ys],*)) => `(fun y => ($x, $[$ys + y],*))\n"
+            'macro "twice" e:term : term => `($e + $e)\n'
+            "def z := pick (1, 2, 3)\n"
+        )
+        assert not runner.diagnostics
+        names = set()
+        for kind, transformers in runner.state.macros._by_kind.items():
+            for transformer in transformers:
+                for obj in reachable(transformer):
+                    assert not isinstance(obj, RUN_STATE), (kind, obj)
+                    if isinstance(obj, types.FunctionType):
+                        names.add(obj.__name__)
+        # the walk reached the compiled closures themselves
+        assert {"match_node", "match_group", "build_node", "build_group"} <= names
