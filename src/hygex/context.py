@@ -8,7 +8,6 @@ queried), so bookkeeping-only macros leave no trace in the numbering.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -31,41 +30,41 @@ class ScopeCounter:
         return value
 
 
-class _Cell:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Optional[int] = None
-
-
 class ScopeState:
     """Current macro scope plus the ability to enter a fresh one.
 
     This is the one capability quotations need from their host, and it is
     shared verbatim by the expander, the elaborator, and the tactic engine.
+    The stack holds one entry per entered scope: its number once
+    allocated, `None` until then.
     """
 
     def __init__(self, counter: Optional[ScopeCounter] = None):
         self.counter = counter or ScopeCounter()
-        self._stack: List[_Cell] = [_Cell()]
+        self._stack: List[Optional[int]] = [None]
 
     def current(self) -> int:
-        cell = self._stack[-1]
-        if cell.value is None:
-            cell.value = self.counter.alloc()
-        return cell.value
+        value = self._stack[-1]
+        if value is None:
+            value = self._stack[-1] = self.counter.alloc()
+        return value
 
     def peek(self) -> Optional[int]:
         """The current scope if it has been allocated, without allocating."""
-        return self._stack[-1].value
+        return self._stack[-1]
 
-    @contextmanager
-    def fresh(self):
-        self._stack.append(_Cell())
-        try:
-            yield
-        finally:
-            self._stack.pop()
+    def fresh(self) -> "ScopeState":
+        """Enter a fresh scope; use as ``with scopes.fresh(): ...``, and
+        leaving the block returns to the enclosing scope.  The state is its
+        own context manager, so a step builds no generator."""
+        self._stack.append(None)
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.pop()
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class GlobalContext:
 
     def _index(self, symbol: Symbol) -> None:
         scopes = macro_scopes(symbol)
-        base = base_name(symbol).parts
+        base = base_name(symbol)
         if not base:
             return
         key = (base[-1], scopes)
@@ -143,7 +142,7 @@ class GlobalContext:
         could spell under some namespace prefix: equal macro scopes and the
         declaration's base name ending in the identifier's base name.
         """
-        nb = base_name(name).parts
+        nb = base_name(name)
         bucket = self._suffix_index.get((nb[-1], macro_scopes(name))) if nb else None
         if bucket is None:
             return [name] if name in self.decls else []
@@ -202,5 +201,5 @@ class TransformerEnv:
     def apply_scope(self, name: Name) -> Name:
         msc = self.current_macro_scope()
         if self.single_scope:
-            return Name(base_name(name).parts + (msc,))
-        return Name(name.parts + (msc,))
+            return Name(base_name(name) + (msc,))
+        return Name(name + (msc,))

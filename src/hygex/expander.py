@@ -375,11 +375,11 @@ class Expander:
                     f"macro_rules right-hand side must be a quotation, got '{render(rhs)}'"
                 )
             pattern = process_pattern(pat)
-            if rhs.kind.parts[0] == "dquot":
+            if rhs.kind[0] == "dquot":
                 self.state.make_prechecker().check(rhs.children[0])
             template = process_quotation(rhs, self.state.gctx)
             rules.append((pattern, template))
-            shown = Node(Name(("quot",) + rhs.kind.parts[1:]), (template.body,))
+            shown = Node(Name(("quot",) + rhs.kind[1:]), (template.body,))
             out_alts.append(Node(K_MR_ALT, (bar, pat, arrow, shown)))
         transformer = make_rule_transformer(rules)
         self.state.macros.register(rules[0][0].kind, transformer)

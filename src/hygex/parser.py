@@ -27,11 +27,14 @@ from .syntax import (
     KIND_SEQ,
     KIND_SPLICE,
     KIND_SPLICEGROUP,
+    Frozen,
     Name,
     Node,
     SourceInfo,
     Syntax,
 )
+
+_setattr = object.__setattr__
 
 # Node kinds of the built-in grammar.
 K_NUM = Name.of("num")
@@ -102,16 +105,27 @@ class CatRef:
 Item = Union[Lit, CatRef]
 
 
-@dataclass(frozen=True)
-class ParseRule:
+class ParseRule(Frozen):
+    """A rule of a category; `leading` (the rule starts with a literal) is
+    worked out once here, since the parser tests it for every rule it
+    tries."""
+
+    __slots__ = ("kind", "items", "prec", "right_assoc", "leading")
+    _fields = ("kind", "items", "prec", "right_assoc")
     kind: Name
     items: Tuple[Item, ...]
-    prec: int = 0
-    right_assoc: bool = False
+    prec: int
+    right_assoc: bool
+    leading: bool
 
-    @property
-    def leading(self) -> bool:
-        return isinstance(self.items[0], Lit)
+    def __init__(
+        self, kind: Name, items: Tuple[Item, ...], prec: int = 0, right_assoc: bool = False
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "items", items)
+        _setattr(self, "prec", prec)
+        _setattr(self, "right_assoc", right_assoc)
+        _setattr(self, "leading", bool(items) and isinstance(items[0], Lit))
 
 
 @dataclass
@@ -223,12 +237,18 @@ class ParserTable:
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Frozen):
+    __slots__ = ("kind", "text", "info", "end")
     kind: str  # keyword | ident | num | str | special | quote | dquote | eof
     text: str
     info: SourceInfo
     end: int
+
+    def __init__(self, kind: str, text: str, info: SourceInfo, end: int) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "text", text)
+        _setattr(self, "info", info)
+        _setattr(self, "end", end)
 
 
 def _is_ident_start(c: str) -> bool:
@@ -453,7 +473,7 @@ class Parser:
         slot; a bare `$x` is first offered to the category's own rules."""
         start = self.pos
         anti = self.parse_antiquot()
-        if anti.kind.parts[1:] == cat.parts:
+        if anti.kind[1:] == cat:
             return anti
         self.pos = start
         category = self._category(cat)
@@ -634,7 +654,7 @@ class Parser:
         has_splice = False
         while not self.at("=>"):
             item = self._parse_seq_item(self._ident_or_antiquot, None)
-            if isinstance(item, Node) and item.kind.parts[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
+            if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
                 has_splice = True
             binders.append(item)
             if len(binders) > 64:
@@ -698,7 +718,7 @@ class Parser:
             if children and sep is not None:
                 children.append(self.expect(sep))
             item = self._parse_seq_item(elem_fn, sep)
-            if isinstance(item, Node) and item.kind.parts[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
+            if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
                 splices += 1
                 if splices > 1:
                     raise ParseError("at most one splice per sequence", self.peek().info)
@@ -789,7 +809,7 @@ class Parser:
                 raise ParseError(
                     f"unknown antiquotation category '{cat.text}'", cat.info
                 )
-            suffix = tuple(tag.parts)
+            suffix = tuple(tag)
         return Node(Name((KIND_ANTIQUOT,) + suffix), (payload,))
 
     def parse_quotation(self) -> Node:
@@ -813,7 +833,7 @@ class Parser:
                 else:
                     body = self.parse_category(cat, 0)
                 self.expect(")")
-                return Node(Name((head,) + cat.parts), (body,))
+                return Node(Name((head,) + cat), (body,))
             body = self._parse_quotation_body()
             self.expect(")")
             return Node(Name((head,)), (body,))

@@ -205,6 +205,9 @@ def _install_fun_macros(state: ExpanderState) -> None:
 
 def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
     kw, items, _colon, cat_ident, _arrow, rhs = stx.children
+    elems = _seq_elements(items)
+    if not elems:
+        raise ExpansionError("empty macro rule", info=kw.info)
     if not (isinstance(rhs, Node) and is_quotation(rhs)):
         raise ExpansionError(
             f"macro right-hand side must be a quotation, got '{render(rhs)}'"
@@ -215,7 +218,7 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
     syntax_items: List[Syntax] = []
     rule_items: List = []
     pattern_children: List[Syntax] = []
-    for item in _seq_elements(items):
+    for item in elems:
         if isinstance(item, Atom):
             lit = _string_content(item)
             syntax_items.append(Atom(item.text))
@@ -227,7 +230,7 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
             syntax_items.append(Ident(argcat.raw, slot, (), None))
             rule_items.append(CatRef(slot))
             # a :term tag adds nothing to matching; leave those holes bare
-            suffix = () if slot == Name.of("term") else slot.parts
+            suffix = () if slot == Name.of("term") else slot
             pattern_children.append(
                 Node(Name((KIND_ANTIQUOT,) + suffix), (name,))
             )
@@ -243,7 +246,7 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
             Ident(cat_ident.raw, cat, (), None),
         ),
     )
-    quot_kind = (KIND_QUOT,) if cat in _DEFAULT_QUOT_CATS else (KIND_QUOT,) + cat.parts
+    quot_kind = (KIND_QUOT,) if cat in _DEFAULT_QUOT_CATS else (KIND_QUOT,) + cat
     pattern_quot = Node(Name(quot_kind), (Node(kind, tuple(pattern_children)),))
     macro_rules_cmd = Node(
         K_MACRO_RULES,
@@ -282,9 +285,12 @@ def _substitute_params(stx: Syntax, params: Dict[Name, Ident]) -> Syntax:
 
 def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
     kw, items, arrow, rhs = stx.children
+    elems = _seq_elements(items)
+    if not elems:
+        raise ExpansionError("empty notation rule", info=kw.info)
     macro_items: List[Syntax] = []
     params: Dict[Name, Ident] = {}
-    for item in _seq_elements(items):
+    for item in elems:
         if isinstance(item, Atom):
             macro_items.append(Atom(item.text))
         elif isinstance(item, Ident):

@@ -145,7 +145,7 @@ def process_quotation(quot: Node, gctx: GlobalContext) -> QuotationTemplate:
     return QuotationTemplate(
         processed,
         frozenset(collect_holes(processed)),
-        checked=quot.kind.parts[0] == "dquot",
+        checked=quot.kind[0] == "dquot",
     )
 
 
@@ -199,7 +199,7 @@ def _is_num(stx: Syntax) -> bool:
 
 def _admits(anti: Node) -> Optional[Callable[[Syntax], bool]]:
     """The test an antiquotation's tag puts on what it captures, if any."""
-    suffix = anti.kind.parts[1:]
+    suffix = anti.kind[1:]
     if suffix == ("ident",):
         return _is_ident
     if suffix == ("num",):
@@ -261,7 +261,6 @@ def _compile_hole_matcher(anti: Node) -> Matcher:
 
 def _compile_node_matcher(pat: Node) -> Matcher:
     kind = pat.kind
-    parts = kind.parts
     children = pat.children
     at = next((i for i, c in enumerate(children) if is_splice(c)), None)
     if at is None:
@@ -282,7 +281,7 @@ def _compile_node_matcher(pat: Node) -> Matcher:
             if type(stx) is not Node:
                 return False
             k = stx.kind
-            if k is not kind and k.parts != parts:
+            if k is not kind and k != kind:
                 return False
             inputs = stx.children
             if len(inputs) != arity:
@@ -311,7 +310,7 @@ def _compile_node_matcher(pat: Node) -> Matcher:
         if type(stx) is not Node:
             return False
         k = stx.kind
-        if k is not kind and k.parts != parts:
+        if k is not kind and k != kind:
             return False
         inputs = stx.children
         end = len(inputs) - n_suf
@@ -347,7 +346,7 @@ def _split_elements(
 def _compile_splice_matcher(splice: Node) -> Callable[[Sequence[Syntax], MatchEnv], bool]:
     """A matcher of the run of children a splice stands for."""
     sep = splice_separator(splice)
-    if splice.kind.parts[0] == KIND_SPLICE:
+    if splice.kind[0] == KIND_SPLICE:
         anti = splice.children[0]
         var = _hole_var(anti)
         admits = _admits(anti)
@@ -485,7 +484,7 @@ def _compile_splice_builder(
     """A builder of the run of children a splice stands for; separators are
     inserted, removed or replaced to fit this position."""
     sep = splice_separator(splice)
-    if splice.kind.parts[0] == KIND_SPLICE:
+    if splice.kind[0] == KIND_SPLICE:
         var = _hole_var(splice.children[0])
 
         def build_splice(env: MatchEnv, tenv: TransformerEnv) -> List[Syntax]:
@@ -566,5 +565,5 @@ def make_rule_transformer(
 def mk_c_ident(name: Name, tenv: Optional[TransformerEnv] = None) -> Ident:
     """A hygienic reference to a known global: a reserved scope keeps it
     clear of every user binder, and the top-level scope pins the target."""
-    raw = ".".join(str(p) for p in name.parts if isinstance(p, str))
+    raw = ".".join(str(p) for p in name if isinstance(p, str))
     return Ident(raw, add_macro_scope(name, RESERVED_SCOPE), (name,), None)

@@ -4,53 +4,127 @@ Identifiers carry their macro scopes inline as trailing numeric name
 components; top-level resolutions captured inside quotations are kept in a
 separate ``preresolved`` list.  Everything here is immutable and safe to
 share.
+
+Every hygiene operation hashes or compares names, and every expansion step
+builds nodes, so these values are cheap by construction rather than
+dataclasses.  A `Name` is a `tuple` subclass: it is the tuple of its parts,
+so hashing and equality run in C and it equals (and hashes like) that
+tuple.  The tree values (`Node`, `Atom`, `Ident`, `Missing`, `SourceInfo`,
+and the parser's `Token` and `ParseRule`) are `__slots__` classes derived
+from `Frozen`, which sets each field once in ``__init__`` through
+``object.__setattr__`` and refuses any later assignment or deletion with
+`dataclasses.FrozenInstanceError`, as a frozen dataclass would.  That
+immutability is what lets the prelude prototype and the prebuilt ground
+subtrees of compiled quotations be shared by every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
+
+
+# ---------------------------------------------------------------------------
+# Immutable slotted values
+
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable ``__slots__`` values.
+
+    A subclass lists its slots, optionally the `_fields` that make up its
+    value (all slots by default), and an ``__init__`` that sets each slot
+    with `_setattr`.  Equality, hashing, ``match`` positions, copying and
+    pickling then follow the fields, as for a frozen dataclass, and so does
+    the default ``repr``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._fields = cls.__match_args__ = fields
+        if len(fields) > 1:
+            get = attrgetter(*fields)  # a tuple of the values, built in C
+        else:
+            def get(self):
+                return tuple(getattr(self, f) for f in fields)
+        cls._values = staticmethod(get)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
 
 
 # ---------------------------------------------------------------------------
 # Hierarchical names
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(tuple):
     """A hierarchical name: text components plus numeric scope components.
 
     Numeric components are reserved for the kernel (macro scopes and other
-    internal names); the surface parser never produces them.
+    internal names); the surface parser never produces them.  The name is
+    the tuple of its components, so ``n[0]``, ``len(n)`` and slicing work on
+    it directly and `parts` returns the name itself.
     """
 
-    parts: Tuple[Union[str, int], ...] = ()
+    __slots__ = ()
+    __match_args__ = ("parts",)
+
+    @property
+    def parts(self) -> Tuple[Union[str, int], ...]:
+        return self
 
     @staticmethod
     def of(dotted: str) -> "Name":
         """Build a name from a dotted surface spelling, e.g. ``a.b``."""
         if not dotted:
             return Name(())
-        return Name(tuple(dotted.split(".")))
+        return Name(dotted.split("."))
 
     @property
     def is_anonymous(self) -> bool:
-        return not self.parts
+        return not self
 
     def child(self, part: Union[str, int]) -> "Name":
-        return Name(self.parts + (part,))
+        return Name(self + (part,))
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self:
             return "[anonymous]"
-        out = ".".join(str(p) for p in self.parts)
+        out = ".".join(str(p) for p in self)
         # a leading numeric component renders with an explicit dot: ".5"
-        if isinstance(self.parts[0], int):
+        if isinstance(self[0], int):
             out = "." + out
         return out
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
 
 ANONYMOUS = Name(())
@@ -62,35 +136,37 @@ Symbol = Name
 
 def add_macro_scope(n: Name, msc: int) -> Name:
     """Append one macro scope; repeated application builds the scope stack."""
-    return Name(n.parts + (msc,))
+    return Name(n + (msc,))
 
 
 def macro_scopes(n: Name) -> Tuple[int, ...]:
     """The maximal trailing run of numeric components, in application order."""
-    scopes = []
-    for p in reversed(n.parts):
-        if isinstance(p, int):
-            scopes.append(p)
-        else:
-            break
-    return tuple(reversed(scopes))
+    k = len(n)
+    while k and isinstance(n[k - 1], int):
+        k -= 1
+    return n[k:]
 
 
 def base_name(n: Name) -> Name:
-    """The name with its trailing macro scopes removed."""
-    k = len(macro_scopes(n))
-    return Name(n.parts[: len(n.parts) - k]) if k else n
+    """The name with its trailing macro scopes removed; a name without
+    scopes is returned as it is."""
+    k = len(n)
+    while k and isinstance(n[k - 1], int):
+        k -= 1
+    return n if k == len(n) else Name(n[:k])
 
 
 # ---------------------------------------------------------------------------
 # Source locations
 
 
-@dataclass(frozen=True)
-class SourceInfo:
-    line: int
-    col: int
-    offset: int
+class SourceInfo(Frozen):
+    __slots__ = ("line", "col", "offset")
+
+    def __init__(self, line: int, col: int, offset: int) -> None:
+        _setattr(self, "line", line)
+        _setattr(self, "col", col)
+        _setattr(self, "offset", offset)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -100,39 +176,60 @@ class SourceInfo:
 # Syntax trees
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Frozen):
+    __slots__ = ("kind", "children")
     kind: Name
     children: Tuple["Syntax", ...]
+
+    def __init__(self, kind: Name, children: Tuple["Syntax", ...]) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "children", children)
 
     def __repr__(self) -> str:
         return f"Node({self.kind}, {list(self.children)})"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
+    __slots__ = ("text", "info")
     text: str
-    info: Optional[SourceInfo] = None
+    info: Optional[SourceInfo]
+
+    def __init__(self, text: str, info: Optional[SourceInfo] = None) -> None:
+        _setattr(self, "text", text)
+        _setattr(self, "info", info)
 
     def __repr__(self) -> str:
         return f"Atom({self.text!r})"
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(Frozen):
     """An identifier: surface spelling, full name, top-level scopes."""
 
+    __slots__ = ("raw", "name", "preresolved", "info")
     raw: str
     name: Name
-    preresolved: Tuple[Name, ...] = ()
-    info: Optional[SourceInfo] = None
+    preresolved: Tuple[Name, ...]
+    info: Optional[SourceInfo]
+
+    def __init__(
+        self,
+        raw: str,
+        name: Name,
+        preresolved: Tuple[Name, ...] = (),
+        info: Optional[SourceInfo] = None,
+    ) -> None:
+        _setattr(self, "raw", raw)
+        _setattr(self, "name", name)
+        _setattr(self, "preresolved", preresolved)
+        _setattr(self, "info", info)
 
     def __repr__(self) -> str:
         return f"Ident({format_scoped(self)})"
 
 
-@dataclass(frozen=True)
-class Missing:
+class Missing(Frozen):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Missing()"
 
@@ -149,7 +246,7 @@ def node(kind: str, *children: Syntax) -> Node:
 def ident(name: Union[str, Name], preresolved: Iterable[Name] = ()) -> Ident:
     if isinstance(name, str):
         name = Name.of(name)
-    raw = ".".join(str(p) for p in name.parts if isinstance(p, str))
+    raw = ".".join(str(p) for p in name if isinstance(p, str))
     return Ident(raw, name, tuple(preresolved))
 
 
@@ -167,22 +264,22 @@ KIND_CHOICE = "choice"      # overloaded reference candidates
 
 
 def is_quotation(stx: Syntax) -> bool:
-    return isinstance(stx, Node) and stx.kind.parts[:1] in ((KIND_QUOT,), (KIND_DQUOT,))
+    return isinstance(stx, Node) and stx.kind[:1] in ((KIND_QUOT,), (KIND_DQUOT,))
 
 
 def quotation_category(stx: Node) -> Optional[Name]:
     """The explicit category of a quotation node, if one was written."""
-    if len(stx.kind.parts) > 1:
-        return Name(stx.kind.parts[1:])
+    if len(stx.kind) > 1:
+        return Name(stx.kind[1:])
     return None
 
 
 def is_antiquot(stx: Syntax) -> bool:
-    return isinstance(stx, Node) and stx.kind.parts[:1] == (KIND_ANTIQUOT,)
+    return isinstance(stx, Node) and stx.kind[:1] == (KIND_ANTIQUOT,)
 
 
 def is_splice(stx: Syntax) -> bool:
-    return isinstance(stx, Node) and stx.kind.parts[0] in (KIND_SPLICE, KIND_SPLICEGROUP)
+    return isinstance(stx, Node) and stx.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP)
 
 
 def antiquot_payload(stx: Node) -> Syntax:
@@ -190,7 +287,7 @@ def antiquot_payload(stx: Node) -> Syntax:
 
 
 def splice_separator(stx: Node) -> str:
-    parts = stx.kind.parts
+    parts = stx.kind
     return str(parts[1]) if len(parts) > 1 else ""
 
 
@@ -255,7 +352,7 @@ def render_tokens(stx: Syntax) -> list:
         case Missing():
             return ["<missing>"]
         case Node(kind=kind, children=children):
-            head = kind.parts[0]
+            head = kind[0]
             if head in (KIND_QUOT, KIND_DQUOT):
                 open_tok = "`(" if head == KIND_QUOT else "``("
                 cat = quotation_category(stx)
@@ -269,8 +366,8 @@ def render_tokens(stx: Syntax) -> list:
             if head == KIND_ANTIQUOT:
                 payload = stx.children[0]
                 suffix = ""
-                if len(kind.parts) > 1:
-                    suffix = ":" + str(Name(kind.parts[1:]))
+                if len(kind) > 1:
+                    suffix = ":" + str(Name(kind[1:]))
                 if isinstance(payload, Ident):
                     return ["$" + format_scoped(payload) + suffix]
                 return ["$("] + render_tokens(payload) + [")" + suffix]
@@ -338,7 +435,7 @@ def _app_prec(stx: Syntax) -> int:
     """2: fits anywhere in an application; 1: fits as the function;
     0: needs parentheses."""
     if isinstance(stx, Node):
-        head = stx.kind.parts[0]
+        head = stx.kind[0]
         if head in _ATOMIC_KINDS:
             return 2
         return 1 if head == "app" else 0
@@ -348,7 +445,7 @@ def _app_prec(stx: Syntax) -> int:
 def _infix_prec(stx: Syntax) -> int:
     """1: atomic or application; 0: an infix chain; -1: a low binder form."""
     if isinstance(stx, Node):
-        head = stx.kind.parts[0]
+        head = stx.kind[0]
         if head in _ATOMIC_KINDS or head == "app":
             return 1
         if head in ("plus", "arrow"):

@@ -3,8 +3,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# One fixed profile for every property test: the same examples on every
+# machine, so a failure in CI reproduces locally.  A saved example database
+# would replay earlier local failures first, so none is kept.  Each test
+# still sets its own `max_examples`.
+settings.register_profile("hygex", derandomize=True, deadline=None, database=None)
+settings.load_profile("hygex")
 
 from hygex.driver import RunConfig, Runner
 from hygex.syntax import Atom, Ident, Name, Node

@@ -175,6 +175,27 @@ class TestOneDiagnosticPerBadCommand:
         assert [line for line in lines if line.startswith("error:")] == [error]
         assert lines[-1] == "def y : nat := natLit(2)"
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("macro : term => `(1)\n", "error: empty macro rule @1:1"),
+            ("notation => 1\n", "error: empty notation rule @1:1"),
+            (
+                'syntax "mk" : command\n'
+                "macro_rules | `(mk) => `(macro : term => `(1))\n"
+                "mk\n",
+                "error: empty macro rule",
+            ),
+        ],
+        ids=["macro", "notation", "macro_from_a_macro"],
+    )
+    def test_an_empty_item_list_is_a_diagnostic(self, bad, error):
+        code, out = run_string(bad + "def y := 2\n", self.ELAB)
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == [error]
+        assert lines[-1] == "def y : nat := natLit(2)"
+
 
 class TestConfig:
     def test_bad_stage_rejected(self):
