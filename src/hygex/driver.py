@@ -45,21 +45,32 @@ class RunConfig:
             raise ValueError("limits must be positive")
 
 
+# a rendered backtrace shows this many frames at each end, and one line
+# with the count of the frames between them
+FRAMES_SHOWN = 10
+
+
 @dataclass
 class Diagnostic:
     message: str
     info: Optional[SourceInfo] = None
+    # every frame, outermost first; `render` elides the middle of long ones
     frames: Tuple[Tuple[Name, Optional[int]], ...] = ()
 
     def render(self) -> str:
         line = f"error: {self.message}"
         if self.info is not None:
             line += f" @{self.info.line}:{self.info.col}"
+        lines = [line]
         for kind, scope in self.frames:
-            line += f"\n  in expansion of {kind}"
+            line = f"  in expansion of {kind}"
             if scope is not None:
                 line += f" (scope {scope})"
-        return line
+            lines.append(line)
+        hidden = len(self.frames) - 2 * FRAMES_SHOWN
+        if hidden > 0:
+            lines[1 + FRAMES_SHOWN : -FRAMES_SHOWN] = [f"  ... {hidden} more frames"]
+        return "\n".join(lines)
 
 
 _COMMAND_START = re.compile(

@@ -2,8 +2,8 @@
 
 Elaboration checks against an expected type when one is known and
 synthesizes otherwise; there is no unification.  Macro kinds without their
-own elaborator are adapted on the fly: expand one step under a fresh scope,
-then elaborate the result.
+own elaborator are adapted on the fly: take one step of the kernel's one
+macro-step routine, `expander.macro_step`, then elaborate the result.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ElabError
-from .expander import ExpanderState, _seq_elements, resolve_identifier
+from .errors import ElabError, KernelError
+from .expander import ExpanderState, _seq_elements, macro_step, resolve_identifier
 from .parser import K_APP, K_ARROW, K_FUN, K_NUM, K_PLUS
 from .quotation import mk_c_ident
 from .syntax import (
@@ -216,24 +216,21 @@ def elab_term(
 def transformer_to_elaborator(
     stx: Node, env: ElabEnv, expected: Optional[CoreType]
 ) -> Tuple[CoreExpr, CoreType]:
-    """Run the node's registered transformer with the elaborator's scope
-    state threaded through, then elaborate the output."""
+    """Take one macro step on the run's scopes, then elaborate the output;
+    an error in either carries the step's frame."""
     state = env.state
-    with state.scopes.fresh():
-        tenv = state.tenv()
-        out: Optional[Syntax] = None
-        for transformer in state.macros.lookup(stx.kind):
-            out = transformer(stx, tenv)
-            if out is not None:
-                break
-        if out is None:
-            raise ElabError(
-                f"no macro alternative matched '{render(stx)}' "
-                f"while elaborating '{stx.kind}'"
-            )
-        if state.on_macro_step:
-            state.on_macro_step(stx.kind, stx, out)
-    return elab_term(out, env, expected)
+    step = macro_step(stx, state.macros.lookup(stx.kind), state.tenv(), state.on_macro_step)
+    if step is None:
+        raise ElabError(
+            f"no macro alternative matched '{render(stx)}' "
+            f"while elaborating '{stx.kind}'"
+        )
+    out, scope = step
+    try:
+        return elab_term(out, env, expected)
+    except KernelError as err:
+        err.frames.insert(0, (stx.kind, scope))
+        raise
 
 
 def _elab_ident(

@@ -4,18 +4,22 @@ Expansion reduces macro uses to core forms and resolves every identifier
 against the local and global contexts.  The expander never invents macro
 scopes itself: scopes enter trees only when a quotation is instantiated
 inside some transformer.
+
+`macro_step` is the kernel's one macro-step routine; the elaborator, the
+tactic engine and the prechecker apply transformers through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .context import (
     Decl,
     GlobalContext,
     MacroTable,
     ScopeState,
+    Transformer,
     TransformerEnv,
 )
 from .errors import ExpansionError, KernelError, UnboundIdentifier
@@ -37,9 +41,9 @@ from .parser import (
     K_SYNTAX,
     K_THEOREM,
     K_TUPLE,
-    Lit,
     ParseRule,
     ParserTable,
+    rule_lit,
 )
 from .precheck import Prechecker
 from .quotation import (
@@ -134,87 +138,99 @@ def resolve_identifier(
 # Expansion
 
 
+def macro_step(
+    stx: Node,
+    transformers: Sequence[Transformer],
+    tenv: TransformerEnv,
+    on_step: Optional[TraceFn] = None,
+) -> Optional[Tuple[Syntax, Optional[int]]]:
+    """Apply the first matching transformer, newest first, under a fresh
+    scope of `tenv.scopes`; return the output and the step's scope (None if
+    never allocated), or None when none matched.  A `KernelError` raised by
+    a transformer gets this step's frame."""
+    scopes = tenv.scopes
+    with scopes.fresh():
+        try:
+            for transformer in transformers:
+                out = transformer(stx, tenv)
+                if out is not None:
+                    scope = scopes.peek()
+                    if on_step is not None:
+                        on_step(stx.kind, stx, out)
+                    return out, scope
+        except KernelError as err:
+            err.frames.insert(0, (stx.kind, scopes.peek()))
+            raise
+    return None
+
+
 class Expander:
     def __init__(self, state: ExpanderState):
         self.state = state
-        self.last_step_scope: Optional[int] = None
 
     # -- macro steps
 
-    def expand_macro_step(self, stx: Node) -> Syntax:
-        transformers = self.state.macros.lookup(stx.kind)
+    def expand_macro_step(self, stx: Node) -> Tuple[Syntax, Optional[int]]:
+        """One macro step on the run's scopes: the output and its scope."""
+        state = self.state
+        transformers = state.macros.lookup(stx.kind)
         if not transformers:
             raise ExpansionError(
                 f"unexpected syntax kind '{stx.kind}' (no macro registered)",
                 info=_info_of(stx),
             )
-        state = self.state
-        with state.scopes.fresh():
-            tenv = state.tenv()
-            try:
-                for transformer in transformers:
-                    out = transformer(stx, tenv)
-                    if out is not None:
-                        self.last_step_scope = state.scopes.peek()
-                        if state.on_macro_step:
-                            state.on_macro_step(stx.kind, stx, out)
-                        return out
-            except KernelError as err:
-                err.frames.insert(0, (stx.kind, state.scopes.peek()))
-                raise
-        raise ExpansionError(
-            f"no macro alternative matched '{render(stx)}'", info=_info_of(stx)
-        )
-
-    def _with_frame(self, kind: Name, fn):
-        """Attribute errors in a macro's output to the macro that made it."""
-        scope = self.last_step_scope
-        try:
-            return fn()
-        except KernelError as err:
-            err.frames.insert(0, (kind, scope))
-            raise
+        step = macro_step(stx, transformers, state.tenv(), state.on_macro_step)
+        if step is None:
+            raise ExpansionError(
+                f"no macro alternative matched '{render(stx)}'", info=_info_of(stx)
+            )
+        return step
 
     # -- terms
 
     def expand(self, stx: Syntax, lctx: LocalContext = EMPTY_LOCALS, depth: int = 0) -> Syntax:
-        if depth > self.state.max_expansion_depth:
-            raise ExpansionError("macro expansion depth exceeded")
-        match stx:
-            case Ident():
-                return resolve_identifier(stx, lctx, self.state.gctx)
-            case Atom() | Missing():
-                return stx
-            case Node(kind=kind, children=children):
-                pass
-            case _:
-                raise ExpansionError(f"cannot expand {stx!r}")
-        if kind == K_NUM:
-            return stx
-        if kind == K_FUN:
-            return self._expand_fun(stx, lctx, depth)
-        if kind in (K_PLUS, K_ARROW, K_APP) or kind in _SEQ_KINDS:
-            return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
-        if kind == K_MATCH:
-            return self._expand_match(stx, lctx, depth)
-        if kind == K_TUPLE and kind not in self.state.macros:
-            # plain grouping when no tuple macros are installed
-            elems = _seq_elements(children[1])
-            if len(elems) == 1:
-                return self.expand(elems[0], lctx, depth)
-        if is_quotation(stx):
-            raise ExpansionError(
-                "quotations are only supported as macro right-hand sides",
-                info=_info_of(stx),
-            )
-        if kind in self.state.elaborators and kind not in self.state.macros:
-            # type-directed syntax is left for the elaborator; its term
-            # children still participate in expansion and resolution
-            return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
-        out = self.expand_macro_step(stx)
-        return self._with_frame(
-            stx.kind, lambda: self.expand(out, lctx, depth + 1)
-        )
+        # a chain of macro steps unfolds in this loop; `frames` gets each step's frame
+        frames = None
+        try:
+            while True:
+                if isinstance(stx, Ident):
+                    return resolve_identifier(stx, lctx, self.state.gctx)
+                if not isinstance(stx, Node):
+                    if isinstance(stx, (Atom, Missing)):
+                        return stx
+                    raise ExpansionError(f"cannot expand {stx!r}")
+                kind, children = stx.kind, stx.children
+                if kind == K_NUM:
+                    return stx
+                if kind == K_FUN:
+                    return self._expand_fun(stx, lctx, depth)
+                if kind in (K_PLUS, K_ARROW, K_APP) or kind in _SEQ_KINDS:
+                    return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
+                if kind == K_MATCH:
+                    return self._expand_match(stx, lctx, depth)
+                if kind == K_TUPLE and kind not in self.state.macros:
+                    # plain grouping when no tuple macros are installed
+                    elems = _seq_elements(children[1])
+                    if len(elems) == 1:
+                        return self.expand(elems[0], lctx, depth)
+                if is_quotation(stx):
+                    raise ExpansionError(
+                        "quotations are only supported as macro right-hand sides",
+                        info=_info_of(stx),
+                    )
+                if kind in self.state.elaborators and kind not in self.state.macros:
+                    # type-directed syntax is left for the elaborator; its term
+                    # children still participate in expansion and resolution
+                    return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
+                stx, scope = self.expand_macro_step(stx)
+                frames = frames or []
+                frames.append((kind, scope))
+                depth += 1
+                if depth > self.state.max_expansion_depth:
+                    raise ExpansionError("macro expansion depth exceeded")
+        except KernelError as err:
+            err.frames[:0] = frames or ()
+            raise
 
     def _expand_fun(self, stx: Node, lctx: LocalContext, depth: int) -> Node:
         kw, binder, arrow, body = stx.children
@@ -266,36 +282,43 @@ class Expander:
 
         Macro commands are expanded and their outputs processed
         incrementally, so earlier declarations of one expansion are in the
-        global context of later ones.
+        global context of later ones.  Macro steps unfold as in `expand`.
         """
-        if depth > self.state.max_expansion_depth:
-            raise ExpansionError("macro expansion depth exceeded")
-        if isinstance(stx, Missing):
-            return [stx]
-        if not isinstance(stx, Node):
-            raise ExpansionError(f"not a command: '{render(stx)}'")
-        kind = stx.kind
-        if kind == Name.of(KIND_CMDSEQ):
-            out: List[Syntax] = []
-            for c in stx.children:
-                out.extend(self.process_command(c, depth))
-            return out
-        if kind in (K_DEF, K_DEF_TYPED):
-            return [self._process_def(stx)]
-        if kind == K_THEOREM:
-            return [self._process_theorem(stx)]
-        if kind == K_SYNTAX:
-            return [self._process_syntax(stx)]
-        if kind == K_MACRO_RULES:
-            return [self._process_macro_rules(stx)]
-        if kind == K_DECLARE_CAT:
-            return [self._process_declare_cat(stx)]
-        out_stx = self.expand_macro_step(stx)
-        return self._with_frame(
-            stx.kind, lambda: self.process_command(out_stx, depth + 1)
-        )
+        frames = None
+        try:
+            while True:
+                if isinstance(stx, Missing):
+                    return [stx]
+                if not isinstance(stx, Node):
+                    raise ExpansionError(f"not a command: '{render(stx)}'")
+                kind = stx.kind
+                if kind == Name.of(KIND_CMDSEQ):
+                    out: List[Syntax] = []
+                    for c in stx.children:
+                        out.extend(self.process_command(c, depth))
+                    return out
+                if kind in (K_DEF, K_DEF_TYPED):
+                    return [self._process_def(stx)]
+                if kind == K_THEOREM:
+                    return [self._process_theorem(stx)]
+                if kind == K_SYNTAX:
+                    return [self._process_syntax(stx)]
+                if kind == K_MACRO_RULES:
+                    return [self._process_macro_rules(stx)]
+                if kind == K_DECLARE_CAT:
+                    return [self._process_declare_cat(stx)]
+                stx, scope = self.expand_macro_step(stx)
+                frames = frames or []
+                frames.append((kind, scope))
+                depth += 1
+                if depth > self.state.max_expansion_depth:
+                    raise ExpansionError("macro expansion depth exceeded")
+        except KernelError as err:
+            err.frames[:0] = frames or ()
+            raise
 
-    def _declare(self, binder: Syntax, decl: Decl) -> Symbol:
+    def _declare(self, binder: Syntax, decl: Decl) -> Ident:
+        """Declare a global; returns the binder as a plain reference to it."""
         if not isinstance(binder, Ident):
             raise ExpansionError(
                 f"declaration name must be an identifier, got '{render(binder)}'"
@@ -304,7 +327,7 @@ class Expander:
         if symbol in self.state.gctx:
             raise ExpansionError(f"'{symbol}' has already been declared")
         self.state.gctx.add(symbol, decl)
-        return symbol
+        return Ident(binder.raw, symbol, (), None)
 
     def _process_def(self, stx: Node) -> Node:
         if stx.kind == K_DEF_TYPED:
@@ -314,8 +337,7 @@ class Expander:
             kw, name, assign, rhs = stx.children
             colon = ty2 = None
         rhs2 = self.expand(rhs)
-        symbol = self._declare(name, Decl("def"))
-        plain = Ident(name.raw if isinstance(name, Ident) else str(symbol), symbol, (), None)
+        plain = self._declare(name, Decl("def"))
         if ty2 is not None:
             return Node(K_DEF_TYPED, (kw, plain, colon, ty2, assign, rhs2))
         return Node(K_DEF, (kw, plain, assign, rhs2))
@@ -332,8 +354,7 @@ class Expander:
                 Node(b.kind, (open_, Ident(bname.raw, symbol, (), None), bcolon, sort, close))
             )
         target2 = self.expand(target, frozenset(lctx))
-        symbol = self._declare(name, Decl("theorem"))
-        plain = Ident(name.raw if isinstance(name, Ident) else str(symbol), symbol, (), None)
+        plain = self._declare(name, Decl("theorem"))
         return Node(
             K_THEOREM,
             (kw, plain, Node(binders.kind, tuple(out_binders)), colon, target2, assign, by),
@@ -344,7 +365,7 @@ class Expander:
         rule_items: List = []
         for item in _seq_elements(items):
             if isinstance(item, Atom):
-                rule_items.append(Lit(_string_content(item)))
+                rule_items.append(rule_lit(item))
             elif isinstance(item, Ident):
                 # structural name positions ignore macro scopes
                 rule_items.append(CatRef(base_name(item.name)))
@@ -401,13 +422,6 @@ def _seq_elements(stx: Syntax) -> Tuple[Syntax, ...]:
             c for c in stx.children if not (isinstance(c, Atom) and c.text in (",", ";"))
         )
     return (stx,)
-
-
-def _string_content(atom: Atom) -> str:
-    text = atom.text
-    if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    return text
 
 
 def _info_of(stx: Syntax):

@@ -96,6 +96,17 @@ class Lit:
     text: str
 
 
+def rule_lit(atom: Atom) -> Lit:
+    """The literal item that a string of a `syntax` or `macro` rule adds."""
+    text = atom.text
+    if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
+        text = text[1:-1]
+    if not text:
+        # the lexer never produces an empty token, so no rule could match
+        raise ParseError("empty token in syntax rule", atom.info)
+    return Lit(text)
+
+
 @dataclass(frozen=True)
 class CatRef:
     cat: Name

@@ -2,13 +2,15 @@
 
 The check runs at macro declaration time, before the quotation is processed
 into a template.  It never alters semantics: a quotation that passes
-behaves exactly like its unchecked form.
+behaves exactly like its unchecked form.  Macro kinds unfold through the
+kernel's one macro-step routine, `expander.macro_step`, on scratch scopes.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Set
 
+from . import expander  # a module import: the expander imports this module
 from .context import GlobalContext, MacroTable, ScopeCounter, ScopeState, TransformerEnv
 from .errors import PrecheckError, UnboundIdentifier
 from .parser import (
@@ -58,12 +60,11 @@ class Prechecker:
     ):
         self.gctx = gctx
         self.macros = macros
-        # what unfolded transformers read from their environment
-        self.table = table
-        self.notation_precheck = notation_precheck
         self.hooks = dict(builtin_hooks()) if hooks is None else hooks
         self.max_unfold = max_unfold
-        self._scratch = ScopeState(ScopeCounter(start=-1, step=-1))
+        # unfolds count scopes down from -1, away from the run's numbering
+        scratch = ScopeState(ScopeCounter(start=-1, step=-1))
+        self._tenv = TransformerEnv(gctx, scratch, table=table, notation_precheck=notation_precheck)
 
     def check(self, stx: Syntax, qctx: QuotationContext = frozenset(), depth: int = 0) -> None:
         if isinstance(stx, (Atom, Missing)):
@@ -86,9 +87,9 @@ class Prechecker:
                 raise PrecheckError(
                     f"cannot analyze '{stx.kind}': macro unfolding limit reached"
                 )
-            unfolded = self._unfold(stx)
-            if unfolded is not None:
-                self.check(unfolded, qctx, depth + 1)
+            step = expander.macro_step(stx, self.macros.lookup(stx.kind), self._tenv)
+            if step is not None:
+                self.check(step[0], qctx, depth + 1)
                 return
         raise PrecheckError(
             f"cannot analyze quoted syntax of kind '{stx.kind}'; "
@@ -103,20 +104,6 @@ class Prechecker:
         if self.gctx.match_surface(stx.name):
             return
         raise UnboundIdentifier(stx.raw, stx.info)
-
-    def _unfold(self, stx: Node) -> Optional[Syntax]:
-        tenv = TransformerEnv(
-            self.gctx,
-            self._scratch,
-            table=self.table,
-            notation_precheck=self.notation_precheck,
-        )
-        with self._scratch.fresh():
-            for transformer in self.macros.lookup(stx.kind):
-                out = transformer(stx, tenv)
-                if out is not None:
-                    return out
-        return None
 
 
 def _has_captured_ident(stx: Syntax) -> bool:

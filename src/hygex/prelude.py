@@ -23,7 +23,7 @@ from .elaborator import (
     elab_anonymous_ctor,
 )
 from .errors import ExpansionError, KernelError
-from .expander import Expander, ExpanderState, _seq_elements, _string_content
+from .expander import Expander, ExpanderState, _seq_elements
 from .parser import (
     K_ANON_CTOR,
     K_ARGDECL,
@@ -36,9 +36,9 @@ from .parser import (
     K_NOTATION,
     K_SYNTAX,
     CatRef,
-    Lit,
     Parser,
     iter_commands,
+    rule_lit,
 )
 from .quotation import (
     Seq,
@@ -220,10 +220,10 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
     pattern_children: List[Syntax] = []
     for item in elems:
         if isinstance(item, Atom):
-            lit = _string_content(item)
+            lit = rule_lit(item)
             syntax_items.append(Atom(item.text))
-            rule_items.append(Lit(lit))
-            pattern_children.append(Atom(lit))
+            rule_items.append(lit)
+            pattern_children.append(Atom(lit.text))
         elif isinstance(item, Node) and item.kind == K_ARGDECL:
             name, _c, argcat = item.children
             slot = base_name(argcat.name)

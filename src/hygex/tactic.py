@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
-from .errors import TacticBudgetError, TacticError
+from .errors import KernelError, TacticBudgetError, TacticError
 from .expander import Expander, ExpanderState
 from .parser import (
     K_ARROW,
@@ -159,11 +159,12 @@ def eval_tactic(
                 "tactic macro expansion budget exceeded (see --max-repeat)"
             )
         ts.steps_left[0] -= 1
-        expander = Expander(ts.state)
-        unfolded = expander.expand_macro_step(stx)
-        return expander._with_frame(
-            kind, lambda: eval_tactic(unfolded, ts, trace)
-        )
+        unfolded, scope = Expander(ts.state).expand_macro_step(stx)
+        try:
+            return eval_tactic(unfolded, ts, trace)
+        except KernelError as err:
+            err.frames.insert(0, (kind, scope))
+            raise
     else:
         raise TacticError(f"unknown tactic '{render(stx)}'")
     if trace:

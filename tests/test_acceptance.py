@@ -124,7 +124,8 @@ def test_05_tuple_macros():
                 if isinstance(src_or_node, str)
                 else src_or_node
             )
-            return expander.expand_macro_step(node)
+            out, _scope = expander.expand_macro_step(node)
+            return out
 
         one = step("(1, 2, 3)")
         assert render(one) == "Prod.mk.1{Prod.mk} 1 (2, 3)"

@@ -8,8 +8,9 @@ import pytest
 from conftest import CORPUS, GOLDENS
 from corpus_config import CORPUS_RUNS
 from hygex.cli import main
-from hygex.driver import RunConfig, Runner, run_string
+from hygex.driver import Diagnostic, RunConfig, Runner, run_string
 from hygex.parser import ParserTable
+from hygex.syntax import Name
 
 UPDATE = os.environ.get("HYGEX_UPDATE_GOLDENS") == "1"
 
@@ -135,6 +136,18 @@ class TestOneDiagnosticPerBadCommand:
         "  | `(loop $e) => `(loop $e)\n"
         "def x := loop 1\n"
     )
+    AGAIN = (
+        'syntax "again" : command\n'
+        "macro_rules\n"
+        "  | `(again) => `(again)\n"
+        "again\n"
+    )
+    NEST = (
+        'syntax "nest" term : term\n'
+        "macro_rules\n"
+        "  | `(nest $e) => `(1 + nest $e)\n"
+        "def x := nest 1\n"
+    )
 
     def test_parse_error_in_a_later_command(self):
         code, out = run_string("def a := 1\ndef b := )\ndef y := 2\n", self.ELAB)
@@ -156,7 +169,8 @@ class TestOneDiagnosticPerBadCommand:
     @pytest.mark.parametrize(
         "bad, error",
         [
-            (LOOP, "error: recursion limit reached while processing this command @4:1"),
+            # each level of a nesting macro still costs Python frames
+            (NEST, "error: recursion limit reached while processing this command @4:1"),
             (
                 "def x := " + " + ".join(["1"] * 500) + "\n",
                 "error: recursion limit reached while processing this command @1:1",
@@ -166,7 +180,7 @@ class TestOneDiagnosticPerBadCommand:
                 "error: recursion limit reached while parsing this command @1:1",
             ),
         ],
-        ids=["self_recursive_macro", "long_sum", "nested_parens"],
+        ids=["nesting_macro", "long_sum", "nested_parens"],
     )
     def test_running_out_of_stack_is_a_diagnostic(self, bad, error):
         code, out = run_string(bad + "def y := 2\n", self.ELAB)
@@ -174,6 +188,39 @@ class TestOneDiagnosticPerBadCommand:
         lines = out.splitlines()
         assert [line for line in lines if line.startswith("error:")] == [error]
         assert lines[-1] == "def y : nat := natLit(2)"
+
+    @pytest.mark.parametrize(
+        "bad, depth, kind",
+        [
+            (LOOP, 512, "loop"),
+            (AGAIN, 512, "again"),
+            (LOOP, 2000, "loop"),
+            (AGAIN, 2000, "again"),
+            (NEST, 100, "nest"),
+        ],
+        ids=[
+            "self_recursive_macro",
+            "command_chain",
+            "self_recursive_macro_2000",
+            "command_chain_2000",
+            "nesting_macro_100",
+        ],
+    )
+    def test_depth_limit_fires(self, bad, depth, kind):
+        # a chain of steps at one position unfolds in a loop, so the limit
+        # fires before the Python stack runs out
+        runner = Runner(RunConfig(stage="elaborate", max_expansion_depth=depth))
+        runner.run_source(bad + "def y := 2\n")
+        [diag] = runner.diagnostics
+        assert diag.message == "macro expansion depth exceeded"
+        assert [str(k) for k, _ in diag.frames] == [kind] * (depth + 1)
+        lines = runner.output.splitlines()
+        at = lines.index("error: macro expansion depth exceeded")
+        assert lines[at + 1 : at + 11] == [f"  in expansion of {kind}"] * 10
+        assert lines[at + 11] == f"  ... {depth + 1 - 20} more frames"
+        assert lines[at + 12 :] == [f"  in expansion of {kind}"] * 10 + [
+            "def y : nat := natLit(2)"
+        ]
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -186,8 +233,20 @@ class TestOneDiagnosticPerBadCommand:
                 "mk\n",
                 "error: empty macro rule",
             ),
+            # an empty string item, found by the corpus-mutation suite,
+            # used to crash the lexer
+            ('syntax "big" "" term : term\n', "error: empty token in syntax rule @1:14"),
+            ('macro "" e:term : term => `($e)\n', "error: empty token in syntax rule @1:7"),
+            ('notation "x" "" e => e\n', "error: empty token in syntax rule"),
         ],
-        ids=["macro", "notation", "macro_from_a_macro"],
+        ids=[
+            "macro",
+            "notation",
+            "macro_from_a_macro",
+            "empty_token_in_syntax",
+            "empty_token_in_macro",
+            "empty_token_in_notation",
+        ],
     )
     def test_an_empty_item_list_is_a_diagnostic(self, bad, error):
         code, out = run_string(bad + "def y := 2\n", self.ELAB)
@@ -195,6 +254,33 @@ class TestOneDiagnosticPerBadCommand:
         lines = out.splitlines()
         assert [line for line in lines if line.startswith("error:")] == [error]
         assert lines[-1] == "def y : nat := natLit(2)"
+
+
+class TestBacktraceElision:
+    """A long backtrace renders its 10 outermost and 10 innermost frames;
+    the diagnostic itself keeps every frame."""
+
+    @staticmethod
+    def frames(n):
+        return tuple((Name.of(f"m{i}"), i) for i in range(n))
+
+    def test_twenty_frames_render_in_full(self):
+        diag = Diagnostic("deep", None, self.frames(20))
+        assert diag.render().splitlines() == ["error: deep"] + [
+            f"  in expansion of m{i} (scope {i})" for i in range(20)
+        ]
+
+    @pytest.mark.parametrize("n", [21, 513])
+    def test_the_middle_is_elided(self, n):
+        diag = Diagnostic("deep", None, self.frames(n))
+        lines = diag.render().splitlines()
+        assert lines == (
+            ["error: deep"]
+            + [f"  in expansion of m{i} (scope {i})" for i in range(10)]
+            + [f"  ... {n - 20} more frames"]
+            + [f"  in expansion of m{i} (scope {i})" for i in range(n - 10, n)]
+        )
+        assert len(diag.frames) == n
 
 
 class TestConfig:

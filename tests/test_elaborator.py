@@ -21,11 +21,11 @@ from hygex.elaborator import (
     interp_type,
     transformer_to_elaborator,
 )
-from hygex.errors import ElabError
+from hygex.errors import ElabError, ExpansionError
 from hygex.expander import Expander, ExpanderState
 from hygex.parser import Parser
-from hygex.prelude import bootstrap
-from hygex.syntax import Name
+from hygex.prelude import bootstrap, run_source
+from hygex.syntax import Name, Node
 
 
 @pytest.fixture
@@ -187,6 +187,43 @@ class TestRouteEquivalence:
         with pytest.raises(ElabError) as exc:
             transformer_to_elaborator(broken, env_of(state), None)
         assert "narrow" in exc.value.message
+
+
+class TestAdapterFrames:
+    """The adapter takes the same macro step as the expander, so its
+    errors carry the same `(kind, scope)` frames, outermost first."""
+
+    BOOM = Name.of("boom")
+
+    @staticmethod
+    def _boom(stx, tenv):
+        tenv.current_macro_scope()
+        raise ExpansionError("boom")
+
+    @pytest.mark.parametrize("route", ["expander", "adapter"])
+    def test_a_transformer_error_carries_the_step_frame(self, state, route):
+        state.macros.register(self.BOOM, self._boom)
+        stx = Node(self.BOOM, ())
+        with pytest.raises(ExpansionError) as exc:
+            if route == "expander":
+                Expander(state).expand(stx)
+            else:
+                transformer_to_elaborator(stx, env_of(state), None)
+        assert exc.value.frames == [(self.BOOM, 1)]
+
+    def test_an_error_in_the_output_carries_the_step_frame(self, state):
+        run_source(
+            state,
+            'syntax "anon" : term\n'
+            "macro_rules | `(anon) => `(fun x => x)\n"
+            'syntax "outer" : term\n'
+            "macro_rules | `(outer) => `(anon)\n",
+        )
+        with pytest.raises(ElabError) as exc:
+            elab_term(term(state, "outer"), env_of(state), None)
+        assert "cannot infer the type" in exc.value.message
+        # `outer` instantiates no identifier, so its scope is never allocated
+        assert exc.value.frames == [(Name.of("outer"), None), (Name.of("anon"), 1)]
 
 
 class TestSoundness:

@@ -117,13 +117,15 @@ class TestExpandMacroStep:
     def test_tuple_single_step(self, ):
         state = _fresh_state()
         stx = _parse_term(state, "(1, 2, 3)")
-        out = Expander(state).expand_macro_step(stx)
+        out, scope = Expander(state).expand_macro_step(stx)
         assert render(out) == "Prod.mk.1{Prod.mk} 1 (2, 3)"
+        assert scope == 1
 
     def test_empty_tuple_single_step(self):
         state = _fresh_state()
-        out = Expander(state).expand_macro_step(_parse_term(state, "()"))
+        out, scope = Expander(state).expand_macro_step(_parse_term(state, "()"))
         assert render(out) == "Unit.unit.1{Unit.unit}"
+        assert scope == 1
 
     def test_newest_macro_rules_take_precedence(self):
         code, lines = expanded_lines(

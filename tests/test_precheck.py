@@ -3,9 +3,9 @@
 import pytest
 
 from hygex.driver import RunConfig, Runner, run_string
-from hygex.errors import PrecheckError, UnboundIdentifier
+from hygex.errors import ExpansionError, PrecheckError, UnboundIdentifier
 from hygex.expander import ExpanderState
-from hygex.parser import Parser
+from hygex.parser import K_NOTATION, Parser
 from hygex.precheck import Prechecker
 from hygex.prelude import bootstrap
 from hygex.syntax import Name
@@ -89,6 +89,31 @@ class TestHeuristics:
         check(state, "``(match scrut with | some a => a)")
         with pytest.raises(UnboundIdentifier):
             check(state, "``(match scrut with | some a => b)")
+
+
+class TestUnfoldFrames:
+    """An unfold is an ordinary macro step, so a transformer error in it
+    carries the step's frame, as in the expander."""
+
+    def test_a_transformer_error_carries_its_frame(self):
+        with pytest.raises(ExpansionError) as exc:
+            check(fresh_state(), "``(notation => x)")
+        assert exc.value.message == "empty notation rule"
+        # the step allocated no scratch scope
+        assert exc.value.frames == [(K_NOTATION, None)]
+
+    def test_the_frame_reaches_the_diagnostic(self):
+        code, out = run_string(
+            'syntax "mk" : command\n'
+            "macro_rules | `(mk) => ``(notation => x)\n"
+            "def y := 2\n"
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "error: empty notation rule @2:27",
+            "  in expansion of notationDecl",
+            "def y := 2",
+        ]
 
 
 class TestScratchScopes:
