@@ -9,6 +9,15 @@ from typing import Optional, Sequence
 from .driver import RunConfig, Runner
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for a limit: a bad value is a usage error that
+    names the flag, not a traceback from `RunConfig`."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hygex",
@@ -31,8 +40,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="notation right-hand sides use plain quotations")
     run.add_argument("--no-prelude", action="store_true",
                      help="start from the bare core table")
-    run.add_argument("--max-expansion-depth", type=int, default=512, metavar="N")
-    run.add_argument("--max-repeat", type=int, default=1024, metavar="N")
+    run.add_argument("--max-expansion-depth", type=positive_int, default=512, metavar="N")
+    run.add_argument("--max-repeat", type=positive_int, default=1024, metavar="N")
     run.add_argument("--recover", action="store_true",
                      help="insert a <missing> command on parse errors")
     return parser

@@ -8,11 +8,12 @@ queried), so bookkeeping-only macros leave no trace in the numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .parser import ParserTable
-from .syntax import Name, Symbol, Syntax, base_name, macro_scopes
+from .syntax import Frozen, Name, Symbol, Syntax, base_name, macro_scopes
+
+_setattr = object.__setattr__
 
 # Scope value reserved for kernel-synthesized constant references; the
 # run counter starts above it, so no user binder can ever carry it.
@@ -67,16 +68,21 @@ class ScopeState:
         self._stack.pop()
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(Frozen):
     """What a global symbol stands for.
 
     Frozen: copies of a context share their `Decl`s, so a run records what
-    elaboration learns by adding a replacement (`dataclasses.replace`)."""
+    elaboration learns by adding a new `Decl` in place of the old one."""
 
+    __slots__ = ("kind", "type_", "prop")
     kind: str  # "def" | "theorem" | "type" | "const"
-    type_: Any = None  # CoreType of value constants, when elaborated
-    prop: Any = None  # proposition proved, for theorems
+    type_: Any  # CoreType of value constants, when elaborated
+    prop: Any  # proposition proved, for theorems
+
+    def __init__(self, kind: str, type_: Any = None, prop: Any = None) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "type_", type_)
+        _setattr(self, "prop", prop)
 
 
 class GlobalContext:
@@ -176,7 +182,6 @@ class MacroTable:
         return bool(self._by_kind.get(kind))
 
 
-@dataclass
 class TransformerEnv:
     """What a transformer invocation sees: globals, its macro scope, and
     the run's parser table and notation setting.
@@ -184,13 +189,21 @@ class TransformerEnv:
     Transformers read run state from here and capture none of it, so one
     transformer object serves every run that shares it."""
 
-    gctx: GlobalContext
-    scopes: ScopeState
-    # test-only mode: keep just the newest scope instead of the full stack,
-    # to demonstrate why the stack is needed
-    single_scope: bool = False
-    table: Optional[ParserTable] = None
-    notation_precheck: bool = True
+    def __init__(
+        self,
+        gctx: GlobalContext,
+        scopes: ScopeState,
+        single_scope: bool = False,
+        table: Optional[ParserTable] = None,
+        notation_precheck: bool = True,
+    ) -> None:
+        self.gctx = gctx
+        self.scopes = scopes
+        # test-only mode: keep just the newest scope instead of the full
+        # stack, to demonstrate why the stack is needed
+        self.single_scope = single_scope
+        self.table = table
+        self.notation_precheck = notation_precheck
 
     def current_macro_scope(self) -> int:
         return self.scopes.current()

@@ -15,11 +15,11 @@ cannot see each other, whatever their configuration.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
+from .context import Decl
 from .elaborator import ElabEnv, elab_term, interp_type
-from .errors import KernelError
+from .errors import ExpansionDepthError, KernelError
 from .expander import Expander, ExpanderState, TraceFn
 from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, ParserTable, iter_commands
 from .prelude import bootstrap
@@ -27,22 +27,46 @@ from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
 from .tactic import TacticState, interp_prop, run_proof
 
 
-@dataclass
 class RunConfig:
-    stage: str = "expand"  # expand | elaborate
-    trace_expansion: bool = False
-    trace_tactics: bool = False
-    notation_precheck: bool = True
-    prelude: bool = True
-    max_expansion_depth: int = 512
-    max_repeat: int = 1024
-    recover: bool = False
+    """The settings of a run; it compares and prints by value."""
 
-    def __post_init__(self) -> None:
-        if self.stage not in ("expand", "elaborate"):
-            raise ValueError(f"unknown stage '{self.stage}'")
-        if self.max_expansion_depth <= 0 or self.max_repeat <= 0:
+    __match_args__ = (
+        "stage", "trace_expansion", "trace_tactics", "notation_precheck",
+        "prelude", "max_expansion_depth", "max_repeat", "recover",
+    )
+
+    def __init__(
+        self,
+        stage: str = "expand",  # expand | elaborate
+        trace_expansion: bool = False,
+        trace_tactics: bool = False,
+        notation_precheck: bool = True,
+        prelude: bool = True,
+        max_expansion_depth: int = 512,
+        max_repeat: int = 1024,
+        recover: bool = False,
+    ) -> None:
+        if stage not in ("expand", "elaborate"):
+            raise ValueError(f"unknown stage '{stage}'")
+        if max_expansion_depth <= 0 or max_repeat <= 0:
             raise ValueError("limits must be positive")
+        self.stage = stage
+        self.trace_expansion = trace_expansion
+        self.trace_tactics = trace_tactics
+        self.notation_precheck = notation_precheck
+        self.prelude = prelude
+        self.max_expansion_depth = max_expansion_depth
+        self.max_repeat = max_repeat
+        self.recover = recover
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"RunConfig({args})"
 
 
 # a rendered backtrace shows this many frames at each end, and one line
@@ -50,12 +74,30 @@ class RunConfig:
 FRAMES_SHOWN = 10
 
 
-@dataclass
 class Diagnostic:
-    message: str
-    info: Optional[SourceInfo] = None
-    # every frame, outermost first; `render` elides the middle of long ones
-    frames: Tuple[Tuple[Name, Optional[int]], ...] = ()
+    """One reported error; it compares and prints by value."""
+
+    __match_args__ = ("message", "info", "frames")
+
+    def __init__(
+        self,
+        message: str,
+        info: Optional[SourceInfo] = None,
+        # every frame, outermost first; `render` elides the middle of long ones
+        frames: Tuple[Tuple[Name, Optional[int]], ...] = (),
+    ) -> None:
+        self.message = message
+        self.info = info
+        self.frames = frames
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"Diagnostic({args})"
 
     def render(self) -> str:
         line = f"error: {self.message}"
@@ -145,7 +187,7 @@ class Runner:
             try:
                 outputs = self.expander.process_command(cmd)
             except KernelError as err:
-                self._diagnose(err)
+                self._diagnose(_placed(err, start))
                 continue
             except RecursionError:
                 self._diagnose(_too_deep(start))
@@ -154,7 +196,7 @@ class Runner:
                 try:
                     self._emit_command(out)
                 except KernelError as err:
-                    self._diagnose(err)
+                    self._diagnose(_placed(err, start))
                 except RecursionError:
                     self._diagnose(_too_deep(start))
 
@@ -182,7 +224,7 @@ class Runner:
         gctx = self.state.gctx
         decl = gctx.get(name.name)
         if decl is not None:
-            gctx.add(name.name, replace(decl, type_=ty))
+            gctx.add(name.name, Decl(decl.kind, ty, decl.prop))
         self._emit(f"def {name.name} : {ty} := {expr}")
 
     def _run_theorem(self, out: Node) -> None:
@@ -194,7 +236,7 @@ class Runner:
         gctx = self.state.gctx
         decl = gctx.get(name.name)
         if decl is not None:
-            gctx.add(name.name, replace(decl, prop=prop))
+            gctx.add(name.name, Decl(decl.kind, decl.type_, prop))
         self._emit(f"theorem {name.name} : {prop} := proved")
 
 
@@ -206,6 +248,14 @@ def _macro_step_tracer(lines: List[str]) -> TraceFn:
         lines.append(f"{kind}: {render(before)} ==> {render(after)}")
 
     return trace
+
+
+def _placed(err: KernelError, start: SourceInfo) -> KernelError:
+    """The error, with a depth-limit error placed at the command's first
+    token; every other error keeps its own position or none."""
+    if isinstance(err, ExpansionDepthError):
+        err.info = start
+    return err
 
 
 def _too_deep(start: SourceInfo) -> KernelError:

@@ -8,7 +8,6 @@ macro-step routine, `expander.macro_step`, then elaborate the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ElabError, KernelError
@@ -16,6 +15,8 @@ from .expander import ExpanderState, _seq_elements, macro_step, resolve_identifi
 from .parser import K_APP, K_ARROW, K_FUN, K_NUM, K_PLUS
 from .quotation import mk_c_ident
 from .syntax import (
+    OMITTED,
+    Frozen,
     Ident,
     KIND_CHOICE,
     Name,
@@ -25,6 +26,8 @@ from .syntax import (
     render,
     strip_top_level_scopes,
 )
+
+_setattr = object.__setattr__
 
 NAT = Name.of("Nat")
 UNIT = Name.of("Unit")
@@ -38,39 +41,52 @@ NAT_ADD = Name.of("Nat.add")
 # Core terms and types
 
 
-@dataclass(frozen=True)
-class TNat:
+class TNat(Frozen):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "nat"
 
 
-@dataclass(frozen=True)
-class TUnit:
+class TUnit(Frozen):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
-class TPropAtom:
+class TPropAtom(Frozen):
+    __slots__ = ("name",)
     name: Name
+
+    def __init__(self, name: Name) -> None:
+        _setattr(self, "name", name)
 
     def __str__(self) -> str:
         return f"prop({self.name})"
 
 
-@dataclass(frozen=True)
-class TArrow:
+class TArrow(Frozen):
+    __slots__ = ("dom", "cod")
     dom: "CoreType"
     cod: "CoreType"
+
+    def __init__(self, dom: "CoreType", cod: "CoreType") -> None:
+        _setattr(self, "dom", dom)
+        _setattr(self, "cod", cod)
 
     def __str__(self) -> str:
         return f"arrow({self.dom}, {self.cod})"
 
 
-@dataclass(frozen=True)
-class TProd:
+class TProd(Frozen):
+    __slots__ = ("left", "right")
     left: "CoreType"
     right: "CoreType"
+
+    def __init__(self, left: "CoreType", right: "CoreType") -> None:
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
     def __str__(self) -> str:
         return f"prod({self.left}, {self.right})"
@@ -79,53 +95,75 @@ class TProd:
 CoreType = object  # TNat | TUnit | TPropAtom | TArrow | TProd
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Frozen):
+    __slots__ = ("name",)
     name: Name
+
+    def __init__(self, name: Name) -> None:
+        _setattr(self, "name", name)
 
     def __str__(self) -> str:
         return f"const({self.name})"
 
 
-@dataclass(frozen=True)
-class Local:
+class Local(Frozen):
+    __slots__ = ("symbol",)
     symbol: Symbol
+
+    def __init__(self, symbol: Symbol) -> None:
+        _setattr(self, "symbol", symbol)
 
     def __str__(self) -> str:
         return f"local({self.symbol})"
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Frozen):
+    __slots__ = ("binder", "binder_type", "body")
     binder: Symbol
     binder_type: CoreType
     body: "CoreExpr"
+
+    def __init__(self, binder: Symbol, binder_type: CoreType, body: "CoreExpr") -> None:
+        _setattr(self, "binder", binder)
+        _setattr(self, "binder_type", binder_type)
+        _setattr(self, "body", body)
 
     def __str__(self) -> str:
         return f"lam({self.binder} : {self.binder_type}. {self.body})"
 
 
-@dataclass(frozen=True)
-class App:
+class App(Frozen):
+    __slots__ = ("fn", "arg")
     fn: "CoreExpr"
     arg: "CoreExpr"
+
+    def __init__(self, fn: "CoreExpr", arg: "CoreExpr") -> None:
+        _setattr(self, "fn", fn)
+        _setattr(self, "arg", arg)
 
     def __str__(self) -> str:
         return f"app({self.fn}, {self.arg})"
 
 
-@dataclass(frozen=True)
-class NatLit:
+class NatLit(Frozen):
+    __slots__ = ("value",)
     value: int
+
+    def __init__(self, value: int) -> None:
+        _setattr(self, "value", value)
 
     def __str__(self) -> str:
         return f"natLit({self.value})"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Frozen):
+    __slots__ = ("fst", "snd")
     fst: "CoreExpr"
     snd: "CoreExpr"
+
+    def __init__(self, fst: "CoreExpr", snd: "CoreExpr") -> None:
+        _setattr(self, "fst", fst)
+        _setattr(self, "snd", snd)
 
     def __str__(self) -> str:
         return f"pair({self.fst}, {self.snd})"
@@ -138,16 +176,23 @@ CoreExpr = object  # Const | Local | Lam | App | NatLit | Pair
 # Environment
 
 
-@dataclass
 class ElabEnv:
     """Locals, signatures, and the shared quotation-scope capability."""
 
-    state: ExpanderState
-    locals: Dict[Symbol, CoreType] = field(default_factory=dict)
-    # expected-type head -> (constructor, arity)
-    constructors: Dict[type, Tuple[Name, int]] = field(
-        default_factory=lambda: {TProd: (PROD_MK, 2), TUnit: (UNIT_UNIT, 0)}
-    )
+    def __init__(
+        self,
+        state: ExpanderState,
+        locals: Dict[Symbol, CoreType] = OMITTED,
+        constructors: Dict[type, Tuple[Name, int]] = OMITTED,
+    ) -> None:
+        self.state = state
+        self.locals = {} if locals is OMITTED else locals
+        # expected-type head -> (constructor, arity)
+        self.constructors = (
+            {TProd: (PROD_MK, 2), TUnit: (UNIT_UNIT, 0)}
+            if constructors is OMITTED
+            else constructors
+        )
 
     @property
     def scopes(self):
@@ -160,7 +205,7 @@ class ElabEnv:
     def child(self, symbol: Symbol, ty: CoreType) -> "ElabEnv":
         locals2 = dict(self.locals)
         locals2[symbol] = ty
-        return replace(self, locals=locals2)
+        return ElabEnv(self.state, locals2, self.constructors)
 
 
 def _mismatch(expected: CoreType, actual: CoreType, stx: Syntax) -> ElabError:

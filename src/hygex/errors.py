@@ -30,6 +30,12 @@ class ExpansionError(KernelError):
     pass
 
 
+class ExpansionDepthError(ExpansionError):
+    """The expansion depth limit fired.  It fires on macro output, which
+    has no position of its own, so the driver places it at the first token
+    of the command being processed."""
+
+
 class UnboundIdentifier(ExpansionError):
     def __init__(self, raw: str, info: Optional[SourceInfo] = None):
         super().__init__(f"unknown identifier '{raw}'", info)

@@ -11,7 +11,6 @@ tactic engine and the prechecker apply transformers through it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .context import (
@@ -22,7 +21,7 @@ from .context import (
     Transformer,
     TransformerEnv,
 )
-from .errors import ExpansionError, KernelError, UnboundIdentifier
+from .errors import ExpansionDepthError, ExpansionError, KernelError, UnboundIdentifier
 from .parser import (
     CatRef,
     K_ALT,
@@ -52,6 +51,7 @@ from .quotation import (
     process_quotation,
 )
 from .syntax import (
+    OMITTED,
     Atom,
     Ident,
     KIND_CHOICE,
@@ -79,21 +79,36 @@ _SEQ_KINDS = (Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ))
 TraceFn = Callable[[Name, Syntax, Syntax], None]
 
 
-@dataclass
 class ExpanderState:
-    """Everything one run threads through: contexts, tables, the counter."""
+    """Everything one run threads through: contexts, tables, the counter.
 
-    table: ParserTable = field(default_factory=ParserTable)
-    gctx: GlobalContext = field(default_factory=GlobalContext)
-    macros: MacroTable = field(default_factory=MacroTable)
-    elaborators: Dict[Name, Callable] = field(default_factory=dict)
-    tactics: Dict[Name, Callable] = field(default_factory=dict)
-    scopes: ScopeState = field(default_factory=ScopeState)
-    max_expansion_depth: int = 512
-    single_scope: bool = False
-    notation_precheck: bool = True
-    on_macro_step: Optional[TraceFn] = None
-    prechecker: Optional[Prechecker] = None
+    A table, context or registry that is not given is built fresh."""
+
+    def __init__(
+        self,
+        table: ParserTable = OMITTED,
+        gctx: GlobalContext = OMITTED,
+        macros: MacroTable = OMITTED,
+        elaborators: Dict[Name, Callable] = OMITTED,
+        tactics: Dict[Name, Callable] = OMITTED,
+        scopes: ScopeState = OMITTED,
+        max_expansion_depth: int = 512,
+        single_scope: bool = False,
+        notation_precheck: bool = True,
+        on_macro_step: Optional[TraceFn] = None,
+        prechecker: Optional[Prechecker] = None,
+    ) -> None:
+        self.table = ParserTable() if table is OMITTED else table
+        self.gctx = GlobalContext() if gctx is OMITTED else gctx
+        self.macros = MacroTable() if macros is OMITTED else macros
+        self.elaborators = {} if elaborators is OMITTED else elaborators
+        self.tactics = {} if tactics is OMITTED else tactics
+        self.scopes = ScopeState() if scopes is OMITTED else scopes
+        self.max_expansion_depth = max_expansion_depth
+        self.single_scope = single_scope
+        self.notation_precheck = notation_precheck
+        self.on_macro_step = on_macro_step
+        self.prechecker = prechecker
 
     def tenv(self) -> TransformerEnv:
         return TransformerEnv(
@@ -227,7 +242,7 @@ class Expander:
                 frames.append((kind, scope))
                 depth += 1
                 if depth > self.state.max_expansion_depth:
-                    raise ExpansionError("macro expansion depth exceeded")
+                    raise ExpansionDepthError("macro expansion depth exceeded")
         except KernelError as err:
             err.frames[:0] = frames or ()
             raise
@@ -312,7 +327,7 @@ class Expander:
                 frames.append((kind, scope))
                 depth += 1
                 if depth > self.state.max_expansion_depth:
-                    raise ExpansionError("macro expansion depth exceeded")
+                    raise ExpansionDepthError("macro expansion depth exceeded")
         except KernelError as err:
             err.frames[:0] = frames or ()
             raise

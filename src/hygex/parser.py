@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import functools
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import KernelError, LexError, ParseError
@@ -27,6 +26,7 @@ from .syntax import (
     KIND_SEQ,
     KIND_SPLICE,
     KIND_SPLICEGROUP,
+    OMITTED,
     Frozen,
     Name,
     Node,
@@ -91,9 +91,12 @@ _SPECIALS = {"(", ")", "[", "]", "⟨", "⟩", ",", ";", "*"}
 # Rules and categories
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Frozen):
+    __slots__ = ("text",)
     text: str
+
+    def __init__(self, text: str) -> None:
+        _setattr(self, "text", text)
 
 
 def rule_lit(atom: Atom) -> Lit:
@@ -107,10 +110,14 @@ def rule_lit(atom: Atom) -> Lit:
     return Lit(text)
 
 
-@dataclass(frozen=True)
-class CatRef:
+class CatRef(Frozen):
+    __slots__ = ("cat", "prec")
     cat: Name
-    prec: int = 0
+    prec: int
+
+    def __init__(self, cat: Name, prec: int = 0) -> None:
+        _setattr(self, "cat", cat)
+        _setattr(self, "prec", prec)
 
 
 Item = Union[Lit, CatRef]
@@ -139,10 +146,10 @@ class ParseRule(Frozen):
         _setattr(self, "leading", bool(items) and isinstance(items[0], Lit))
 
 
-@dataclass
 class Category:
-    name: Name
-    rules: List[ParseRule] = field(default_factory=list)  # newest first
+    def __init__(self, name: Name, rules: List[ParseRule] = OMITTED) -> None:
+        self.name = name
+        self.rules: List[ParseRule] = [] if rules is OMITTED else rules  # newest first
 
 
 class ParserTable:

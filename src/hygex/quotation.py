@@ -17,7 +17,6 @@ serves every run that shares it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .context import RESERVED_SCOPE, GlobalContext, TransformerEnv
@@ -25,6 +24,7 @@ from .errors import ExpansionError
 from .parser import K_NUM
 from .syntax import (
     Atom,
+    Frozen,
     Ident,
     KIND_SPLICE,
     Missing,
@@ -40,31 +40,46 @@ from .syntax import (
     splice_separator,
 )
 
+_setattr = object.__setattr__
+
 # ---------------------------------------------------------------------------
 # Match environments
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Frozen):
+    __slots__ = ("stx",)
     stx: Syntax
 
+    def __init__(self, stx: Syntax) -> None:
+        _setattr(self, "stx", stx)
 
-@dataclass(frozen=True)
-class SepSeq:
+
+class SepSeq(Frozen):
+    __slots__ = ("elems", "sep")
     elems: Tuple[Syntax, ...]
-    sep: str = ","
+    sep: str
+
+    def __init__(self, elems: Tuple[Syntax, ...], sep: str = ",") -> None:
+        _setattr(self, "elems", elems)
+        _setattr(self, "sep", sep)
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Frozen):
+    __slots__ = ("elems",)
     elems: Tuple[Syntax, ...]
 
+    def __init__(self, elems: Tuple[Syntax, ...]) -> None:
+        _setattr(self, "elems", elems)
 
-@dataclass(frozen=True)
-class Rep:
+
+class Rep(Frozen):
     """Element-wise captures of one variable under a nested splice."""
 
+    __slots__ = ("items",)
     items: Tuple["Capture", ...]
+
+    def __init__(self, items: Tuple["Capture", ...]) -> None:
+        _setattr(self, "items", items)
 
 
 Capture = Union[Tree, SepSeq, Seq, Rep]
@@ -91,26 +106,40 @@ def _elems_of(capture: Capture) -> Tuple[Syntax, ...]:
 # Processing
 
 
-@dataclass(frozen=True)
-class QuotationTemplate:
+class QuotationTemplate(Frozen):
+    """A processed template; `build`, compiled from the body, stays out of
+    equality and repr."""
+
+    __slots__ = ("body", "holes", "checked", "build")
+    _fields = ("body", "holes", "checked")
     body: Syntax
     holes: FrozenSet[Name]
-    checked: bool = False  # declared with a double-backtick quotation
-    build: Builder = field(init=False, repr=False, compare=False)
+    checked: bool  # declared with a double-backtick quotation
+    build: Builder
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "build", _compile_builder(self.body))
+    def __init__(self, body: Syntax, holes: FrozenSet[Name], checked: bool = False) -> None:
+        _setattr(self, "body", body)
+        _setattr(self, "holes", holes)
+        _setattr(self, "checked", checked)
+        _setattr(self, "build", _compile_builder(body))
 
 
-@dataclass(frozen=True)
-class QuotationPattern:
+class QuotationPattern(Frozen):
+    """A macro pattern; `match`, compiled from the body, stays out of
+    equality and repr."""
+
+    __slots__ = ("body", "kind", "vars", "match")
+    _fields = ("body", "kind", "vars")
     body: Syntax
     kind: Name
     vars: FrozenSet[Name]
-    match: Matcher = field(init=False, repr=False, compare=False)
+    match: Matcher
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "match", _compile_matcher(self.body))
+    def __init__(self, body: Syntax, kind: Name, vars: FrozenSet[Name]) -> None:
+        _setattr(self, "body", body)
+        _setattr(self, "kind", kind)
+        _setattr(self, "vars", vars)
+        _setattr(self, "match", _compile_matcher(body))
 
 
 def _hole_var(anti: Node) -> Name:

@@ -9,18 +9,26 @@ Every hygiene operation hashes or compares names, and every expansion step
 builds nodes, so these values are cheap by construction rather than
 dataclasses.  A `Name` is a `tuple` subclass: it is the tuple of its parts,
 so hashing and equality run in C and it equals (and hashes like) that
-tuple.  The tree values (`Node`, `Atom`, `Ident`, `Missing`, `SourceInfo`,
-and the parser's `Token` and `ParseRule`) are `__slots__` classes derived
-from `Frozen`, which sets each field once in ``__init__`` through
-``object.__setattr__`` and refuses any later assignment or deletion with
+tuple.
+
+`Frozen` is the kernel's one base for immutable records: the tree values
+here (`Node`, `Atom`, `Ident`, `Missing`, `SourceInfo`), the parser's
+`Token`, `ParseRule`, `Lit` and `CatRef`, the global `Decl`, the
+quotation captures and compiled quotations, the elaborator's core types
+and terms, and the tactic engine's propositions, goals and states.  Each
+subclass writes its ``__init__`` out, setting each slot once through
+``object.__setattr__``; any later assignment or deletion raises
 `dataclasses.FrozenInstanceError`, as a frozen dataclass would.  That
 immutability is what lets the prelude prototype and the prebuilt ground
 subtrees of compiled quotations be shared by every run.
+
+`FrozenInstanceError` is imported only when it is raised.  Importing
+`dataclasses` also loads `inspect`, `ast` and `dis`: every process would
+pay for them at start-up, for a class that only an error path needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
@@ -29,6 +37,10 @@ from typing import Iterable, Optional, Tuple, Union
 # Immutable slotted values
 
 _setattr = object.__setattr__
+
+# The default of a constructor argument whose value is built per instance:
+# only an omitted argument gets a new value, and an explicit None is kept.
+OMITTED = object()
 
 
 class Frozen:
@@ -50,15 +62,24 @@ class Frozen:
         cls._fields = cls.__match_args__ = fields
         if len(fields) > 1:
             get = attrgetter(*fields)  # a tuple of the values, built in C
+        elif fields:
+            one = attrgetter(fields[0])
+
+            def get(self):
+                return (one(self),)
         else:
             def get(self):
-                return tuple(getattr(self, f) for f in fields)
+                return ()
         cls._values = staticmethod(get)
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # see the module docstring
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError  # see the module docstring
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):

@@ -9,7 +9,6 @@ hygiene as everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from .errors import KernelError, TacticBudgetError, TacticError
@@ -26,25 +25,34 @@ from .parser import (
     K_TRY,
     K_TSEQ,
 )
-from .syntax import Ident, Name, Node, Symbol, Syntax, render, strip_top_level_scopes
+from .syntax import Frozen, Ident, Name, Node, Symbol, Syntax, render, strip_top_level_scopes
+
+_setattr = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Propositions and goals
 
 
-@dataclass(frozen=True)
-class PropAtom:
+class PropAtom(Frozen):
+    __slots__ = ("name",)
     name: Name
+
+    def __init__(self, name: Name) -> None:
+        _setattr(self, "name", name)
 
     def __str__(self) -> str:
         return str(self.name)
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Frozen):
+    __slots__ = ("antecedent", "consequent")
     antecedent: "Prop"
     consequent: "Prop"
+
+    def __init__(self, antecedent: "Prop", consequent: "Prop") -> None:
+        _setattr(self, "antecedent", antecedent)
+        _setattr(self, "consequent", consequent)
 
     def __str__(self) -> str:
         left = str(self.antecedent)
@@ -66,10 +74,14 @@ def interp_prop(stx: Syntax) -> Prop:
     raise TacticError(f"'{render(stx)}' is not a proposition")
 
 
-@dataclass(frozen=True)
-class ProofGoal:
+class ProofGoal(Frozen):
+    __slots__ = ("hypotheses", "target")
     hypotheses: Tuple[Tuple[Symbol, Prop], ...]
     target: Prop
+
+    def __init__(self, hypotheses: Tuple[Tuple[Symbol, Prop], ...], target: Prop) -> None:
+        _setattr(self, "hypotheses", hypotheses)
+        _setattr(self, "target", target)
 
     def with_hypothesis(self, symbol: Symbol, prop: Prop) -> "ProofGoal":
         # re-binding the same symbol shadows the old hypothesis
@@ -87,17 +99,24 @@ class ProofGoal:
         return f"{hyps} ⊢ {self.target}" if hyps else f"⊢ {self.target}"
 
 
-@dataclass(frozen=True)
-class TacticState:
+class TacticState(Frozen):
     """Remaining goals plus the run-wide context handles.
 
     The expander state provides the global context and the fresh-scope
     capability, so quotations instantiated by procedural tactics behave
     exactly as they do in macros."""
 
+    __slots__ = ("goals", "state", "steps_left")
     goals: Tuple[ProofGoal, ...]
     state: ExpanderState
     steps_left: List[int]  # single mutable cell: tactic-macro budget
+
+    def __init__(
+        self, goals: Tuple[ProofGoal, ...], state: ExpanderState, steps_left: List[int]
+    ) -> None:
+        _setattr(self, "goals", goals)
+        _setattr(self, "state", state)
+        _setattr(self, "steps_left", steps_left)
 
     def goal(self) -> ProofGoal:
         if not self.goals:
@@ -105,10 +124,10 @@ class TacticState:
         return self.goals[0]
 
     def close_goal(self) -> "TacticState":
-        return replace(self, goals=self.goals[1:])
+        return TacticState(self.goals[1:], self.state, self.steps_left)
 
     def set_goal(self, goal: ProofGoal) -> "TacticState":
-        return replace(self, goals=(goal,) + self.goals[1:])
+        return TacticState((goal,) + self.goals[1:], self.state, self.steps_left)
 
     def __str__(self) -> str:
         if not self.goals:

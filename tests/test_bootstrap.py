@@ -2,8 +2,13 @@
 prelude state, and nothing a run does reaches that prototype or a later
 run."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +123,7 @@ class TestIsolation:
         assert run_string("def x := dup 1\n", cfg) == (0, "def x := Prod.mk 1 1\n")
         code, out = run_string("def x := dup (dup 1)\n", cfg)
         assert code == 1
-        assert out.startswith("error: macro expansion depth exceeded\n")
+        assert out.startswith("error: macro expansion depth exceeded @1:1\n")
 
     def test_decls_are_frozen(self):
         decl = Runner().state.gctx.get(Name.of("Nat.add"))
@@ -237,3 +242,49 @@ class TestCheckedMacroDeclaration:
             "error: unexpected syntax kind 'mk' (no macro registered) @4:1",
             "error: unknown identifier 'foo' @5:10",
         ]
+
+
+def _modules_added(script: str) -> list:
+    """Run `script` in a fresh interpreter, where this process's imports
+    cannot interfere, and return the JSON list it prints."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestColdStart:
+    """What a process pays once: `import hygex` and the first `Runner`."""
+
+    def test_set_up_loads_no_dataclass_machinery(self):
+        added = _modules_added(
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import hygex\n"
+            "hygex.Runner(hygex.RunConfig())\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        assert "hygex.driver" in added
+        assert not {"dataclasses", "inspect"} & set(added)
+
+    def test_runs_import_nothing_after_set_up(self):
+        # no import work was moved from set-up into the runs
+        added = _modules_added(
+            "import json, sys\n"
+            "import hygex\n"
+            "from corpus_config import CORPUS_RUNS\n"
+            f"CORPUS = {str(CORPUS)!r}\n"
+            "hygex.Runner(hygex.RunConfig())\n"
+            "before = set(sys.modules)\n"
+            "for name, (cfg, code) in sorted(CORPUS_RUNS.items()):\n"
+            "    runner = hygex.Runner(hygex.RunConfig(**cfg))\n"
+            "    assert runner.run_files([f'{CORPUS}/{name}.hyg']) == code\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        assert added == []

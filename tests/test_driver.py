@@ -215,7 +215,8 @@ class TestOneDiagnosticPerBadCommand:
         assert diag.message == "macro expansion depth exceeded"
         assert [str(k) for k, _ in diag.frames] == [kind] * (depth + 1)
         lines = runner.output.splitlines()
-        at = lines.index("error: macro expansion depth exceeded")
+        # the command being processed, since macro output has no position
+        at = lines.index("error: macro expansion depth exceeded @4:1")
         assert lines[at + 1 : at + 11] == [f"  in expansion of {kind}"] * 10
         assert lines[at + 11] == f"  ... {depth + 1 - 20} more frames"
         assert lines[at + 12 :] == [f"  in expansion of {kind}"] * 10 + [
@@ -318,6 +319,17 @@ class TestCli:
     def test_missing_file(self, capsys):
         code = main(["run", "does-not-exist.hyg"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-expansion-depth", "0"), ("--max-repeat", "-5")]
+    )
+    def test_a_non_positive_limit_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", flag, value, str(CORPUS / "const.hyg")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err
 
     def test_flags_reach_the_config(self, capsys):
         code = main(

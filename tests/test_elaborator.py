@@ -1,9 +1,8 @@
 """Elaboration, the transformer adapter, and the anonymous constructor."""
 
-from dataclasses import replace
-
 import pytest
 
+from hygex.context import Decl
 from hygex.elaborator import (
     App,
     Const,
@@ -75,7 +74,7 @@ class TestElabTerm:
             "macro_rules | `(const $e) => `(fun x => $e)\n"
             "def q := 1\n",
         )
-        state.gctx.add(Name.of("q"), replace(state.gctx.get(Name.of("q")), type_=TNat()))
+        state.gctx.add(Name.of("q"), Decl(state.gctx.get(Name.of("q")).kind, TNat()))
         expr, _ = elab_term(
             term(state, "const q"), env_of(state), TArrow(TNat(), TNat())
         )

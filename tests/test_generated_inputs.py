@@ -1,9 +1,13 @@
 """Generated inputs: a damaged program still runs to diagnostics.
 
-Each example takes one corpus file and deletes, replaces, duplicates or
-truncates one of its tokens.  The run must return normally, report every
-problem as a kernel diagnostic, and give the same output in two fresh
-runners.
+Two strategies feed the runner.  A corpus mutation takes one corpus file
+and deletes, replaces, duplicates or truncates one of its tokens.  A token
+soup is a few lines, each a command keyword of the prelude and then tokens
+of the corpus and keywords of the prelude, separated by a space, a newline
+or nothing, so that glued tokens such as `` `( ``, ``$x`` and ``:=`` come
+up too.  Either way the run must return
+normally, report every problem as a kernel diagnostic, and give the same
+output in two fresh runners.
 """
 
 import re
@@ -24,6 +28,12 @@ SOURCES = {
     for name in sorted(CORPUS_RUNS)
 }
 TOKENS = {name: [m.span() for m in _TOKEN.finditer(src)] for name, src in SOURCES.items()}
+PRELUDE_TABLE = Runner(RunConfig()).state.table
+VOCABULARY = sorted(
+    {src[start:end] for name, src in SOURCES.items() for start, end in TOKENS[name]}
+    | PRELUDE_TABLE.keywords
+)
+COMMAND_HEADS = sorted(PRELUDE_TABLE.command_heads)
 
 
 @st.composite
@@ -45,6 +55,18 @@ def mutated_corpus_files(draw):
     return name, src[:start] + new + src[end:]
 
 
+@st.composite
+def token_soups(draw):
+    # each line starts with a command keyword, so that a soup now and then
+    # gets past the parser
+    glued = st.tuples(st.sampled_from(VOCABULARY), st.sampled_from(["", " ", "\n"]))
+    line = st.tuples(st.sampled_from(COMMAND_HEADS), st.lists(glued, max_size=12))
+    return "".join(
+        head + " " + "".join(word + sep for word, sep in words) + "\n"
+        for head, words in draw(st.lists(line, min_size=1, max_size=4))
+    )
+
+
 class _Recorder(Runner):
     """A runner that keeps the error behind each diagnostic."""
 
@@ -57,12 +79,7 @@ class _Recorder(Runner):
         super()._diagnose(err)
 
 
-@pytest.mark.parametrize("stage", ["expand", "elaborate"])
-@settings(max_examples=50)
-@given(case=mutated_corpus_files())
-def test_a_mutated_corpus_file_runs_to_diagnostics(stage, case):
-    name, src = case
-    cfg = RunConfig(**dict(CORPUS_RUNS[name][0], stage=stage))
+def _runs_to_diagnostics(cfg, src):
     outputs = []
     for _ in range(2):
         runner = _Recorder(cfg)
@@ -71,3 +88,19 @@ def test_a_mutated_corpus_file_runs_to_diagnostics(stage, case):
         assert len(runner.errors) == len(runner.diagnostics)
         outputs.append(runner.output)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("stage", ["expand", "elaborate"])
+@settings(max_examples=50)
+@given(case=mutated_corpus_files())
+def test_a_mutated_corpus_file_runs_to_diagnostics(stage, case):
+    name, src = case
+    _runs_to_diagnostics(RunConfig(**dict(CORPUS_RUNS[name][0], stage=stage)), src)
+
+
+@pytest.mark.parametrize("stage", ["expand", "elaborate"])
+@settings(max_examples=50)
+@given(src=token_soups())
+def test_a_token_soup_runs_to_diagnostics(stage, src):
+    cfg = RunConfig(stage=stage, trace_expansion=True, trace_tactics=True)
+    _runs_to_diagnostics(cfg, src)

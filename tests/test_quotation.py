@@ -882,8 +882,11 @@ def reachable(root):
             stack.extend(obj)
         elif isinstance(obj, dict):
             stack += list(obj.keys()) + list(obj.values())
-        elif type(obj).__module__.startswith("hygex") and hasattr(obj, "__dict__"):
-            stack.extend(vars(obj).values())
+        elif type(obj).__module__.startswith("hygex"):
+            # the fields of a hygex object, in its `__dict__` or its slots
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                stack.extend(getattr(obj, slot) for slot in cls.__dict__.get("__slots__", ()))
     return out
 
 
