@@ -393,7 +393,7 @@ class Expander:
             raise ExpansionError("syntax rule needs a category name")
         cat = base_name(cat_ident.name)
         kind = self.state.table.gen_kind(rule_items)
-        self.state.table.register_rule(cat, ParseRule(kind, tuple(rule_items)))
+        self.state.table.register_rule(cat, ParseRule(kind, tuple(rule_items)), kw.info)
         return stx
 
     def _process_macro_rules(self, stx: Node) -> Node:
@@ -425,7 +425,7 @@ class Expander:
         kw, name = stx.children
         if not isinstance(name, Ident):
             raise ExpansionError("declare_syntax_cat needs a category name")
-        self.state.table.add_category(base_name(name.name))
+        self.state.table.add_category(base_name(name.name), kw.info)
         return stx
 
 

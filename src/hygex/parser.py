@@ -169,8 +169,7 @@ class ParserTable:
             K_NUM, K_FUN, K_FUN_MULTI, K_FUN_MATCH, K_MATCH, K_ALT, K_TUPLE,
             K_ANON_CTOR, K_APP, K_DEF, K_DEF_TYPED,
             K_THEOREM, K_BINDER, K_BY, K_SYNTAX, K_MACRO_RULES, K_MR_ALT,
-            K_DECLARE_CAT, K_MACRO, K_ARGDECL, K_NOTATION, K_INTRO, K_EXACT,
-            K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY, K_TSEQ, K_TPAREN, K_SLOT_PREC,
+            K_MACRO, K_ARGDECL, K_NOTATION, K_TSEQ, K_TPAREN, K_SLOT_PREC,
         ):
             self.kinds.add(kind)
         # the kernel's own node kinds: a generated kind must never take one
@@ -179,9 +178,20 @@ class ParserTable:
             KIND_SEPSEQ, KIND_SEQ, KIND_CMDSEQ, KIND_CHOICE,
         ):
             self.kinds.add(Name((kind,)))
-        # core infix rules; everything else term-level is built in
+        # the built-in forms that are a literal and category slots; the rest
+        # are written out in `Parser`.  A newer rule shadows any of these.
         self.register_rule(CAT_TERM, ParseRule(K_PLUS, (CatRef(CAT_TERM), Lit("+"), CatRef(CAT_TERM)), prec=65))
         self.register_rule(CAT_TERM, ParseRule(K_ARROW, (CatRef(CAT_TERM), Lit("→"), CatRef(CAT_TERM)), prec=25, right_assoc=True))
+        for kind, items in (
+            (K_INTRO, (Lit("intro"), CatRef(CAT_IDENT))),
+            (K_EXACT, (Lit("exact"), CatRef(CAT_TERM))),
+            (K_ASSUMPTION, (Lit("assumption"),)),
+            (K_SKIP, (Lit("skip"),)),
+            (K_FAIL, (Lit("fail"),)),
+            (K_TRY, (Lit("try"), CatRef(CAT_TACTIC))),
+        ):
+            self.register_rule(CAT_TACTIC, ParseRule(kind, items))
+        self.register_rule(CAT_COMMAND, ParseRule(K_DECLARE_CAT, (Lit("declare_syntax_cat"), CatRef(CAT_IDENT))))
 
     def copy(self) -> "ParserTable":
         """An independent table with the same categories, rules and
@@ -206,27 +216,30 @@ class ParserTable:
         self.keywords.add(name)
         self._keyword_snapshot = None
 
-    def add_category(self, name: Name) -> None:
+    def add_category(self, name: Name, info: Optional[SourceInfo] = None) -> None:
         if name in self.categories or name in (CAT_IDENT,):
-            raise ParseError(f"syntax category '{name}' already exists")
+            raise ParseError(f"syntax category '{name}' already exists", info)
         self.categories[name] = Category(name)
 
     def has_category(self, name: Name) -> bool:
         return name in self.categories or name == CAT_IDENT
 
-    def register_rule(self, cat: Name, rule: ParseRule) -> None:
+    def register_rule(
+        self, cat: Name, rule: ParseRule, info: Optional[SourceInfo] = None
+    ) -> None:
+        """Add `rule` to `cat`, newest first; `info` places a rejection."""
         if cat not in self.categories:
-            raise ParseError(f"unknown syntax category '{cat}'")
+            raise ParseError(f"unknown syntax category '{cat}'", info)
         if rule.kind in self.kinds:
-            raise ParseError(f"duplicate syntax kind '{rule.kind}'")
+            raise ParseError(f"duplicate syntax kind '{rule.kind}'", info)
         for item in rule.items:
             if isinstance(item, CatRef) and not self.has_category(item.cat):
-                raise ParseError(f"unknown syntax category '{item.cat}'")
+                raise ParseError(f"unknown syntax category '{item.cat}'", info)
         if not rule.leading and not (
             len(rule.items) >= 2 and isinstance(rule.items[1], Lit)
         ):
             raise ParseError(
-                "rules starting with a category must have a literal token next"
+                "rules starting with a category must have a literal token next", info
             )
         self.categories[cat].rules.insert(0, rule)
         self.kinds.add(rule.kind)
@@ -234,6 +247,17 @@ class ParserTable:
             if isinstance(item, Lit):
                 self.keywords.add(item.text)
         self._keyword_snapshot = None
+
+    def starts_command(self, tok: Token) -> bool:
+        """Whether `tok` begins a command: a built-in command head or the
+        leading literal of a command rule."""
+        return tok.kind == "keyword" and (
+            tok.text in self.command_heads
+            or any(
+                rule.leading and rule.items[0].text == tok.text
+                for rule in self.categories[CAT_COMMAND].rules
+            )
+        )
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
         base = ""
@@ -372,6 +396,8 @@ class Lexer:
                 end += 1
             if end >= n:
                 raise LexError("unterminated '«' identifier", info)
+            if end == pos + 1:
+                raise LexError("empty '«»' identifier", info)
             return Token("ident", text[pos + 1 : end], info, end + 1)
         for kw in self._symbolic.get(c, ()):
             if text.startswith(kw, pos):
@@ -424,8 +450,9 @@ class Parser:
 
     def peek(self, ahead: int = 0) -> Token:
         tok = self.lexer.token(self.pos)
-        for _ in range(ahead):
+        while ahead:
             tok = self.lexer.token(tok.end)
+            ahead -= 1
         return tok
 
     def bump(self) -> Token:
@@ -462,48 +489,30 @@ class Parser:
     # -- categories
 
     def parse_category(self, cat: Name, min_prec: int = 0) -> Syntax:
-        builtin = cat in (CAT_IDENT, CAT_TERM, CAT_TACTIC, CAT_COMMAND)
-        if self.quot_depth and self.peek().text in ("$", "$["):
-            if builtin or self.peek().text == "$[":
-                # a hole can stand for a whole slot
-                return self.parse_antiquot()
-            return self._parse_user_category_antiquot(cat, min_prec)
+        if self.quot_depth and self.peek().text == "$[":
+            # a splice group stands for the whole slot
+            return self.parse_antiquot()
         if cat == CAT_IDENT:
-            return self.expect_ident()
+            return self._ident_or_antiquot()
         if cat == CAT_TERM:
             return self.parse_term(min_prec)
-        if cat == CAT_TACTIC:
-            return self.parse_tactic(min_prec)
-        if cat == CAT_COMMAND:
-            return self.parse_command()
-        category = self._category(cat)
-        left = self._parse_leading(category)
-        return self._parse_trailing(category, left, min_prec)
-
-    def _category(self, cat: Name) -> Category:
         category = self.table.categories.get(cat)
         if category is None:
             raise ParseError(f"unknown syntax category '{cat}'", self.peek().info)
-        return category
-
-    def _parse_user_category_antiquot(self, cat: Name, min_prec: int) -> Syntax:
-        """A hole at a user-category slot: `$x:cat` stands for the whole
-        slot; a bare `$x` is first offered to the category's own rules."""
-        start = self.pos
-        anti = self.parse_antiquot()
-        if anti.kind[1:] == cat:
-            return anti
-        self.pos = start
-        category = self._category(cat)
-        try:
-            left = self._parse_leading(category)
-            return self._parse_trailing(category, left, min_prec)
-        except ParseError:
-            self.pos = start
-            return self.parse_antiquot()
+        left = self._parse_leading(category)
+        return self._parse_trailing(category, left, min_prec)
 
     def _parse_leading(self, category: Category) -> Syntax:
+        """One leading form of the category, the same way for every
+        category: a built-in form when the token starts one; else the
+        category's rules, newest first, with backtracking; else, inside a
+        quotation, a hole.  Fails with the error that got furthest."""
         tok = self.peek()
+        builtin = self._BUILTIN_FORMS.get(category.name)
+        if builtin is not None:
+            form = builtin(self, tok)
+            if form is not None:
+                return form
         best: Optional[ParseError] = None
 
         def note(err: ParseError) -> None:
@@ -516,7 +525,9 @@ class Parser:
                 # a kept traceback would tie this frame to itself in a cycle
                 best = err.with_traceback(None)
 
-        if tok.kind in ("keyword", "special"):
+        # in a quotation `$` starts a hole even where a rule starts with "$"
+        hole = self.quot_depth and tok.text in ("$", "$[")
+        if tok.kind in ("keyword", "special") and not hole:
             for rule in category.rules:
                 if rule.leading and rule.items[0].text == tok.text:
                     start = self.pos
@@ -535,29 +546,36 @@ class Parser:
             except ParseError as err:
                 note(err)
                 self.pos = start
+        if hole:
+            return self.parse_antiquot()
         if best is not None:
             raise best
+        if category.name == CAT_COMMAND:
+            raise ParseError(f"unknown command, found {describe(tok)}", tok.info)
         raise ParseError(
             f"expected {category.name}, found {describe(tok)}", tok.info
         )
 
     def _parse_trailing(self, category: Category, left: Syntax, min_prec: int) -> Syntax:
+        # `register_rule` makes a rule that does not lead start with a
+        # category and go on with a literal
         while True:
-            tok = self.peek()
-            rule = None
-            for cand in category.rules:
+            try:
+                tok = self.peek()
+            except LexError:
+                # the error belongs to whatever comes next, not to `left`
+                return left
+            if tok.kind not in ("keyword", "special"):
+                return left
+            for rule in category.rules:
                 if (
-                    not cand.leading
-                    and isinstance(cand.items[0], CatRef)
-                    and cand.items[0].cat == category.name
-                    and cand.prec >= min_prec
-                    and isinstance(cand.items[1], Lit)
-                    and tok.text == cand.items[1].text
-                    and tok.kind in ("keyword", "special")
+                    not rule.leading
+                    and rule.items[1].text == tok.text
+                    and rule.items[0].cat == category.name
+                    and rule.prec >= min_prec
                 ):
-                    rule = cand
                     break
-            if rule is None:
+            else:
                 return left
             left = self._parse_rule_items(rule, [left], from_item=1)
 
@@ -580,8 +598,8 @@ class Parser:
     # -- terms
 
     def parse_term(self, min_prec: int = 0) -> Syntax:
-        left = self._parse_term_leading()
         category = self.table.categories[CAT_TERM]
+        left = self._parse_leading(category)
         while True:
             before = self.pos
             left2 = self._parse_trailing(category, left, min_prec)
@@ -590,7 +608,7 @@ class Parser:
                 and self._starts_term_leaf(self.peek())
                 and self._same_line(self.peek())
             ):
-                arg = self._parse_term_leading()
+                arg = self._parse_leading(category)
                 left = Node(K_APP, (left2, arg))
                 continue
             left = left2
@@ -627,10 +645,7 @@ class Parser:
             return True
         return False
 
-    def _parse_term_leading(self) -> Syntax:
-        tok = self.peek()
-        if self.quot_depth and tok.text in ("$", "$["):
-            return self.parse_antiquot()
+    def _term_form(self, tok: Token) -> Optional[Syntax]:
         if tok.kind == "ident":
             self.bump()
             return Ident(tok.text, Name.of(tok.text), (), tok.info)
@@ -657,11 +672,7 @@ class Parser:
             return self._parse_fun()
         if tok.text == "match":
             return self._parse_match()
-        if tok.kind == "keyword":
-            for rule in self.table.categories[CAT_TERM].rules:
-                if rule.leading and rule.items[0].text == tok.text:
-                    return self._parse_rule_items(rule, [])
-        raise ParseError(f"expected term, found {describe(tok)}", tok.info)
+        return None
 
     def _parse_fun(self) -> Node:
         fun = self.expect("fun")
@@ -900,39 +911,16 @@ class Parser:
 
     # -- tactics
 
-    def parse_tactic(self, min_prec: int = 0) -> Syntax:
-        tok = self.peek()
-        if self.quot_depth and tok.text in ("$", "$["):
-            return self.parse_antiquot()
+    def _tactic_form(self, tok: Token) -> Optional[Syntax]:
         if tok.text == "(":
             open_ = self.expect("(")
             inner = self.parse_tactic_seq()
             close = self.expect(")")
             return Node(K_TPAREN, (open_, inner, close))
-        if tok.text == "intro":
-            kw = self.expect("intro")
-            name = self._ident_or_antiquot()
-            return Node(K_INTRO, (kw, name))
-        if tok.text == "exact":
-            kw = self.expect("exact")
-            term = self.parse_term(0)
-            return Node(K_EXACT, (kw, term))
-        for text, kind in (("assumption", K_ASSUMPTION), ("skip", K_SKIP), ("fail", K_FAIL)):
-            if tok.text == text:
-                kw = self.expect(text)
-                return Node(kind, (kw,))
-        if tok.text == "try":
-            kw = self.expect("try")
-            inner = self.parse_tactic(0)
-            return Node(K_TRY, (kw, inner))
-        if tok.kind == "keyword":
-            for rule in self.table.categories[CAT_TACTIC].rules:
-                if rule.leading and rule.items[0].text == tok.text:
-                    return self._parse_rule_items(rule, [])
-        raise ParseError(f"expected tactic, found {describe(tok)}", tok.info)
+        return None
 
     def parse_tactic_seq(self) -> Syntax:
-        first = self.parse_tactic(0)
+        first = self.parse_category(CAT_TACTIC)
         if self.at(";"):
             sep = self.expect(";")
             rest = self.parse_tactic_seq()
@@ -942,30 +930,13 @@ class Parser:
     # -- commands
 
     def parse_command(self) -> Syntax:
-        tok = self.peek()
-        if self.quot_depth and tok.text in ("$",):
-            return self.parse_antiquot()
-        if tok.text == "def":
-            return self._parse_def()
-        if tok.text == "theorem":
-            return self._parse_theorem()
-        if tok.text == "syntax":
-            return self._parse_syntax_cmd()
-        if tok.text == "macro_rules":
-            return self._parse_macro_rules()
-        if tok.text == "declare_syntax_cat":
-            kw = self.expect("declare_syntax_cat")
-            name = self.expect_ident()
-            return Node(K_DECLARE_CAT, (kw, name))
-        if tok.text == "macro" and "macro" in self.table.command_heads:
-            return self._parse_macro_decl()
-        if tok.text == "notation" and "notation" in self.table.command_heads:
-            return self._parse_notation_decl()
-        if tok.kind == "keyword":
-            for rule in self.table.categories[CAT_COMMAND].rules:
-                if rule.leading and rule.items[0].text == tok.text:
-                    return self._parse_rule_items(rule, [])
-        raise ParseError(f"unknown command, found {describe(tok)}", tok.info)
+        return self.parse_category(CAT_COMMAND)
+
+    def _command_form(self, tok: Token) -> Optional[Syntax]:
+        form = self._COMMAND_FORMS.get(tok.text)
+        if form is not None and tok.text in self.table.command_heads:
+            return form(self)
+        return None
 
     def _parse_def(self) -> Node:
         kw = self.expect("def")
@@ -1103,6 +1074,17 @@ class Parser:
         arrow = self.expect("=>")
         rhs = self.parse_term(0)
         return Node(K_NOTATION, (kw, Node(Name.of(KIND_SEQ), tuple(items)), arrow, rhs))
+
+    # the written-out leading forms of the built-in categories; each
+    # returns None when the token starts none of its forms
+    _BUILTIN_FORMS = {
+        CAT_TERM: _term_form, CAT_TACTIC: _tactic_form, CAT_COMMAND: _command_form,
+    }
+    _COMMAND_FORMS = {
+        "def": _parse_def, "theorem": _parse_theorem, "syntax": _parse_syntax_cmd,
+        "macro_rules": _parse_macro_rules, "macro": _parse_macro_decl,
+        "notation": _parse_notation_decl,
+    }
 
 
 def describe(tok: Token) -> str:

@@ -118,6 +118,24 @@ class TestParseRecovery:
         assert "def y := 2" in out
         assert "<missing>" not in out
 
+    def test_resync_stops_at_a_user_command(self):
+        # the table, not a fixed list of words, says what starts a command
+        code, out = run_string(
+            'syntax "mk" ident : command\n'
+            "macro_rules | `(mk $x) => `(def $x := 1)\n"
+            "def a := (\n"
+            "mk b\n"
+            "mk c\n"
+            "def d := b\n"
+        )
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "error: expected term, found 'mk' @4:1",
+            "def b := 1",
+            "def c := 1",
+            "def d := b",
+        ]
+
     def test_recover_mode_inserts_missing(self):
         code, out = run_string(self.BROKEN, RunConfig(recover=True))
         assert code == 1

@@ -104,6 +104,25 @@ class TestTokenize:
         assert toks[0].kind == "ident"
         assert toks[0].text == "fun"
 
+    def test_empty_guillemet_escape_is_rejected(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("def «» := 1")
+        assert exc.value.message == "empty '«»' identifier"
+        assert exc.value.info.col == 5
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [
+            ("def «» := 1\n", "error: empty '«»' identifier @1:5"),
+            ("declare_syntax_cat «»\n", "error: empty '«»' identifier @1:20"),
+        ],
+        ids=["def", "declare_syntax_cat"],
+    )
+    def test_nothing_is_declared_under_the_empty_name(self, src, error):
+        from hygex.driver import run_string
+
+        assert run_string(src) == (1, error + "\n")
+
 
 class TestParseCategory:
     def test_registered_leading_rule(self, table):
@@ -189,6 +208,28 @@ class TestRegisterRule:
             table.register_rule(
                 CAT_TERM, ParseRule(Name.of("k"), (Lit("q"), CatRef(Name.of("nope"))))
             )
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ('syntax "q" nosuchcat : term', "unknown syntax category 'nosuchcat'"),
+            ('syntax "q" : nosuchcat', "unknown syntax category 'nosuchcat'"),
+            ("syntax term term : term", "rules starting with a category must have a literal token next"),
+            ("declare_syntax_cat term", "syntax category 'term' already exists"),
+        ],
+        ids=["slot", "category", "head", "declare"],
+    )
+    def test_a_rejected_rule_is_placed_at_its_keyword(self, src, message):
+        from hygex.driver import run_string
+
+        code, out = run_string(f"def a := 1\n  {src}\n")
+        assert (code, out) == (1, f"def a := 1\nerror: {message} @2:3\n")
+
+    def test_a_rule_from_a_macro_stays_unplaced(self):
+        from hygex.driver import run_string
+
+        code, out = run_string('macro "q" x:nosuchcat : term => `(1)\n')
+        assert (code, out) == (1, "error: unknown syntax category 'nosuchcat'\n  in expansion of macroDecl\n")
 
     def test_duplicate_kind(self, table):
         table.register_rule(CAT_TERM, ParseRule(Name.of("dup_k"), (Lit("aa"),)))
@@ -486,6 +527,8 @@ def reference_tokens(text, keywords):
             end = text.find("»", pos + 1)
             if end < 0:
                 raise LexError("unterminated '«' identifier", here)
+            if end == pos + 1:
+                raise LexError("empty '«»' identifier", here)
             tok = Token("ident", text[pos + 1 : end], here, end + 1)
         elif sym is not None:
             kind = "special" if sym in _SPECIALS else "keyword"

@@ -1,0 +1,443 @@
+"""One rule dispatch for every syntax category.
+
+`term`, `tactic` and `command` parse like user categories: their written-out
+forms first, then their rules newest first with backtracking, then (inside
+a quotation) a hole, and after the leading form their trailing rules.  The
+built-in tactic forms and `declare_syntax_cat` are rules of the table.
+
+`OldDispatchParser` keeps the dispatch this replaced, three first-match
+keyword loops and a hole that ended a built-in slot, as the reference of a
+differential over the corpus and the prelude sources.
+"""
+
+from typing import List, Optional
+
+import pytest
+
+from conftest import CORPUS
+from corpus_config import CORPUS_RUNS
+from hygex import driver, prelude
+from hygex.driver import RunConfig, Runner, run_string
+from hygex.errors import LexError, ParseError
+from hygex.parser import (
+    CAT_COMMAND,
+    CAT_IDENT,
+    CAT_TACTIC,
+    CAT_TERM,
+    K_ANON_CTOR,
+    K_APP,
+    K_ASSUMPTION,
+    K_DECLARE_CAT,
+    K_EXACT,
+    K_FAIL,
+    K_INTRO,
+    K_NUM,
+    K_PLUS,
+    K_SKIP,
+    K_TPAREN,
+    K_TRY,
+    K_TSEQ,
+    K_TUPLE,
+    Category,
+    Parser,
+    ParserTable,
+    describe,
+    iter_commands,
+)
+from hygex.syntax import Atom, Ident, Name, Node, Syntax, is_antiquot
+
+
+class OldDispatchParser(Parser):
+    """The category dispatch as it was before the built-in categories used
+    the rule table: first-match keyword loops, written-out tactic forms and
+    `declare_syntax_cat`, and a hole that ends a built-in category's slot."""
+
+    def parse_category(self, cat: Name, min_prec: int = 0) -> Syntax:
+        builtin = cat in (CAT_IDENT, CAT_TERM, CAT_TACTIC, CAT_COMMAND)
+        if self.quot_depth and self.peek().text in ("$", "$["):
+            if builtin or self.peek().text == "$[":
+                return self.parse_antiquot()
+            return self._parse_user_category_antiquot(cat, min_prec)
+        if cat == CAT_IDENT:
+            return self.expect_ident()
+        if cat == CAT_TERM:
+            return self.parse_term(min_prec)
+        if cat == CAT_TACTIC:
+            return self.parse_tactic(min_prec)
+        if cat == CAT_COMMAND:
+            return self.parse_command()
+        category = self._category(cat)
+        left = self._parse_leading(category)
+        return self._parse_trailing(category, left, min_prec)
+
+    def _category(self, cat: Name) -> Category:
+        category = self.table.categories.get(cat)
+        if category is None:
+            raise ParseError(f"unknown syntax category '{cat}'", self.peek().info)
+        return category
+
+    def _parse_user_category_antiquot(self, cat: Name, min_prec: int) -> Syntax:
+        start = self.pos
+        anti = self.parse_antiquot()
+        if anti.kind[1:] == cat:
+            return anti
+        self.pos = start
+        category = self._category(cat)
+        try:
+            left = self._parse_leading(category)
+            return self._parse_trailing(category, left, min_prec)
+        except ParseError:
+            self.pos = start
+            return self.parse_antiquot()
+
+    def _parse_leading(self, category: Category) -> Syntax:
+        tok = self.peek()
+        best: Optional[ParseError] = None
+
+        def note(err: ParseError) -> None:
+            nonlocal best
+            if (
+                best is None
+                or best.info is None
+                or (err.info and err.info.offset > best.info.offset)
+            ):
+                best = err.with_traceback(None)
+
+        if tok.kind in ("keyword", "special"):
+            for rule in category.rules:
+                if rule.leading and rule.items[0].text == tok.text:
+                    start = self.pos
+                    try:
+                        return self._parse_rule_items(rule, [])
+                    except ParseError as err:
+                        note(err)
+                        self.pos = start
+        for rule in category.rules:
+            if rule.leading or rule.items[0].cat == category.name:
+                continue
+            start = self.pos
+            try:
+                head = self.parse_category(rule.items[0].cat, rule.items[0].prec)
+                return self._parse_rule_items(rule, [head], from_item=1)
+            except ParseError as err:
+                note(err)
+                self.pos = start
+        if best is not None:
+            raise best
+        raise ParseError(f"expected {category.name}, found {describe(tok)}", tok.info)
+
+    def parse_term(self, min_prec: int = 0) -> Syntax:
+        left = self._parse_term_leading()
+        category = self.table.categories[CAT_TERM]
+        while True:
+            before = self.pos
+            left2 = self._parse_trailing(category, left, min_prec)
+            if (
+                min_prec <= 100
+                and self._starts_term_leaf(self.peek())
+                and self._same_line(self.peek())
+            ):
+                arg = self._parse_term_leading()
+                left = Node(K_APP, (left2, arg))
+                continue
+            left = left2
+            if self.pos == before:
+                return left
+
+    def _parse_term_leading(self) -> Syntax:
+        tok = self.peek()
+        if self.quot_depth and tok.text in ("$", "$["):
+            return self.parse_antiquot()
+        if tok.kind == "ident":
+            self.bump()
+            return Ident(tok.text, Name.of(tok.text), (), tok.info)
+        if tok.kind == "num":
+            self.bump()
+            return Node(K_NUM, (Atom(tok.text, tok.info),))
+        if tok.kind in ("quote", "dquote"):
+            return self.parse_quotation()
+        if tok.text == "(":
+            open_ = self.expect("(")
+            elems = self._parse_elements(lambda: self.parse_term(0), ",", lambda: self.at(")"))
+            close = self.expect(")")
+            return Node(K_TUPLE, (open_, elems, close))
+        if tok.text == "⟨":
+            open_ = self.expect("⟨")
+            elems = self._parse_elements(lambda: self.parse_term(0), ",", lambda: self.at("⟩"))
+            close = self.expect("⟩")
+            return Node(K_ANON_CTOR, (open_, elems, close))
+        if tok.text == "fun":
+            return self._parse_fun()
+        if tok.text == "match":
+            return self._parse_match()
+        if tok.kind == "keyword":
+            for rule in self.table.categories[CAT_TERM].rules:
+                if rule.leading and rule.items[0].text == tok.text:
+                    return self._parse_rule_items(rule, [])
+        raise ParseError(f"expected term, found {describe(tok)}", tok.info)
+
+    def parse_tactic(self, min_prec: int = 0) -> Syntax:
+        tok = self.peek()
+        if self.quot_depth and tok.text in ("$", "$["):
+            return self.parse_antiquot()
+        if tok.text == "(":
+            open_ = self.expect("(")
+            inner = self.parse_tactic_seq()
+            close = self.expect(")")
+            return Node(K_TPAREN, (open_, inner, close))
+        if tok.text == "intro":
+            kw = self.expect("intro")
+            name = self._ident_or_antiquot()
+            return Node(K_INTRO, (kw, name))
+        if tok.text == "exact":
+            kw = self.expect("exact")
+            term = self.parse_term(0)
+            return Node(K_EXACT, (kw, term))
+        for text, kind in (("assumption", K_ASSUMPTION), ("skip", K_SKIP), ("fail", K_FAIL)):
+            if tok.text == text:
+                kw = self.expect(text)
+                return Node(kind, (kw,))
+        if tok.text == "try":
+            kw = self.expect("try")
+            inner = self.parse_tactic(0)
+            return Node(K_TRY, (kw, inner))
+        if tok.kind == "keyword":
+            for rule in self.table.categories[CAT_TACTIC].rules:
+                if rule.leading and rule.items[0].text == tok.text:
+                    return self._parse_rule_items(rule, [])
+        raise ParseError(f"expected tactic, found {describe(tok)}", tok.info)
+
+    def parse_tactic_seq(self) -> Syntax:
+        first = self.parse_tactic(0)
+        if self.at(";"):
+            sep = self.expect(";")
+            rest = self.parse_tactic_seq()
+            return Node(K_TSEQ, (first, sep, rest))
+        return first
+
+    def parse_command(self) -> Syntax:
+        tok = self.peek()
+        if self.quot_depth and tok.text in ("$",):
+            return self.parse_antiquot()
+        if tok.text == "def":
+            return self._parse_def()
+        if tok.text == "theorem":
+            return self._parse_theorem()
+        if tok.text == "syntax":
+            return self._parse_syntax_cmd()
+        if tok.text == "macro_rules":
+            return self._parse_macro_rules()
+        if tok.text == "declare_syntax_cat":
+            kw = self.expect("declare_syntax_cat")
+            name = self.expect_ident()
+            return Node(K_DECLARE_CAT, (kw, name))
+        if tok.text == "macro" and "macro" in self.table.command_heads:
+            return self._parse_macro_decl()
+        if tok.text == "notation" and "notation" in self.table.command_heads:
+            return self._parse_notation_decl()
+        if tok.kind == "keyword":
+            for rule in self.table.categories[CAT_COMMAND].rules:
+                if rule.leading and rule.items[0].text == tok.text:
+                    return self._parse_rule_items(rule, [])
+        raise ParseError(f"unknown command, found {describe(tok)}", tok.info)
+
+
+def old_outcome(text: str, table: ParserTable, pos: int):
+    parser = OldDispatchParser(text, table, pos)
+    try:
+        return parser.parse_command()
+    except (LexError, ParseError) as err:
+        return type(err).__name__, err.message, err.info
+
+
+def checked_iter_commands(seen: List[Syntax]):
+    """`iter_commands` that checks every command, and every parse error,
+    against the old dispatch on the same table."""
+
+    def checked(text, table, on_error=None):
+        def on_error_checked(err, start):
+            assert old_outcome(text, table, start) == (type(err).__name__, err.message, err.info)
+            seen.append(err)
+            return on_error(err, start)
+
+        for info, cmd in iter_commands(text, table, on_error and on_error_checked):
+            assert old_outcome(text, table, info.offset) == cmd, text[info.offset:][:80]
+            seen.append(cmd)
+            yield info, cmd
+
+    return checked
+
+
+class TestSameTreesAsTheOldDispatch:
+    @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+    def test_corpus(self, name, monkeypatch):
+        seen: List[Syntax] = []
+        monkeypatch.setattr(driver, "iter_commands", checked_iter_commands(seen))
+        kw, code = CORPUS_RUNS[name]
+        assert Runner(RunConfig(**kw)).run_files([str(CORPUS / f"{name}.hyg")]) == code
+        assert seen
+
+    def test_prelude_sources(self, monkeypatch):
+        seen: List[Syntax] = []
+        monkeypatch.setattr(prelude, "iter_commands", checked_iter_commands(seen))
+        prelude._build_prelude()
+        # TUPLE_RULES_SRC, REPEAT_SRC and NOTATIONS_SRC hold 1, 2 and 2
+        assert len(seen) == 5
+
+
+def parse(src: str, table: ParserTable, method: str = "parse_term") -> Syntax:
+    p = Parser(src, table)
+    out = getattr(p, method)()
+    assert p.at_eof(), f"leftover input at {p.pos}"
+    return out
+
+
+def table_after(src: str) -> ParserTable:
+    runner = Runner()
+    runner.run_source(src)
+    assert not runner.diagnostics, runner.output
+    return runner.state.table
+
+
+def shape(stx: Syntax):
+    """The tree with every hole and every node of atoms alone (a numeral, a
+    literal-only rule) as a leaf: a pattern and the source text it is
+    written like have the same shape."""
+    if isinstance(stx, Atom):
+        return stx.text
+    if not isinstance(stx, Node) or is_antiquot(stx):
+        return "leaf"
+    if all(isinstance(c, Atom) for c in stx.children):
+        return "leaf"
+    return (stx.kind, tuple(shape(c) for c in stx.children))
+
+
+class TestBuiltInCategoriesUseTheirRules:
+    def test_a_rule_may_start_with_a_special_token(self):
+        code, out = run_string(
+            'syntax "[" term "]" : term\n'
+            "macro_rules | `([ $e ]) => `($e + 1)\n"
+            "def a := 1\n"
+            "def b := [ a ]\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "def b := a + 1"
+
+    def test_rules_with_the_same_leading_token_backtrack(self):
+        code, out = run_string(
+            'syntax "pk" term : term\n'
+            'syntax "pk" "(" term ")" "!" : term\n'
+            "macro_rules | `(pk $e) => `($e)\n"
+            "macro_rules | `(pk ($e) !) => `($e + $e)\n"
+            "def b := pk 3\n"
+            "def c := pk (4) !\n"
+            "def d := pk (5)\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[-3:] == ["def b := 3", "def c := 4 + 4", "def d := 5"]
+
+    def test_the_furthest_error_is_reported(self):
+        # the newer rule stops at `x`; the older one reads `(3) x` as a term
+        code, out = run_string(
+            'syntax "pk" term "?" : term\n'
+            'syntax "pk" "(" term ")" "!" : term\n'
+            "def b := pk (3) x\n"
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "error: expected '?', found end of input @4:1"
+
+    def test_tactic_trailing_rules_apply(self):
+        src = (
+            'syntax tactic "<;>" tactic : tactic\n'
+            "macro_rules | `(tactic| $a <;> $b) => `(tactic| ($a; $b))\n"
+        )
+        table = table_after(src)
+        script = parse("intro h <;> exact h", table, "parse_tactic_seq")
+        assert script.kind == Name.of("<;>")
+        assert [c.kind for c in script.children[::2]] == [K_INTRO, K_EXACT]
+        code, out = run_string(
+            src + "theorem t (p : Prop) : p → p := by intro h <;> exact h\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "theorem t : p → p := proved"
+
+    def test_a_command_trailing_rule_applies(self):
+        table = table_after('syntax command "also" command : command\n')
+        out = parse("def x := 1 also def y := 2", table, "parse_command")
+        assert out.kind == Name.of("also")
+
+    @pytest.mark.parametrize("cmd", ['syntax "a" : term', "declare_syntax_cat foo"])
+    def test_a_lex_error_after_a_command_is_not_its_own(self, cmd):
+        code, out = run_string(f"{cmd}\n@bad\ndef y := 2\n")
+        assert out == f"{cmd}\nerror: illegal character '@' @2:1\ndef y := 2\n"
+
+
+class TestHolesParseLikeSourceText:
+    WRAP = 'syntax "wrap" term : term\n'
+
+    def test_trailing_rules_follow_a_term_hole(self):
+        table = table_after(self.WRAP)
+        pattern = parse("`(wrap $e + 1)", table).children[0]
+        assert shape(pattern) == shape(parse("wrap 2 + 1", table))
+        assert pattern.children[1].kind == K_PLUS
+        code, out = run_string(
+            self.WRAP + "macro_rules | `(wrap $e + 1) => `($e)\ndef c := wrap 2 + 1\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "def c := 2"
+
+    def test_trailing_rules_follow_a_user_category_hole(self):
+        src = (
+            "declare_syntax_cat atomf\n"
+            'syntax "x" : atomf\n'
+            'syntax atomf "op" atomf : atomf\n'
+            'syntax "wrap" atomf : term\n'
+        )
+        table = table_after(src)
+        pattern = parse("`(wrap $a op $b)", table).children[0]
+        assert shape(pattern) == shape(parse("wrap x op x", table))
+        code, out = run_string(
+            src + "macro_rules | `(wrap $a op $b) => `(1)\ndef c := wrap x op x\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "def c := 1"
+
+    def test_a_rule_that_starts_with_a_dollar_takes_no_hole(self):
+        code, out = run_string(
+            'syntax "$" term : term\n'
+            + self.WRAP
+            + "macro_rules | `(wrap $x) => `($x + 1)\ndef b := wrap 2\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "def b := 2 + 1"
+
+    def test_a_splice_group_and_an_ident_slot_take_the_whole_slot(self):
+        table = table_after('syntax "wrap" term : term\nsyntax "nm" ident : term\n')
+        group = parse("`(wrap $[$x]* + 1)", table).children[0]
+        assert group.kind == K_PLUS
+        assert group.children[0].children[1].kind == Name(("splicegroup",))
+        named = parse("`(nm $x + 1)", table).children[0]
+        assert named.kind == K_PLUS and is_antiquot(named.children[0].children[1])
+
+
+class TestBuiltInTacticsAreRules:
+    def test_the_table_holds_them(self):
+        table = ParserTable()
+        tactic_kinds = {r.kind for r in table.categories[CAT_TACTIC].rules}
+        assert tactic_kinds == {K_INTRO, K_EXACT, K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY}
+        assert [r.kind for r in table.categories[CAT_COMMAND].rules] == [K_DECLARE_CAT]
+
+    def test_a_newer_rule_shadows_a_built_in_one(self):
+        src = (
+            'syntax "skip" : tactic\n'
+            "macro_rules | `(tactic| skip) => `(tactic| assumption)\n"
+        )
+        table = table_after(src)
+        assert parse("skip", table, "parse_tactic_seq").kind == Name.of("skip_2")
+        code, out = run_string(
+            src + "theorem t (p : Prop) : p → p := by intro h; skip\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 0, out
+        assert out.splitlines()[-1] == "theorem t : p → p := proved"
