@@ -11,9 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .parser import ParserTable
-from .syntax import Frozen, Name, Symbol, Syntax, base_name, macro_scopes
-
-_setattr = object.__setattr__
+from .syntax import Frozen, Name, Symbol, Syntax, base_name, macro_scopes, slot_setters
 
 # Scope value reserved for kernel-synthesized constant references; the
 # run counter starts above it, so no user binder can ever carry it.
@@ -80,9 +78,12 @@ class Decl(Frozen):
     prop: Any  # proposition proved, for theorems
 
     def __init__(self, kind: str, type_: Any = None, prop: Any = None) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "type_", type_)
-        _setattr(self, "prop", prop)
+        _decl_kind(self, kind)
+        _decl_type_(self, type_)
+        _decl_prop(self, prop)
+
+
+_decl_kind, _decl_type_, _decl_prop = slot_setters(Decl)
 
 
 class GlobalContext:

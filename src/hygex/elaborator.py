@@ -24,10 +24,9 @@ from .syntax import (
     Symbol,
     Syntax,
     render,
+    slot_setters,
     strip_top_level_scopes,
 )
-
-_setattr = object.__setattr__
 
 NAT = Name.of("Nat")
 UNIT = Name.of("Unit")
@@ -60,10 +59,13 @@ class TPropAtom(Frozen):
     name: Name
 
     def __init__(self, name: Name) -> None:
-        _setattr(self, "name", name)
+        _tprop_name(self, name)
 
     def __str__(self) -> str:
         return f"prop({self.name})"
+
+
+(_tprop_name,) = slot_setters(TPropAtom)
 
 
 class TArrow(Frozen):
@@ -72,11 +74,14 @@ class TArrow(Frozen):
     cod: "CoreType"
 
     def __init__(self, dom: "CoreType", cod: "CoreType") -> None:
-        _setattr(self, "dom", dom)
-        _setattr(self, "cod", cod)
+        _tarrow_dom(self, dom)
+        _tarrow_cod(self, cod)
 
     def __str__(self) -> str:
         return f"arrow({self.dom}, {self.cod})"
+
+
+_tarrow_dom, _tarrow_cod = slot_setters(TArrow)
 
 
 class TProd(Frozen):
@@ -85,11 +90,14 @@ class TProd(Frozen):
     right: "CoreType"
 
     def __init__(self, left: "CoreType", right: "CoreType") -> None:
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
+        _tprod_left(self, left)
+        _tprod_right(self, right)
 
     def __str__(self) -> str:
         return f"prod({self.left}, {self.right})"
+
+
+_tprod_left, _tprod_right = slot_setters(TProd)
 
 
 CoreType = object  # TNat | TUnit | TPropAtom | TArrow | TProd
@@ -100,10 +108,13 @@ class Const(Frozen):
     name: Name
 
     def __init__(self, name: Name) -> None:
-        _setattr(self, "name", name)
+        _const_name(self, name)
 
     def __str__(self) -> str:
         return f"const({self.name})"
+
+
+(_const_name,) = slot_setters(Const)
 
 
 class Local(Frozen):
@@ -111,10 +122,13 @@ class Local(Frozen):
     symbol: Symbol
 
     def __init__(self, symbol: Symbol) -> None:
-        _setattr(self, "symbol", symbol)
+        _local_symbol(self, symbol)
 
     def __str__(self) -> str:
         return f"local({self.symbol})"
+
+
+(_local_symbol,) = slot_setters(Local)
 
 
 class Lam(Frozen):
@@ -124,12 +138,15 @@ class Lam(Frozen):
     body: "CoreExpr"
 
     def __init__(self, binder: Symbol, binder_type: CoreType, body: "CoreExpr") -> None:
-        _setattr(self, "binder", binder)
-        _setattr(self, "binder_type", binder_type)
-        _setattr(self, "body", body)
+        _lam_binder(self, binder)
+        _lam_binder_type(self, binder_type)
+        _lam_body(self, body)
 
     def __str__(self) -> str:
         return f"lam({self.binder} : {self.binder_type}. {self.body})"
+
+
+_lam_binder, _lam_binder_type, _lam_body = slot_setters(Lam)
 
 
 class App(Frozen):
@@ -138,11 +155,14 @@ class App(Frozen):
     arg: "CoreExpr"
 
     def __init__(self, fn: "CoreExpr", arg: "CoreExpr") -> None:
-        _setattr(self, "fn", fn)
-        _setattr(self, "arg", arg)
+        _app_fn(self, fn)
+        _app_arg(self, arg)
 
     def __str__(self) -> str:
         return f"app({self.fn}, {self.arg})"
+
+
+_app_fn, _app_arg = slot_setters(App)
 
 
 class NatLit(Frozen):
@@ -150,10 +170,13 @@ class NatLit(Frozen):
     value: int
 
     def __init__(self, value: int) -> None:
-        _setattr(self, "value", value)
+        _natlit_value(self, value)
 
     def __str__(self) -> str:
         return f"natLit({self.value})"
+
+
+(_natlit_value,) = slot_setters(NatLit)
 
 
 class Pair(Frozen):
@@ -162,11 +185,14 @@ class Pair(Frozen):
     snd: "CoreExpr"
 
     def __init__(self, fst: "CoreExpr", snd: "CoreExpr") -> None:
-        _setattr(self, "fst", fst)
-        _setattr(self, "snd", snd)
+        _pair_fst(self, fst)
+        _pair_snd(self, snd)
 
     def __str__(self) -> str:
         return f"pair({self.fst}, {self.snd})"
+
+
+_pair_fst, _pair_snd = slot_setters(Pair)
 
 
 CoreExpr = object  # Const | Local | Lam | App | NatLit | Pair

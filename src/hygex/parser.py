@@ -8,9 +8,9 @@ the table, and the driver only mutates the table between commands.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import re
+from bisect import bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import KernelError, LexError, ParseError
@@ -32,9 +32,8 @@ from .syntax import (
     Node,
     SourceInfo,
     Syntax,
+    slot_setters,
 )
-
-_setattr = object.__setattr__
 
 # Node kinds of the built-in grammar.
 K_NUM = Name.of("num")
@@ -96,7 +95,10 @@ class Lit(Frozen):
     text: str
 
     def __init__(self, text: str) -> None:
-        _setattr(self, "text", text)
+        _lit_text(self, text)
+
+
+(_lit_text,) = slot_setters(Lit)
 
 
 def rule_lit(atom: Atom) -> Lit:
@@ -116,8 +118,11 @@ class CatRef(Frozen):
     prec: int
 
     def __init__(self, cat: Name, prec: int = 0) -> None:
-        _setattr(self, "cat", cat)
-        _setattr(self, "prec", prec)
+        _catref_cat(self, cat)
+        _catref_prec(self, prec)
+
+
+_catref_cat, _catref_prec = slot_setters(CatRef)
 
 
 Item = Union[Lit, CatRef]
@@ -139,11 +144,16 @@ class ParseRule(Frozen):
     def __init__(
         self, kind: Name, items: Tuple[Item, ...], prec: int = 0, right_assoc: bool = False
     ) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "items", items)
-        _setattr(self, "prec", prec)
-        _setattr(self, "right_assoc", right_assoc)
-        _setattr(self, "leading", bool(items) and isinstance(items[0], Lit))
+        _rule_kind(self, kind)
+        _rule_items(self, items)
+        _rule_prec(self, prec)
+        _rule_right_assoc(self, right_assoc)
+        _rule_leading(self, bool(items) and isinstance(items[0], Lit))
+
+
+_rule_kind, _rule_items, _rule_prec, _rule_right_assoc, _rule_leading = (
+    slot_setters(ParseRule)
+)
 
 
 class Category:
@@ -287,10 +297,13 @@ class Token(Frozen):
     end: int
 
     def __init__(self, kind: str, text: str, info: SourceInfo, end: int) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "text", text)
-        _setattr(self, "info", info)
-        _setattr(self, "end", end)
+        _tok_kind(self, kind)
+        _tok_text(self, text)
+        _tok_info(self, info)
+        _tok_end(self, end)
+
+
+_tok_kind, _tok_text, _tok_info, _tok_end = slot_setters(Token)
 
 
 def _is_ident_start(c: str) -> bool:
@@ -300,6 +313,10 @@ def _is_ident_start(c: str) -> bool:
 # the rest of an identifier: `\w` in a str pattern is exactly what
 # `str.isalnum()` accepts, plus "_"
 _IDENT_REST = re.compile(r"[\w']*")
+
+# the blanks and `--` comments before a token: `\s` in a str pattern is
+# exactly what `str.isspace()` accepts
+_BLANKS = re.compile(r"(?:\s|--[^\n]*)*")
 
 
 # The tables a lexer needs are built once per source text and once per
@@ -351,26 +368,34 @@ class Lexer:
         return tok
 
     def _info(self, offset: int) -> SourceInfo:
-        line = bisect.bisect_right(self._line_starts, offset)
+        line = bisect_right(self._line_starts, offset)
         return SourceInfo(line, offset - self._line_starts[line - 1] + 1, offset)
 
     def token_at(self, pos: int) -> Token:
         """Lex one token at `pos`, uncached; the parser goes through
         `token`."""
         text = self.text
+        pos = _BLANKS.match(text, pos).end()
+        starts = self._line_starts
+        line = bisect_right(starts, pos)
+        info = SourceInfo(line, pos - starts[line - 1] + 1, pos)
         n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-            elif text.startswith("--", pos):
-                while pos < n and text[pos] != "\n":
-                    pos += 1
-            else:
-                break
-        info = self._info(pos)
         if pos >= n:
             return Token("eof", "", info, pos)
         c = text[pos]
+        # words first: no symbolic keyword starts like an identifier, and
+        # no character is both alphabetic and a digit
+        if c.isalpha() or c == "_":
+            end = _IDENT_REST.match(text, pos).end()
+            while (
+                end + 1 < n
+                and text[end] == "."
+                and (text[end + 1].isalpha() or text[end + 1] == "_")
+            ):
+                end = _IDENT_REST.match(text, end + 1).end()
+            word = text[pos:end]
+            kind = "keyword" if word in self.keywords else "ident"
+            return Token(kind, word, info, end)
         if c == "`":
             if text.startswith("``(", pos):
                 return Token("dquote", "``(", info, pos + 3)
@@ -408,17 +433,6 @@ class Lexer:
             while end < n and text[end].isdigit():
                 end += 1
             return Token("num", text[pos:end], info, end)
-        if _is_ident_start(c):
-            end = _IDENT_REST.match(text, pos).end()
-            while (
-                end + 1 < n
-                and text[end] == "."
-                and _is_ident_start(text[end + 1])
-            ):
-                end = _IDENT_REST.match(text, end + 1).end()
-            word = text[pos:end]
-            kind = "keyword" if word in self.keywords else "ident"
-            return Token(kind, word, info, end)
         raise LexError(f"illegal character {c!r}", info)
 
 
@@ -443,17 +457,30 @@ class Parser:
     def __init__(self, text: str, table: ParserTable, pos: int = 0):
         self.table = table
         self.lexer = Lexer(text, table.snapshot_keywords())
+        self._tokens = self.lexer._tokens
         self.pos = pos
         self.quot_depth = 0
 
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        tok = self.lexer.token(self.pos)
+        # most peeks ask again for a token already lexed: read the lexer's
+        # memo before calling into it
+        tokens = self._tokens
+        tok = tokens.get(self.pos) or self.lexer.token(self.pos)
         while ahead:
-            tok = self.lexer.token(tok.end)
+            tok = tokens.get(tok.end) or self.lexer.token(tok.end)
             ahead -= 1
         return tok
+
+    def _peek_or_none(self) -> Optional[Token]:
+        """The next token, or None when it does not lex.  A lookahead that
+        may end a command uses this, so a lex error just after the command
+        belongs to whatever comes next, not to the command."""
+        try:
+            return self.peek()
+        except LexError:
+            return None
 
     def bump(self) -> Token:
         tok = self.peek()
@@ -464,13 +491,21 @@ class Parser:
         tok = self.peek()
         return tok.text == text and tok.kind in ("keyword", "special")
 
+    def _at_before_end(self, text: str) -> bool:
+        """`at`, where the lookahead may end a command: a token that does
+        not lex is not `text`, see `_peek_or_none`."""
+        tok = self._peek_or_none()
+        return (
+            tok is not None and tok.text == text and tok.kind in ("keyword", "special")
+        )
+
     def at_eof(self) -> bool:
         return self.peek().kind == "eof"
 
     def expect(self, text: str) -> Atom:
         tok = self.peek()
         if tok.kind in ("keyword", "special") and tok.text == text:
-            self.bump()
+            self.pos = tok.end
             return Atom(tok.text, tok.info)
         raise ParseError(f"expected '{text}', found {describe(tok)}", tok.info)
 
@@ -478,7 +513,7 @@ class Parser:
         tok = self.peek()
         if tok.kind != "ident":
             raise ParseError(f"expected identifier, found {describe(tok)}", tok.info)
-        self.bump()
+        self.pos = tok.end
         return Ident(tok.text, Name.of(tok.text), (), tok.info)
 
     def _ident_or_antiquot(self) -> Syntax:
@@ -560,12 +595,8 @@ class Parser:
         # `register_rule` makes a rule that does not lead start with a
         # category and go on with a literal
         while True:
-            try:
-                tok = self.peek()
-            except LexError:
-                # the error belongs to whatever comes next, not to `left`
-                return left
-            if tok.kind not in ("keyword", "special"):
+            tok = self._peek_or_none()
+            if tok is None or tok.kind not in ("keyword", "special"):
                 return left
             for rule in category.rules:
                 if (
@@ -603,10 +634,11 @@ class Parser:
         while True:
             before = self.pos
             left2 = self._parse_trailing(category, left, min_prec)
+            tok = self._peek_or_none() if min_prec <= APP_PREC else None
             if (
-                min_prec <= APP_PREC
-                and self._starts_term_leaf(self.peek())
-                and self._same_line(self.peek())
+                tok is not None
+                and self._starts_term_leaf(tok)
+                and self._same_line(tok)
             ):
                 arg = self._parse_leading(category)
                 left = Node(K_APP, (left2, arg))
@@ -620,7 +652,7 @@ class Parser:
         # what separates a trailing term from the next top-level command
         if self.pos == 0:
             return True
-        return self.lexer._info(self.pos - 1).line == tok.info.line
+        return bisect_right(self.lexer._line_starts, self.pos - 1) == tok.info.line
 
     def _starts_term_leaf(self, tok: Token) -> bool:
         if tok.kind in ("ident", "num", "quote", "dquote"):
@@ -647,10 +679,10 @@ class Parser:
 
     def _term_form(self, tok: Token) -> Optional[Syntax]:
         if tok.kind == "ident":
-            self.bump()
+            self.pos = tok.end
             return Ident(tok.text, Name.of(tok.text), (), tok.info)
         if tok.kind == "num":
-            self.bump()
+            self.pos = tok.end
             return Node(K_NUM, (Atom(tok.text, tok.info),))
         if tok.kind in ("quote", "dquote"):
             return self.parse_quotation()
@@ -708,7 +740,9 @@ class Parser:
     def _parse_alts(self) -> Node:
         alts: List[Syntax] = []
         while True:
-            tok = self.peek()
+            tok = self._peek_or_none()
+            if tok is None:
+                break
             if tok.text == "|":
                 alts.append(self._parse_alt())
             elif self.quot_depth and tok.text in ("$", "$["):
@@ -912,7 +946,7 @@ class Parser:
     # -- tactics
 
     def _tactic_form(self, tok: Token) -> Optional[Syntax]:
-        if tok.text == "(":
+        if tok.text == "(" and tok.kind == "special":
             open_ = self.expect("(")
             inner = self.parse_tactic_seq()
             close = self.expect(")")
@@ -921,7 +955,7 @@ class Parser:
 
     def parse_tactic_seq(self) -> Syntax:
         first = self.parse_category(CAT_TACTIC)
-        if self.at(";"):
+        if self._at_before_end(";"):
             sep = self.expect(";")
             rest = self.parse_tactic_seq()
             return Node(K_TSEQ, (first, sep, rest))
@@ -933,10 +967,11 @@ class Parser:
         return self.parse_category(CAT_COMMAND)
 
     def _command_form(self, tok: Token) -> Optional[Syntax]:
+        # an escaped identifier spelled like a head, `«def»`, starts no form
+        if tok.kind != "keyword" or tok.text not in self.table.command_heads:
+            return None
         form = self._COMMAND_FORMS.get(tok.text)
-        if form is not None and tok.text in self.table.command_heads:
-            return form(self)
-        return None
+        return None if form is None else form(self)
 
     def _parse_def(self) -> Node:
         kw = self.expect("def")
@@ -1017,7 +1052,7 @@ class Parser:
     def _parse_macro_rules(self) -> Node:
         kw = self.expect("macro_rules")
         alts: List[Syntax] = []
-        while self.at("|"):
+        while self._at_before_end("|"):
             bar = self.expect("|")
             pat = self.parse_term(0)
             arrow = self.expect("=>")

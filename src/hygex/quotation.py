@@ -37,10 +37,9 @@ from .syntax import (
     is_quotation,
     is_splice,
     render,
+    slot_setters,
     splice_separator,
 )
-
-_setattr = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Match environments
@@ -51,7 +50,10 @@ class Tree(Frozen):
     stx: Syntax
 
     def __init__(self, stx: Syntax) -> None:
-        _setattr(self, "stx", stx)
+        _tree_stx(self, stx)
+
+
+(_tree_stx,) = slot_setters(Tree)
 
 
 class SepSeq(Frozen):
@@ -60,8 +62,11 @@ class SepSeq(Frozen):
     sep: str
 
     def __init__(self, elems: Tuple[Syntax, ...], sep: str = ",") -> None:
-        _setattr(self, "elems", elems)
-        _setattr(self, "sep", sep)
+        _sepseq_elems(self, elems)
+        _sepseq_sep(self, sep)
+
+
+_sepseq_elems, _sepseq_sep = slot_setters(SepSeq)
 
 
 class Seq(Frozen):
@@ -69,7 +74,10 @@ class Seq(Frozen):
     elems: Tuple[Syntax, ...]
 
     def __init__(self, elems: Tuple[Syntax, ...]) -> None:
-        _setattr(self, "elems", elems)
+        _seq_elems(self, elems)
+
+
+(_seq_elems,) = slot_setters(Seq)
 
 
 class Rep(Frozen):
@@ -79,7 +87,10 @@ class Rep(Frozen):
     items: Tuple["Capture", ...]
 
     def __init__(self, items: Tuple["Capture", ...]) -> None:
-        _setattr(self, "items", items)
+        _rep_items(self, items)
+
+
+(_rep_items,) = slot_setters(Rep)
 
 
 Capture = Union[Tree, SepSeq, Seq, Rep]
@@ -118,10 +129,15 @@ class QuotationTemplate(Frozen):
     build: Builder
 
     def __init__(self, body: Syntax, holes: FrozenSet[Name], checked: bool = False) -> None:
-        _setattr(self, "body", body)
-        _setattr(self, "holes", holes)
-        _setattr(self, "checked", checked)
-        _setattr(self, "build", _compile_builder(body))
+        _template_body(self, body)
+        _template_holes(self, holes)
+        _template_checked(self, checked)
+        _template_build(self, _compile_builder(body))
+
+
+_template_body, _template_holes, _template_checked, _template_build = (
+    slot_setters(QuotationTemplate)
+)
 
 
 class QuotationPattern(Frozen):
@@ -136,10 +152,15 @@ class QuotationPattern(Frozen):
     match: Matcher
 
     def __init__(self, body: Syntax, kind: Name, vars: FrozenSet[Name]) -> None:
-        _setattr(self, "body", body)
-        _setattr(self, "kind", kind)
-        _setattr(self, "vars", vars)
-        _setattr(self, "match", _compile_matcher(body))
+        _pattern_body(self, body)
+        _pattern_kind(self, kind)
+        _pattern_vars(self, vars)
+        _pattern_match(self, _compile_matcher(body))
+
+
+_pattern_body, _pattern_kind, _pattern_vars, _pattern_match = (
+    slot_setters(QuotationPattern)
+)
 
 
 def _hole_var(anti: Node) -> Name:

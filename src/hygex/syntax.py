@@ -16,11 +16,22 @@ here (`Node`, `Atom`, `Ident`, `Missing`, `SourceInfo`), the parser's
 `Token`, `ParseRule`, `Lit` and `CatRef`, the global `Decl`, the
 quotation captures and compiled quotations, the elaborator's core types
 and terms, and the tactic engine's propositions, goals and states.  Each
-subclass writes its ``__init__`` out, setting each slot once through
-``object.__setattr__``; any later assignment or deletion raises
-`dataclasses.FrozenInstanceError`, as a frozen dataclass would.  That
-immutability is what lets the prelude prototype and the prebuilt ground
-subtrees of compiled quotations be shared by every run.
+subclass writes its ``__init__`` out; any later assignment or deletion
+raises `dataclasses.FrozenInstanceError`, as a frozen dataclass would.
+That immutability is what lets the prelude prototype and the prebuilt
+ground subtrees of compiled quotations be shared by every run.
+
+Every constructor uses one idiom.  Right after the class, `slot_setters`
+fetches the ``__set__`` of each slot's member descriptor once, into
+module globals (``_tok_kind, _tok_text, ... = slot_setters(Token)``), and
+``__init__`` calls them: ``_tok_kind(self, kind)``.  That writes the slot
+directly, past the refusing ``__setattr__``.  The idiom it replaced,
+``object.__setattr__(self, "kind", kind)``, looked the name up on the
+class on every call.  Timed in one process (CPython 3.11, a shared 2-core
+VM, best of 15 rounds of 200,000), a `SourceInfo` went from 0.70 to
+0.46 µs, a `Token` from 0.82 to 0.59 µs, a `Node` from 0.59 to 0.42 µs and
+an `Ident` from 0.98 to 0.71 µs.  A lexed token builds one `SourceInfo` and
+one `Token`, and every expansion step builds nodes.
 
 `FrozenInstanceError` is imported only when it is raised.  Importing
 `dataclasses` also loads `inspect`, `ast` and `dis`: every process would
@@ -36,7 +47,12 @@ from typing import Iterable, Optional, Tuple, Union
 # ---------------------------------------------------------------------------
 # Immutable slotted values
 
-_setattr = object.__setattr__
+
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot that `cls` itself declares, in
+    ``__slots__`` order; see the module docstring."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
 
 # The default of a constructor argument whose value is built per instance:
 # only an omitted argument gets a new value, and an explicit None is kept.
@@ -48,9 +64,9 @@ class Frozen:
 
     A subclass lists its slots, optionally the `_fields` that make up its
     value (all slots by default), and an ``__init__`` that sets each slot
-    with `_setattr`.  Equality, hashing, ``match`` positions, copying and
-    pickling then follow the fields, as for a frozen dataclass, and so does
-    the default ``repr``.
+    once through its setter from `slot_setters`.  Equality, hashing,
+    ``match`` positions, copying and pickling then follow the fields, as
+    for a frozen dataclass, and so does the default ``repr``.
     """
 
     __slots__ = ()
@@ -185,12 +201,15 @@ class SourceInfo(Frozen):
     __slots__ = ("line", "col", "offset")
 
     def __init__(self, line: int, col: int, offset: int) -> None:
-        _setattr(self, "line", line)
-        _setattr(self, "col", col)
-        _setattr(self, "offset", offset)
+        _info_line(self, line)
+        _info_col(self, col)
+        _info_offset(self, offset)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
+
+
+_info_line, _info_col, _info_offset = slot_setters(SourceInfo)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +222,14 @@ class Node(Frozen):
     children: Tuple["Syntax", ...]
 
     def __init__(self, kind: Name, children: Tuple["Syntax", ...]) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "children", children)
+        _node_kind(self, kind)
+        _node_children(self, children)
 
     def __repr__(self) -> str:
         return f"Node({self.kind}, {list(self.children)})"
+
+
+_node_kind, _node_children = slot_setters(Node)
 
 
 class Atom(Frozen):
@@ -216,11 +238,14 @@ class Atom(Frozen):
     info: Optional[SourceInfo]
 
     def __init__(self, text: str, info: Optional[SourceInfo] = None) -> None:
-        _setattr(self, "text", text)
-        _setattr(self, "info", info)
+        _atom_text(self, text)
+        _atom_info(self, info)
 
     def __repr__(self) -> str:
         return f"Atom({self.text!r})"
+
+
+_atom_text, _atom_info = slot_setters(Atom)
 
 
 class Ident(Frozen):
@@ -239,13 +264,16 @@ class Ident(Frozen):
         preresolved: Tuple[Name, ...] = (),
         info: Optional[SourceInfo] = None,
     ) -> None:
-        _setattr(self, "raw", raw)
-        _setattr(self, "name", name)
-        _setattr(self, "preresolved", preresolved)
-        _setattr(self, "info", info)
+        _ident_raw(self, raw)
+        _ident_name(self, name)
+        _ident_preresolved(self, preresolved)
+        _ident_info(self, info)
 
     def __repr__(self) -> str:
         return f"Ident({format_scoped(self)})"
+
+
+_ident_raw, _ident_name, _ident_preresolved, _ident_info = slot_setters(Ident)
 
 
 class Missing(Frozen):

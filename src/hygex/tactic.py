@@ -25,9 +25,17 @@ from .parser import (
     K_TRY,
     K_TSEQ,
 )
-from .syntax import Frozen, Ident, Name, Node, Symbol, Syntax, render, strip_top_level_scopes
-
-_setattr = object.__setattr__
+from .syntax import (
+    Frozen,
+    Ident,
+    Name,
+    Node,
+    Symbol,
+    Syntax,
+    render,
+    slot_setters,
+    strip_top_level_scopes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +47,13 @@ class PropAtom(Frozen):
     name: Name
 
     def __init__(self, name: Name) -> None:
-        _setattr(self, "name", name)
+        _prop_name(self, name)
 
     def __str__(self) -> str:
         return str(self.name)
+
+
+(_prop_name,) = slot_setters(PropAtom)
 
 
 class Implies(Frozen):
@@ -51,14 +62,17 @@ class Implies(Frozen):
     consequent: "Prop"
 
     def __init__(self, antecedent: "Prop", consequent: "Prop") -> None:
-        _setattr(self, "antecedent", antecedent)
-        _setattr(self, "consequent", consequent)
+        _implies_antecedent(self, antecedent)
+        _implies_consequent(self, consequent)
 
     def __str__(self) -> str:
         left = str(self.antecedent)
         if isinstance(self.antecedent, Implies):
             left = f"({left})"
         return f"{left} → {self.consequent}"
+
+
+_implies_antecedent, _implies_consequent = slot_setters(Implies)
 
 
 Prop = object  # PropAtom | Implies
@@ -80,8 +94,8 @@ class ProofGoal(Frozen):
     target: Prop
 
     def __init__(self, hypotheses: Tuple[Tuple[Symbol, Prop], ...], target: Prop) -> None:
-        _setattr(self, "hypotheses", hypotheses)
-        _setattr(self, "target", target)
+        _goal_hypotheses(self, hypotheses)
+        _goal_target(self, target)
 
     def with_hypothesis(self, symbol: Symbol, prop: Prop) -> "ProofGoal":
         # re-binding the same symbol shadows the old hypothesis
@@ -99,6 +113,9 @@ class ProofGoal(Frozen):
         return f"{hyps} ⊢ {self.target}" if hyps else f"⊢ {self.target}"
 
 
+_goal_hypotheses, _goal_target = slot_setters(ProofGoal)
+
+
 class TacticState(Frozen):
     """Remaining goals plus the run-wide context handles.
 
@@ -114,9 +131,9 @@ class TacticState(Frozen):
     def __init__(
         self, goals: Tuple[ProofGoal, ...], state: ExpanderState, steps_left: List[int]
     ) -> None:
-        _setattr(self, "goals", goals)
-        _setattr(self, "state", state)
-        _setattr(self, "steps_left", steps_left)
+        _tstate_goals(self, goals)
+        _tstate_state(self, state)
+        _tstate_steps_left(self, steps_left)
 
     def goal(self) -> ProofGoal:
         if not self.goals:
@@ -133,6 +150,9 @@ class TacticState(Frozen):
         if not self.goals:
             return "no goals"
         return "; ".join(str(g) for g in self.goals)
+
+
+_tstate_goals, _tstate_state, _tstate_steps_left = slot_setters(TacticState)
 
 
 TraceTacticFn = Callable[[Syntax, TacticState], None]

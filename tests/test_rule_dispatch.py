@@ -372,6 +372,45 @@ class TestBuiltInCategoriesUseTheirRules:
         code, out = run_string(f"{cmd}\n@bad\ndef y := 2\n")
         assert out == f"{cmd}\nerror: illegal character '@' @2:1\ndef y := 2\n"
 
+    @pytest.mark.parametrize(
+        "src, use, echo",
+        [
+            # the application check after a term
+            ("def x := 1", "def y := x", "def y := x"),
+            # the `|` check after a `fun` alternative
+            ("def x := fun | 0 => 1 | n => n", "def y := x", "def y := x"),
+            # the `;` check after a tactic
+            ("theorem x (p : Prop) : p → p := by intro h; assumption", "def y := x", "def y := x"),
+            # the `|` check after a `macro_rules` right-hand side
+            (
+                'syntax "mk" term : term\nmacro_rules | `(mk $e) => `($e)',
+                "def y := mk 2",
+                "def y := 2",
+            ),
+        ],
+    )
+    def test_a_lex_error_after_a_lookahead_is_not_the_command_s(self, src, use, echo):
+        code, out = run_string(f"{src}\n@bad\n{use}\n")
+        bad_line = src.count("\n") + 2
+        assert code == 1
+        assert out.splitlines() == run_string(src)[1].splitlines() + [
+            f"error: illegal character '@' @{bad_line}:1",
+            echo,
+        ]
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [
+            ("«def» x := 1", "error: unknown command, found 'def' @1:1"),
+            (
+                "theorem t (p : Prop) : p → p := by «(» skip",
+                "error: expected tactic, found '(' @1:36",
+            ),
+        ],
+    )
+    def test_an_escaped_identifier_starts_no_form(self, src, error):
+        assert run_string(src) == (1, error + "\n")
+
 
 class TestHolesParseLikeSourceText:
     WRAP = 'syntax "wrap" term : term\n'
