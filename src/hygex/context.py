@@ -4,6 +4,10 @@ Scope numbers are handed out by a single per-run counter.  A transformer
 invocation gets a *lazy* current-scope cell: the counter only advances when
 the scope is actually observed (a quotation is instantiated or the scope is
 queried), so bookkeeping-only macros leave no trace in the numbering.
+
+A run has one `TransformerEnv`, built with its `ExpanderState` and shared
+by every macro step of the run; `macro_step` enters each step's fresh
+scope on `ScopeState`'s stack directly.
 """
 
 from __future__ import annotations
@@ -149,11 +153,14 @@ class GlobalContext:
         could spell under some namespace prefix: equal macro scopes and the
         declaration's base name ending in the identifier's base name.
         """
-        nb = base_name(name)
-        bucket = self._suffix_index.get((nb[-1], macro_scopes(name))) if nb else None
+        # one scan splits the name: name[:n] is its base, name[n:] its scopes
+        n = len(name)
+        while n and isinstance(name[n - 1], int):
+            n -= 1
+        bucket = self._suffix_index.get((name[n - 1], name[n:])) if n else None
         if bucket is None:
             return [name] if name in self.decls else []
-        n = len(nb)
+        nb = name[:n]
         return [g for gb, g in bucket if g == name or (len(gb) > n and gb[-n:] == nb)]
 
 
@@ -213,7 +220,7 @@ class TransformerEnv:
         return self.scopes.fresh()
 
     def apply_scope(self, name: Name) -> Name:
-        msc = self.current_macro_scope()
+        msc = self.scopes.current()
         if self.single_scope:
             return Name(base_name(name) + (msc,))
         return Name(name + (msc,))

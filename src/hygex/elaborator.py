@@ -34,6 +34,7 @@ PROD = Name.of("Prod")
 UNIT_UNIT = Name.of("Unit.unit")
 PROD_MK = Name.of("Prod.mk")
 NAT_ADD = Name.of("Nat.add")
+_CHOICE = Name.of(KIND_CHOICE)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,10 @@ class TNat(Frozen):
 
     def __str__(self) -> str:
         return "nat"
+
+
+# every TNat equals every other; the elaborator uses this one
+NAT_TYPE = TNat()
 
 
 class TUnit(Frozen):
@@ -241,7 +246,7 @@ def _mismatch(expected: CoreType, actual: CoreType, stx: Syntax) -> ElabError:
 
 
 def _ensure(expected: Optional[CoreType], actual: CoreType, stx: Syntax) -> CoreType:
-    if expected is not None and expected != actual:
+    if expected is not None and expected is not actual and expected != actual:
         raise _mismatch(expected, actual, stx)
     return actual
 
@@ -262,17 +267,17 @@ def elab_term(
             raise ElabError(f"cannot elaborate '{render(stx)}'")
     if kind == K_NUM:
         value = int(stx.children[0].text)
-        return NatLit(value), _ensure(expected, TNat(), stx)
-    if kind == Name.of(KIND_CHOICE):
+        return NatLit(value), _ensure(expected, NAT_TYPE, stx)
+    if kind == _CHOICE:
         return _elab_choice(stx, env, expected)
     if kind == K_FUN:
         return _elab_fun(stx, env, expected)
     if kind == K_PLUS:
         left, _op, right = stx.children
-        fst, _ = elab_term(left, env, TNat())
-        snd, _ = elab_term(right, env, TNat())
+        fst, _ = elab_term(left, env, NAT_TYPE)
+        snd, _ = elab_term(right, env, NAT_TYPE)
         expr = App(App(Const(NAT_ADD), fst), snd)
-        return expr, _ensure(expected, TNat(), stx)
+        return expr, _ensure(expected, NAT_TYPE, stx)
     if kind == K_APP:
         return _elab_app(stx, env, expected)
     elaborator = env.state.elaborators.get(kind)
@@ -290,7 +295,7 @@ def transformer_to_elaborator(
     """Take one macro step on the run's scopes, then elaborate the output;
     an error in either carries the step's frame."""
     state = env.state
-    step = macro_step(stx, state.macros.lookup(stx.kind), state.tenv(), state.on_macro_step)
+    step = macro_step(stx, state.macros.lookup(stx.kind), state.tenv, state.on_macro_step)
     if step is None:
         raise ElabError(
             f"no macro alternative matched '{render(stx)}' "
@@ -307,7 +312,7 @@ def transformer_to_elaborator(
 def _elab_ident(
     stx: Ident, env: ElabEnv, expected: Optional[CoreType]
 ) -> Tuple[CoreExpr, CoreType]:
-    resolved = resolve_identifier(stx, frozenset(env.locals), env.state.gctx)
+    resolved = resolve_identifier(stx, env.locals, env.state.gctx)
     if isinstance(resolved, Node):  # overloaded
         return _elab_choice(resolved, env, expected)
     symbol = resolved.name
@@ -365,7 +370,7 @@ def _elab_app(
     head, args = _app_spine(stx)
     # saturated pair constructor: the builtin polymorphic case
     if isinstance(head, Ident):
-        resolved = resolve_identifier(head, frozenset(env.locals), env.state.gctx)
+        resolved = resolve_identifier(head, env.locals, env.state.gctx)
         if isinstance(resolved, Ident) and resolved.name == PROD_MK and len(args) == 2:
             want = expected if isinstance(expected, TProd) else None
             fst, t1 = elab_term(args[0], env, want.left if want else None)
@@ -413,7 +418,7 @@ def interp_type(stx: Syntax, env: ElabEnv) -> CoreType:
             decl = env.state.gctx.get(name)
             if decl is not None and decl.kind == "type":
                 if name == NAT:
-                    return TNat()
+                    return NAT_TYPE
                 if name == UNIT:
                     return TUnit()
             raise ElabError(f"'{render(stx)}' is not a type")
@@ -444,7 +449,7 @@ def check_expr(
     def go(e: CoreExpr) -> CoreType:
         match e:
             case NatLit():
-                return TNat()
+                return NAT_TYPE
             case Const(name=name):
                 if name == UNIT_UNIT:
                     return TUnit()

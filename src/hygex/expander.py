@@ -6,7 +6,10 @@ scopes itself: scopes enter trees only when a quotation is instantiated
 inside some transformer.
 
 `macro_step` is the kernel's one macro-step routine; the elaborator, the
-tactic engine and the prechecker apply transformers through it too.
+tactic engine and the prechecker apply transformers through it too.  What
+is the same for every step of a run is built once: a run state holds one
+`TransformerEnv` that all its steps share.  The step path tests exact
+types (`type(stx) is Ident`) and matches kinds against module-level sets.
 """
 
 from __future__ import annotations
@@ -73,7 +76,14 @@ LocalContext = FrozenSet[Symbol]
 
 EMPTY_LOCALS: LocalContext = frozenset()
 
-_SEQ_KINDS = (Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ))
+_SEQ_KINDS = frozenset((Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ)))
+# kinds whose children expand in place, and the core commands
+_CONGRUENCE_KINDS = frozenset((K_PLUS, K_ARROW, K_APP)) | _SEQ_KINDS
+_DEF_KINDS = frozenset((K_DEF, K_DEF_TYPED))
+_CMDSEQ = Name.of(KIND_CMDSEQ)
+_CHOICE = Name.of(KIND_CHOICE)
+# the fields an `ExpanderState` shares with its `TransformerEnv`
+_TENV_FIELDS = frozenset(("gctx", "scopes", "single_scope", "table", "notation_precheck"))
 
 # (kind, before, after) per macro step
 TraceFn = Callable[[Name, Syntax, Syntax], None]
@@ -82,7 +92,10 @@ TraceFn = Callable[[Name, Syntax, Syntax], None]
 class ExpanderState:
     """Everything one run threads through: contexts, tables, the counter.
 
-    A table, context or registry that is not given is built fresh."""
+    A table, context or registry that is not given is built fresh.  `tenv`,
+    the one `TransformerEnv` of every macro step of the state, is built
+    here; assigning a field it shares, as `prelude.bootstrap` does, sets
+    the field on `tenv` too."""
 
     def __init__(
         self,
@@ -98,6 +111,7 @@ class ExpanderState:
         on_macro_step: Optional[TraceFn] = None,
         prechecker: Optional[Prechecker] = None,
     ) -> None:
+        self.tenv = TransformerEnv(None, None)  # filled in by the assignments below
         self.table = ParserTable() if table is OMITTED else table
         self.gctx = GlobalContext() if gctx is OMITTED else gctx
         self.macros = MacroTable() if macros is OMITTED else macros
@@ -110,10 +124,10 @@ class ExpanderState:
         self.on_macro_step = on_macro_step
         self.prechecker = prechecker
 
-    def tenv(self) -> TransformerEnv:
-        return TransformerEnv(
-            self.gctx, self.scopes, self.single_scope, self.table, self.notation_precheck
-        )
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _TENV_FIELDS:
+            setattr(self.tenv, name, value)
 
     def make_prechecker(self) -> Prechecker:
         if self.prechecker is None:
@@ -135,17 +149,17 @@ def resolve_identifier(
 ) -> Syntax:
     """Resolve a reference: local match wins, then top-level scopes plus
     matching globals, otherwise the identifier is unbound."""
-    if stx.name in lctx:
-        return Ident(stx.raw, stx.name, (), None)
-    candidates: List[Symbol] = []
-    for cand in tuple(stx.preresolved) + tuple(gctx.match_surface(stx.name)):
-        if cand not in candidates:
-            candidates.append(cand)
+    name = stx.name
+    if name in lctx:
+        return Ident(stx.raw, name, (), None)
+    # `match_surface` lists each global once; only a preresolution can repeat one
+    candidates = gctx.match_surface(name)
+    if stx.preresolved:
+        candidates = list(dict.fromkeys((*stx.preresolved, *candidates)))
     if len(candidates) == 1:
         return Ident(stx.raw, candidates[0], (), None)
     if candidates:
-        refs = tuple(Ident(stx.raw, c, (), None) for c in candidates)
-        return Node(Name.of(KIND_CHOICE), refs)
+        return Node(_CHOICE, tuple([Ident(stx.raw, c, (), None) for c in candidates]))
     raise UnboundIdentifier(stx.raw, stx.info)
 
 
@@ -163,19 +177,23 @@ def macro_step(
     scope of `tenv.scopes`; return the output and the step's scope (None if
     never allocated), or None when none matched.  A `KernelError` raised by
     a transformer gets this step's frame."""
-    scopes = tenv.scopes
-    with scopes.fresh():
-        try:
-            for transformer in transformers:
-                out = transformer(stx, tenv)
-                if out is not None:
-                    scope = scopes.peek()
-                    if on_step is not None:
-                        on_step(stx.kind, stx, out)
-                    return out, scope
-        except KernelError as err:
-            err.frames.insert(0, (stx.kind, scopes.peek()))
-            raise
+    # `ScopeState.fresh` without its context-manager calls: a step pushes
+    # an unallocated scope and pops it however it ends
+    stack = tenv.scopes._stack
+    stack.append(None)
+    try:
+        for transformer in transformers:
+            out = transformer(stx, tenv)
+            if out is not None:
+                scope = stack[-1]
+                if on_step is not None:
+                    on_step(stx.kind, stx, out)
+                return out, scope
+    except KernelError as err:
+        err.frames.insert(0, (stx.kind, stack[-1]))
+        raise
+    finally:
+        stack.pop()
     return None
 
 
@@ -194,7 +212,7 @@ class Expander:
                 f"unexpected syntax kind '{stx.kind}' (no macro registered)",
                 info=_info_of(stx),
             )
-        step = macro_step(stx, transformers, state.tenv(), state.on_macro_step)
+        step = macro_step(stx, transformers, state.tenv, state.on_macro_step)
         if step is None:
             raise ExpansionError(
                 f"no macro alternative matched '{render(stx)}'", info=_info_of(stx)
@@ -206,24 +224,28 @@ class Expander:
     def expand(self, stx: Syntax, lctx: LocalContext = EMPTY_LOCALS, depth: int = 0) -> Syntax:
         # a chain of macro steps unfolds in this loop; `frames` gets each step's frame
         frames = None
+        state = self.state
         try:
             while True:
-                if isinstance(stx, Ident):
-                    return resolve_identifier(stx, lctx, self.state.gctx)
-                if not isinstance(stx, Node):
-                    if isinstance(stx, (Atom, Missing)):
+                cls = type(stx)
+                if cls is Ident:
+                    return resolve_identifier(stx, lctx, state.gctx)
+                if cls is not Node:
+                    if cls is Atom or cls is Missing:
                         return stx
                     raise ExpansionError(f"cannot expand {stx!r}")
-                kind, children = stx.kind, stx.children
+                kind = stx.kind
+                if kind in _CONGRUENCE_KINDS:
+                    expand = self.expand
+                    return Node(kind, tuple([expand(c, lctx, depth) for c in stx.children]))
                 if kind == K_NUM:
                     return stx
                 if kind == K_FUN:
                     return self._expand_fun(stx, lctx, depth)
-                if kind in (K_PLUS, K_ARROW, K_APP) or kind in _SEQ_KINDS:
-                    return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
                 if kind == K_MATCH:
                     return self._expand_match(stx, lctx, depth)
-                if kind == K_TUPLE and kind not in self.state.macros:
+                children = stx.children
+                if kind == K_TUPLE and kind not in state.macros:
                     # plain grouping when no tuple macros are installed
                     elems = _seq_elements(children[1])
                     if len(elems) == 1:
@@ -233,15 +255,16 @@ class Expander:
                         "quotations are only supported as macro right-hand sides",
                         info=_info_of(stx),
                     )
-                if kind in self.state.elaborators and kind not in self.state.macros:
+                if kind in state.elaborators and kind not in state.macros:
                     # type-directed syntax is left for the elaborator; its term
                     # children still participate in expansion and resolution
-                    return Node(kind, tuple(self.expand(c, lctx, depth) for c in children))
+                    expand = self.expand
+                    return Node(kind, tuple([expand(c, lctx, depth) for c in children]))
                 stx, scope = self.expand_macro_step(stx)
                 frames = frames or []
                 frames.append((kind, scope))
                 depth += 1
-                if depth > self.state.max_expansion_depth:
+                if depth > state.max_expansion_depth:
                     raise ExpansionDepthError("macro expansion depth exceeded")
         except KernelError as err:
             err.frames[:0] = frames or ()
@@ -307,12 +330,12 @@ class Expander:
                 if not isinstance(stx, Node):
                     raise ExpansionError(f"not a command: '{render(stx)}'")
                 kind = stx.kind
-                if kind == Name.of(KIND_CMDSEQ):
+                if kind == _CMDSEQ:
                     out: List[Syntax] = []
                     for c in stx.children:
                         out.extend(self.process_command(c, depth))
                     return out
-                if kind in (K_DEF, K_DEF_TYPED):
+                if kind in _DEF_KINDS:
                     return [self._process_def(stx)]
                 if kind == K_THEOREM:
                     return [self._process_theorem(stx)]

@@ -251,12 +251,36 @@ class ParserTable:
             raise ParseError(
                 "rules starting with a category must have a literal token next", info
             )
+        if not rule.leading and rule.items[0].cat != cat:
+            cycle = self._left_path(rule.items[0].cat, cat)
+            if cycle is not None:
+                path = " → ".join(str(c) for c in [cat] + cycle)
+                raise ParseError(f"left-recursive syntax rule: {path}", info)
         self.categories[cat].rules.insert(0, rule)
         self.kinds.add(rule.kind)
         for item in rule.items:
             if isinstance(item, Lit):
                 self.keywords.add(item.text)
         self._keyword_snapshot = None
+
+    def _left_path(self, start: Name, goal: Name) -> Optional[List[Name]]:
+        """The categories from `start` to `goal` along rules that start with
+        another category, if `goal` is reachable so: each step parses the
+        next category before consuming a token.  A rule headed by its own
+        category is trailing and takes no step."""
+        paths = {start: [start]}
+        todo = [start]
+        while todo:
+            here = todo.pop()
+            if here == goal:
+                return paths[here]
+            category = self.categories.get(here)
+            for rule in category.rules if category is not None else ():
+                head = rule.items[0]
+                if not rule.leading and head.cat != here and head.cat not in paths:
+                    paths[head.cat] = paths[here] + [head.cat]
+                    todo.append(head.cat)
+        return None
 
     def starts_command(self, tok: Token) -> bool:
         """Whether `tok` begins a command: a built-in command head or the

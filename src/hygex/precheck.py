@@ -25,6 +25,9 @@ from .parser import (
     ParserTable,
 )
 from .syntax import (
+    KIND_ANTIQUOT,
+    KIND_SPLICE,
+    KIND_SPLICEGROUP,
     Atom,
     Ident,
     Missing,
@@ -106,14 +109,22 @@ class Prechecker:
         raise UnboundIdentifier(stx.raw, stx.info)
 
 
+# heads of the node kinds whose contents are holes, not quoted syntax
+_HOLE_HEADS = frozenset((KIND_ANTIQUOT, KIND_SPLICE, KIND_SPLICEGROUP))
+
+
 def _has_captured_ident(stx: Syntax) -> bool:
-    match stx:
-        case Ident():
+    """Whether an identifier occurs outside every antiquotation and splice;
+    a loop over a work list of subtrees, testing exact types."""
+    todo = [stx]
+    pop, push = todo.pop, todo.extend
+    while todo:
+        stx = pop()
+        cls = type(stx)
+        if cls is Ident:
             return True
-        case Node() if is_antiquot(stx) or is_splice(stx):
-            return False
-        case Node(children=children):
-            return any(_has_captured_ident(c) for c in children)
+        if cls is Node and stx.kind[0] not in _HOLE_HEADS:
+            push(stx.children)
     return False
 
 

@@ -13,10 +13,10 @@ from .context import Decl, TransformerEnv
 from .elaborator import (
     NAT,
     NAT_ADD,
+    NAT_TYPE,
     PROD,
     PROD_MK,
     TArrow,
-    TNat,
     TUnit,
     UNIT,
     UNIT_UNIT,
@@ -145,7 +145,7 @@ def _install_signatures(state: ExpanderState) -> None:
     gctx.add(PROD, Decl("type"))
     gctx.add(UNIT_UNIT, Decl("const", type_=TUnit()))
     gctx.add(PROD_MK, Decl("const"))  # polymorphic pair constructor
-    gctx.add(NAT_ADD, Decl("const", type_=TArrow(TNat(), TArrow(TNat(), TNat()))))
+    gctx.add(NAT_ADD, Decl("const", type_=TArrow(NAT_TYPE, TArrow(NAT_TYPE, NAT_TYPE))))
     state.elaborators[K_ANON_CTOR] = elab_anonymous_ctor
 
 

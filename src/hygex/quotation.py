@@ -441,8 +441,8 @@ def _compile_splice_matcher(splice: Node) -> Callable[[Sequence[Syntax], MatchEn
 def instantiate(
     template: QuotationTemplate, env: MatchEnv, tenv: TransformerEnv
 ) -> Syntax:
-    missing = template.holes.difference(env)
-    if missing:
+    if not env.keys() >= template.holes:
+        missing = template.holes.difference(env)
         names = ", ".join(sorted(str(m) for m in missing))
         raise ExpansionError(f"unbound antiquotation variable: {names}")
     return template.build(env, tenv)
@@ -592,19 +592,23 @@ def make_rule_transformer(
         raise ExpansionError(
             f"macro_rules alternatives target different syntax kinds: {names}"
         )
+    # (pattern, body, whether the body is a template), decided once per rule
+    alternatives = []
     for pattern, body in rules:
-        if isinstance(body, QuotationTemplate):
+        is_template = isinstance(body, QuotationTemplate)
+        if is_template:
             stray = body.holes - pattern.vars
             if stray:
                 names = ", ".join(sorted(str(s) for s in stray))
                 raise ExpansionError(f"unbound antiquotation variable: {names}")
+        alternatives.append((pattern, body, is_template))
 
     def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
-        for pattern, body in rules:
+        for pattern, body, is_template in alternatives:
             env = match_quotation(pattern, stx)
             if env is None:
                 continue
-            if isinstance(body, QuotationTemplate):
+            if is_template:
                 return instantiate(body, env, tenv)
             return body(env, tenv)
         return None

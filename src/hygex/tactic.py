@@ -121,19 +121,28 @@ class TacticState(Frozen):
 
     The expander state provides the global context and the fresh-scope
     capability, so quotations instantiated by procedural tactics behave
-    exactly as they do in macros."""
+    exactly as they do in macros.  `expander`, built on that state once per
+    proof, takes the unfolds and resolves references; it stays out of
+    equality and repr."""
 
-    __slots__ = ("goals", "state", "steps_left")
+    __slots__ = ("goals", "state", "steps_left", "expander")
+    _fields = ("goals", "state", "steps_left")
     goals: Tuple[ProofGoal, ...]
     state: ExpanderState
     steps_left: List[int]  # single mutable cell: tactic-macro budget
+    expander: Expander
 
     def __init__(
-        self, goals: Tuple[ProofGoal, ...], state: ExpanderState, steps_left: List[int]
+        self,
+        goals: Tuple[ProofGoal, ...],
+        state: ExpanderState,
+        steps_left: List[int],
+        expander: Optional[Expander] = None,
     ) -> None:
         _tstate_goals(self, goals)
         _tstate_state(self, state)
         _tstate_steps_left(self, steps_left)
+        _tstate_expander(self, Expander(state) if expander is None else expander)
 
     def goal(self) -> ProofGoal:
         if not self.goals:
@@ -141,10 +150,10 @@ class TacticState(Frozen):
         return self.goals[0]
 
     def close_goal(self) -> "TacticState":
-        return TacticState(self.goals[1:], self.state, self.steps_left)
+        return TacticState(self.goals[1:], self.state, self.steps_left, self.expander)
 
     def set_goal(self, goal: ProofGoal) -> "TacticState":
-        return TacticState((goal,) + self.goals[1:], self.state, self.steps_left)
+        return TacticState((goal,) + self.goals[1:], self.state, self.steps_left, self.expander)
 
     def __str__(self) -> str:
         if not self.goals:
@@ -152,7 +161,7 @@ class TacticState(Frozen):
         return "; ".join(str(g) for g in self.goals)
 
 
-_tstate_goals, _tstate_state, _tstate_steps_left = slot_setters(TacticState)
+_tstate_goals, _tstate_state, _tstate_steps_left, _tstate_expander = slot_setters(TacticState)
 
 
 TraceTacticFn = Callable[[Syntax, TacticState], None]
@@ -198,7 +207,7 @@ def eval_tactic(
                 "tactic macro expansion budget exceeded (see --max-repeat)"
             )
         ts.steps_left[0] -= 1
-        unfolded, scope = Expander(ts.state).expand_macro_step(stx)
+        unfolded, scope = ts.expander.expand_macro_step(stx)
         try:
             return eval_tactic(unfolded, ts, trace)
         except KernelError as err:
@@ -228,7 +237,7 @@ def _eval_intro(stx: Node, ts: TacticState) -> TacticState:
 def _resolve_reference(term: Syntax, ts: TacticState) -> Symbol:
     goal = ts.goal()
     lctx = frozenset(s for s, _ in goal.hypotheses)
-    resolved = Expander(ts.state).expand(term, lctx)
+    resolved = ts.expander.expand(term, lctx)
     if isinstance(resolved, Ident):
         return resolved.name
     raise TacticError(f"exact: '{render(term)}' is not a plain reference")

@@ -38,8 +38,11 @@ from hygex.parser import (
     K_TRY,
     K_TSEQ,
     K_TUPLE,
+    CatRef,
     Category,
+    Lit,
     Parser,
+    ParseRule,
     ParserTable,
     describe,
     iter_commands,
@@ -480,3 +483,69 @@ class TestBuiltInTacticsAreRules:
         )
         assert code == 0, out
         assert out.splitlines()[-1] == "theorem t : p → p := proved"
+
+
+class TestLeftRecursiveRuleCycles:
+    """A rule headed by another category parses that category before it
+    consumes a token, so a cycle of such rules would recurse without end;
+    `register_rule` rejects the rule that closes one."""
+
+    def test_a_two_category_cycle_is_rejected_and_the_run_goes_on(self):
+        code, out = run_string(
+            'syntax tactic "x" : command\n'
+            'syntax command "y" : tactic\n'
+            "def a := 1\n"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            'syntax tactic "x" : command',
+            "error: left-recursive syntax rule: tactic → command → tactic @2:1",
+            "def a := 1",
+        ]
+
+    def test_a_line_that_starts_no_command_no_longer_recurses(self):
+        _, out = run_string(
+            'syntax tactic "x" : command\n'
+            'syntax command "y" : tactic\n'
+            "foo\n"
+            "def a := 1\n"
+        )
+        assert "recursion limit" not in out
+        assert out.splitlines()[-1] == "def a := 1"
+
+    def test_a_longer_cycle_through_term_is_rejected(self):
+        code, out = run_string(
+            "declare_syntax_cat a\n"
+            "declare_syntax_cat b\n"
+            'syntax b "x" : a\n'
+            'syntax term "z" : b\n'
+            'syntax a "y" : term\n'
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "error: left-recursive syntax rule: term → a → b → term @5:1"
+        )
+
+    def test_a_rejected_rule_is_not_in_the_table(self):
+        table = table_after('syntax tactic "x" : command\n')
+        with pytest.raises(ParseError, match="left-recursive"):
+            table.register_rule(
+                CAT_TACTIC,
+                ParseRule(Name.of("y"), (CatRef(CAT_COMMAND), Lit("y"))),
+            )
+        assert Name.of("y") not in {r.kind for r in table.categories[CAT_TACTIC].rules}
+
+    def test_trailing_and_ident_headed_rules_close_no_cycle(self):
+        # a rule headed by its own category is trailing, and `ident` is a
+        # token, not a category with rules
+        table = table_after(
+            "declare_syntax_cat index\n"
+            'syntax ident "<-" term : index\n'
+            'syntax term "<+>" term : term\n'
+            'syntax command "also" command : command\n'
+        )
+        table.register_rule(
+            CAT_TERM, ParseRule(Name.of("ix"), (CatRef(Name.of("index")), Lit("!")))
+        )
+        code, out = run_string((CORPUS / "bigop.hyg").read_text())
+        assert code == 0, out
