@@ -41,39 +41,40 @@ _CHOICE = Name.of(KIND_CHOICE)
 # Core terms and types
 
 
-class TNat(Frozen):
+class Core(Frozen):
+    """Base of the core types and terms.  All print through one function,
+    `core_str`, so printing a term is one walk, not a `__str__` per node."""
+
     __slots__ = ()
 
     def __str__(self) -> str:
-        return "nat"
+        return core_str(self)
+
+
+class TNat(Core):
+    __slots__ = ()
 
 
 # every TNat equals every other; the elaborator uses this one
 NAT_TYPE = TNat()
 
 
-class TUnit(Frozen):
+class TUnit(Core):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "unit"
 
-
-class TPropAtom(Frozen):
+class TPropAtom(Core):
     __slots__ = ("name",)
     name: Name
 
     def __init__(self, name: Name) -> None:
         _tprop_name(self, name)
 
-    def __str__(self) -> str:
-        return f"prop({self.name})"
-
 
 (_tprop_name,) = slot_setters(TPropAtom)
 
 
-class TArrow(Frozen):
+class TArrow(Core):
     __slots__ = ("dom", "cod")
     dom: "CoreType"
     cod: "CoreType"
@@ -82,14 +83,11 @@ class TArrow(Frozen):
         _tarrow_dom(self, dom)
         _tarrow_cod(self, cod)
 
-    def __str__(self) -> str:
-        return f"arrow({self.dom}, {self.cod})"
-
 
 _tarrow_dom, _tarrow_cod = slot_setters(TArrow)
 
 
-class TProd(Frozen):
+class TProd(Core):
     __slots__ = ("left", "right")
     left: "CoreType"
     right: "CoreType"
@@ -98,9 +96,6 @@ class TProd(Frozen):
         _tprod_left(self, left)
         _tprod_right(self, right)
 
-    def __str__(self) -> str:
-        return f"prod({self.left}, {self.right})"
-
 
 _tprod_left, _tprod_right = slot_setters(TProd)
 
@@ -108,35 +103,29 @@ _tprod_left, _tprod_right = slot_setters(TProd)
 CoreType = object  # TNat | TUnit | TPropAtom | TArrow | TProd
 
 
-class Const(Frozen):
+class Const(Core):
     __slots__ = ("name",)
     name: Name
 
     def __init__(self, name: Name) -> None:
         _const_name(self, name)
 
-    def __str__(self) -> str:
-        return f"const({self.name})"
-
 
 (_const_name,) = slot_setters(Const)
 
 
-class Local(Frozen):
+class Local(Core):
     __slots__ = ("symbol",)
     symbol: Symbol
 
     def __init__(self, symbol: Symbol) -> None:
         _local_symbol(self, symbol)
 
-    def __str__(self) -> str:
-        return f"local({self.symbol})"
-
 
 (_local_symbol,) = slot_setters(Local)
 
 
-class Lam(Frozen):
+class Lam(Core):
     __slots__ = ("binder", "binder_type", "body")
     binder: Symbol
     binder_type: CoreType
@@ -147,14 +136,11 @@ class Lam(Frozen):
         _lam_binder_type(self, binder_type)
         _lam_body(self, body)
 
-    def __str__(self) -> str:
-        return f"lam({self.binder} : {self.binder_type}. {self.body})"
-
 
 _lam_binder, _lam_binder_type, _lam_body = slot_setters(Lam)
 
 
-class App(Frozen):
+class App(Core):
     __slots__ = ("fn", "arg")
     fn: "CoreExpr"
     arg: "CoreExpr"
@@ -163,28 +149,22 @@ class App(Frozen):
         _app_fn(self, fn)
         _app_arg(self, arg)
 
-    def __str__(self) -> str:
-        return f"app({self.fn}, {self.arg})"
-
 
 _app_fn, _app_arg = slot_setters(App)
 
 
-class NatLit(Frozen):
+class NatLit(Core):
     __slots__ = ("value",)
     value: int
 
     def __init__(self, value: int) -> None:
         _natlit_value(self, value)
 
-    def __str__(self) -> str:
-        return f"natLit({self.value})"
-
 
 (_natlit_value,) = slot_setters(NatLit)
 
 
-class Pair(Frozen):
+class Pair(Core):
     __slots__ = ("fst", "snd")
     fst: "CoreExpr"
     snd: "CoreExpr"
@@ -193,14 +173,40 @@ class Pair(Frozen):
         _pair_fst(self, fst)
         _pair_snd(self, snd)
 
-    def __str__(self) -> str:
-        return f"pair({self.fst}, {self.snd})"
-
 
 _pair_fst, _pair_snd = slot_setters(Pair)
 
 
 CoreExpr = object  # Const | Local | Lam | App | NatLit | Pair
+
+
+def core_str(x: object) -> str:
+    """The printed form of a core type or term, one frame per level; any
+    other value prints as its `str`."""
+    cls = type(x)
+    if cls is App:
+        return f"app({core_str(x.fn)}, {core_str(x.arg)})"
+    if cls is Const:
+        return f"const({x.name})"
+    if cls is NatLit:
+        return f"natLit({x.value})"
+    if cls is Local:
+        return f"local({x.symbol})"
+    if cls is TNat:
+        return "nat"
+    if cls is TArrow:
+        return f"arrow({core_str(x.dom)}, {core_str(x.cod)})"
+    if cls is Pair:
+        return f"pair({core_str(x.fst)}, {core_str(x.snd)})"
+    if cls is TProd:
+        return f"prod({core_str(x.left)}, {core_str(x.right)})"
+    if cls is Lam:
+        return f"lam({x.binder} : {core_str(x.binder_type)}. {core_str(x.body)})"
+    if cls is TUnit:
+        return "unit"
+    if cls is TPropAtom:
+        return f"prop({x.name})"
+    return str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,14 @@ VM, best of 15 rounds of 200,000), a `SourceInfo` went from 0.70 to
 an `Ident` from 0.98 to 0.71 µs.  A lexed token builds one `SourceInfo` and
 one `Token`, and every expansion step builds nodes.
 
+Printing is one walk that tests exact types; no tree class has a subclass.
+`render` appends every token of a tree to one list and joins it once: users
+see hygiene only through printed syntax, two trees per traced macro step,
+and a token list built and concatenated per node made `render` about a
+sixth of a corpus pass.  The elaborator's `core_str` and the tactic
+engine's `prop_str` recurse directly, not through `format` and a `__str__`
+per node; for their few short fields an f-string per node beat one list.
+
 `FrozenInstanceError` is imported only when it is raised.  Importing
 `dataclasses` also loads `inspect`, `ast` and `dis`: every process would
 pay for them at start-up, for a class that only an error path needs.
@@ -151,11 +159,10 @@ class Name(tuple):
     def __str__(self) -> str:
         if not self:
             return "[anonymous]"
-        out = ".".join(str(p) for p in self)
         # a leading numeric component renders with an explicit dot: ".5"
-        if isinstance(self[0], int):
-            out = "." + out
-        return out
+        if type(self[0]) is int:
+            return "." + ".".join(map(str, self))
+        return ".".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
@@ -316,13 +323,6 @@ def is_quotation(stx: Syntax) -> bool:
     return isinstance(stx, Node) and stx.kind[:1] in ((KIND_QUOT,), (KIND_DQUOT,))
 
 
-def quotation_category(stx: Node) -> Optional[Name]:
-    """The explicit category of a quotation node, if one was written."""
-    if len(stx.kind) > 1:
-        return Name(stx.kind[1:])
-    return None
-
-
 def is_antiquot(stx: Syntax) -> bool:
     return isinstance(stx, Node) and stx.kind[:1] == (KIND_ANTIQUOT,)
 
@@ -361,7 +361,7 @@ def format_scoped(stx: Syntax) -> str:
         raise NotAnIdentifier(f"expected an identifier, got {stx!r}")
     out = str(stx.name)
     if stx.preresolved:
-        out += "{" + ", ".join(str(t) for t in stx.preresolved) + "}"
+        out += "{" + ", ".join(map(str, stx.preresolved)) + "}"
     return out
 
 
@@ -369,139 +369,129 @@ def format_scoped(stx: Syntax) -> str:
 # Rendering
 
 _NO_SPACE_BEFORE = ")]⟩»,;"
-_NO_SPACE_AFTER = "([⟨«"
+_NO_SPACE_AFTER = frozenset("([⟨«")
 
 
 def render(stx: Syntax) -> str:
-    """Pretty-print a tree; parsed trees re-parse to the same structure."""
-    return join_tokens(render_tokens(stx))
+    """Pretty-print a tree; parsed trees re-parse to the same structure.
 
-
-def join_tokens(tokens: Iterable[str]) -> str:
-    out: list[str] = []
-    prev = ""
-    for tok in tokens:
-        if (
-            out
-            and tok[0] not in _NO_SPACE_BEFORE
-            and not (prev and prev[-1] in _NO_SPACE_AFTER)
-        ):
+    One walk, a frame per tree level, appends every token to one list; one
+    pass then puts a space between two tokens unless the second starts with
+    a closer or the first ends with an opener.  See the module docstring."""
+    toks: list = []
+    _emit(stx, toks)
+    out: list = []
+    glued = True  # no space before the first token
+    for tok in toks:
+        if not glued and tok[0] not in _NO_SPACE_BEFORE:
             out.append(" ")
         out.append(tok)
-        prev = tok
+        glued = tok[-1:] in _NO_SPACE_AFTER
     return "".join(out)
 
 
-def render_tokens(stx: Syntax) -> list:
-    match stx:
-        case Atom(text=text):
-            return [text]
-        case Ident():
-            return [format_scoped(stx)]
-        case Missing():
-            return ["<missing>"]
-        case Node(kind=kind, children=children):
-            head = kind[0]
-            if head in (KIND_QUOT, KIND_DQUOT):
-                open_tok = "`(" if head == KIND_QUOT else "``("
-                cat = quotation_category(stx)
-                toks = [open_tok]
-                if cat is not None:
-                    toks.append(str(cat) + "|")
-                for c in children:
-                    toks += render_tokens(c)
-                toks.append(")")
-                return toks
-            if head == KIND_ANTIQUOT:
-                payload = stx.children[0]
-                suffix = ""
-                if len(kind) > 1:
-                    suffix = ":" + str(Name(kind[1:]))
-                if isinstance(payload, Ident):
-                    return ["$" + format_scoped(payload) + suffix]
-                return ["$("] + render_tokens(payload) + [")" + suffix]
-            if head == KIND_SPLICE:
-                inner = render_tokens(stx.children[0])
-                sep = splice_separator(stx)
-                return inner[:-1] + [inner[-1] + sep + "*"]
-            if head == KIND_SPLICEGROUP:
-                toks = ["$["]
-                for c in children:
-                    toks += render_tokens(c)
-                toks.append("]" + splice_separator(stx) + "*")
-                return toks
-            if head == "argdecl":
-                name, _colon, cat = children
-                return [f"{format_scoped(name)}:{format_scoped(cat)}"]
-            if head == "slotprec":
-                slot, prec = children
-                return [f"{format_scoped(slot)}:{prec.text}"]
-            if head == KIND_CHOICE:
-                toks = ["choice("]
-                for i, c in enumerate(children):
-                    if i:
-                        toks.append("|")
-                    toks += render_tokens(c)
-                toks.append(")")
-                return toks
-            if head == "app":
-                fn, arg = children
-                toks = _parenthesize(fn) if _app_prec(fn) < 1 else render_tokens(fn)
-                toks += _parenthesize(arg) if _app_prec(arg) < 2 else render_tokens(arg)
-                return toks
-            if head in ("plus", "arrow"):
-                left, op, right = children
-                # plus is left-associative, arrow right-associative
-                left_floor, right_floor = (0, 1) if head == "plus" else (1, 0)
-                toks = (
-                    _parenthesize(left)
-                    if _infix_prec(left) < left_floor
-                    else render_tokens(left)
-                )
-                toks += render_tokens(op)
-                toks += (
-                    _parenthesize(right)
-                    if _infix_prec(right) < right_floor
-                    else render_tokens(right)
-                )
-                return toks
-            toks = []
-            for c in children:
-                toks += render_tokens(c)
-            return toks
-    raise TypeError(f"not syntax: {stx!r}")
+def _emit(stx: Syntax, out: list) -> None:
+    cls = type(stx)
+    if cls is Node:
+        form = _FORMS.get(stx.kind[0])
+        if form is None:
+            for c in stx.children:
+                _emit(c, out)
+        elif type(form) is tuple:
+            # the heads each operand takes without parentheses; `None` marks
+            # an operator.  Inline, so that a spine costs a frame per level.
+            for c, fits in zip(stx.children, form, strict=True):
+                if fits is None or type(c) is not Node or c.kind[0] in fits:
+                    _emit(c, out)
+                else:
+                    out.append("(")
+                    _emit(c, out)
+                    out.append(")")
+        else:
+            form(stx, out)
+    elif cls is Atom:
+        out.append(stx.text)
+    elif cls is Ident:
+        out.append(format_scoped(stx) if stx.preresolved else str(stx.name))
+    elif cls is Missing:
+        out.append("<missing>")
+    else:
+        raise TypeError(f"not syntax: {stx!r}")
+
+
+def _emit_quotation(stx: Node, out: list) -> None:
+    out.append("`(" if stx.kind[0] == KIND_QUOT else "``(")
+    if len(stx.kind) > 1:
+        out.append(str(Name(stx.kind[1:])) + "|")
+    for c in stx.children:
+        _emit(c, out)
+    out.append(")")
+
+
+def _emit_antiquot(stx: Node, out: list) -> None:
+    payload = stx.children[0]
+    suffix = ":" + str(Name(stx.kind[1:])) if len(stx.kind) > 1 else ""
+    if type(payload) is Ident:
+        out.append("$" + format_scoped(payload) + suffix)
+    else:
+        out.append("$(")
+        _emit(payload, out)
+        out.append(")" + suffix)
+
+
+def _emit_splice(stx: Node, out: list) -> None:
+    # the payload is an antiquotation, so its last token is its own
+    _emit(stx.children[0], out)
+    out[-1] += splice_separator(stx) + "*"
+
+
+def _emit_splicegroup(stx: Node, out: list) -> None:
+    out.append("$[")
+    for c in stx.children:
+        _emit(c, out)
+    out.append("]" + splice_separator(stx) + "*")
+
+
+def _emit_argdecl(stx: Node, out: list) -> None:
+    name, _colon, cat = stx.children
+    out.append(f"{format_scoped(name)}:{format_scoped(cat)}")
+
+
+def _emit_slotprec(stx: Node, out: list) -> None:
+    slot, prec = stx.children
+    out.append(f"{format_scoped(slot)}:{prec.text}")
+
+
+def _emit_choice(stx: Node, out: list) -> None:
+    out.append("choice(")
+    for i, c in enumerate(stx.children):
+        if i:
+            out.append("|")
+        _emit(c, out)
+    out.append(")")
 
 
 # Synthesized trees can place any form in argument position; parsed trees
 # only ever put leaves there, so added parentheses never change a re-parse.
-_ATOMIC_KINDS = {
-    "num", "tuple", "anonCtor", KIND_QUOT, KIND_DQUOT, KIND_ANTIQUOT,
-    KIND_SPLICE, KIND_SPLICEGROUP, KIND_CHOICE,
+_ATOMIC = frozenset(
+    ("num", "tuple", "anonCtor", KIND_QUOT, KIND_DQUOT, KIND_ANTIQUOT,
+     KIND_SPLICE, KIND_SPLICEGROUP, KIND_CHOICE)
+)
+_APP = _ATOMIC | {"app"}
+_INFIX = _APP | {"plus", "arrow"}
+
+# How `_emit` prints a node of each head that is not a plain sequence:
+# a writer, or the heads each operand fits without parentheses.
+_FORMS = {
+    "app": (_APP, _ATOMIC),
+    "plus": (_INFIX, None, _APP),  # left-associative
+    "arrow": (_APP, None, _INFIX),  # right-associative
+    KIND_QUOT: _emit_quotation,
+    KIND_DQUOT: _emit_quotation,
+    KIND_ANTIQUOT: _emit_antiquot,
+    KIND_SPLICE: _emit_splice,
+    KIND_SPLICEGROUP: _emit_splicegroup,
+    "argdecl": _emit_argdecl,
+    "slotprec": _emit_slotprec,
+    KIND_CHOICE: _emit_choice,
 }
-
-
-def _app_prec(stx: Syntax) -> int:
-    """2: fits anywhere in an application; 1: fits as the function;
-    0: needs parentheses."""
-    if isinstance(stx, Node):
-        head = stx.kind[0]
-        if head in _ATOMIC_KINDS:
-            return 2
-        return 1 if head == "app" else 0
-    return 2
-
-
-def _infix_prec(stx: Syntax) -> int:
-    """1: atomic or application; 0: an infix chain; -1: a low binder form."""
-    if isinstance(stx, Node):
-        head = stx.kind[0]
-        if head in _ATOMIC_KINDS or head == "app":
-            return 1
-        if head in ("plus", "arrow"):
-            return 0
-        return -1
-    return 1
-
-
-def _parenthesize(stx: Syntax) -> list:
-    return ["("] + render_tokens(stx) + [")"]

@@ -66,16 +66,24 @@ class Implies(Frozen):
         _implies_consequent(self, consequent)
 
     def __str__(self) -> str:
-        left = str(self.antecedent)
-        if isinstance(self.antecedent, Implies):
-            left = f"({left})"
-        return f"{left} → {self.consequent}"
+        return prop_str(self)
 
 
 _implies_antecedent, _implies_consequent = slot_setters(Implies)
 
 
 Prop = object  # PropAtom | Implies
+
+
+def prop_str(p: Prop) -> str:
+    """A printed proposition, one frame per level, not a `__str__` per node;
+    `→` associates to the right, so only a left implication is bracketed."""
+    if type(p) is not Implies:
+        return str(p)
+    left = p.antecedent
+    if type(left) is Implies:
+        return f"({prop_str(left)}) → {prop_str(p.consequent)}"
+    return f"{left} → {prop_str(p.consequent)}"
 
 
 def interp_prop(stx: Syntax) -> Prop:
@@ -109,8 +117,9 @@ class ProofGoal(Frozen):
         return None
 
     def __str__(self) -> str:
-        hyps = ", ".join(f"{s} : {p}" for s, p in self.hypotheses)
-        return f"{hyps} ⊢ {self.target}" if hyps else f"⊢ {self.target}"
+        hyps = ", ".join([f"{s} : {prop_str(p)}" for s, p in self.hypotheses])
+        target = prop_str(self.target)
+        return f"{hyps} ⊢ {target}" if hyps else f"⊢ {target}"
 
 
 _goal_hypotheses, _goal_target = slot_setters(ProofGoal)
@@ -158,7 +167,7 @@ class TacticState(Frozen):
     def __str__(self) -> str:
         if not self.goals:
             return "no goals"
-        return "; ".join(str(g) for g in self.goals)
+        return "; ".join(map(str, self.goals))
 
 
 _tstate_goals, _tstate_state, _tstate_steps_left, _tstate_expander = slot_setters(TacticState)
