@@ -18,9 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .context import Decl
 from .elaborator import ElabEnv, elab_term, interp_type
-from .errors import ExpansionDepthError, KernelError, LexError
+from .errors import ExpansionDepthError, KernelError
 from .expander import Expander, ExpanderState, TraceFn
-from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, Lexer, ParserTable, iter_commands
+from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, ParserTable, iter_commands
 from .prelude import bootstrap
 from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
 from .tactic import TacticState, interp_prop, run_proof
@@ -171,13 +171,10 @@ class Runner:
         return 1 if self.diagnostics else 0
 
     def run_source(self, text: str) -> None:
-        def recover(err: KernelError, cmd_start: int) -> int:
+        def recover(err: KernelError, cmd_start: int) -> None:
             self._diagnose(err)
             if self.cfg.recover:
                 self._emit(render(Missing()))
-            return _resync(
-                text, self.state.table, cmd_start, err.info.offset if err.info else cmd_start
-            )
 
         for start, cmd in iter_commands(text, self.state.table, recover):
             try:
@@ -258,28 +255,6 @@ def _too_deep(start: SourceInfo) -> KernelError:
     # the stack ran out under the command: nesting or a macro that keeps
     # expanding deeper than the Python stack can follow
     return KernelError("recursion limit reached while processing this command", start)
-
-
-def _resync(text: str, table: ParserTable, cmd_start: int, err_offset: int) -> int:
-    """Skip to the next line whose first token starts a command, as `table`
-    knows commands.
-
-    `cmd_start` is the offset of the failed command's first token.  The
-    error's own line counts, as long as it starts past that token."""
-    lexer = Lexer(text, table.snapshot_keywords())
-    pos = text.rfind("\n", 0, max(err_offset, 0)) + 1
-    while True:
-        if pos > cmd_start:
-            try:
-                # the first token at or after `pos` starts its own line
-                if table.starts_command(lexer.token(pos)):
-                    return pos
-            except LexError:
-                pass  # a line that does not lex starts no command
-        line_end = text.find("\n", pos)
-        if line_end == -1:
-            return len(text)
-        pos = line_end + 1
 
 
 def run_string(src: str, cfg: Optional[RunConfig] = None) -> Tuple[int, str]:

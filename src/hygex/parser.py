@@ -168,7 +168,7 @@ class ParserTable:
     def __init__(self) -> None:
         self.categories: Dict[Name, Category] = {}
         self.keywords: Set[str] = set(_CORE_KEYWORDS)
-        self._keyword_snapshot: Optional[frozenset] = None
+        self._keyword_snapshot = frozenset()  # stale: the set is never empty
         self.kinds: Set[Name] = set()
         self.command_heads: Set[str] = {
             "def", "theorem", "syntax", "macro_rules", "declare_syntax_cat",
@@ -215,16 +215,15 @@ class ParserTable:
         return new
 
     def snapshot_keywords(self) -> frozenset:
-        """The keyword set as a frozenset, rebuilt only after it changed;
-        an unchanged table hands every lexer the same object."""
-        if self._keyword_snapshot is None:
+        """The keyword set as a frozenset, rebuilt only after it grew (no
+        keyword is removed); an unchanged set hands out the same object."""
+        if len(self._keyword_snapshot) != len(self.keywords):
             self._keyword_snapshot = frozenset(self.keywords)
         return self._keyword_snapshot
 
     def enable_command_head(self, name: str) -> None:
         self.command_heads.add(name)
         self.keywords.add(name)
-        self._keyword_snapshot = None
 
     def add_category(self, name: Name, info: Optional[SourceInfo] = None) -> None:
         if name in self.categories or name in (CAT_IDENT,):
@@ -261,7 +260,6 @@ class ParserTable:
         for item in rule.items:
             if isinstance(item, Lit):
                 self.keywords.add(item.text)
-        self._keyword_snapshot = None
 
     def _left_path(self, start: Name, goal: Name) -> Optional[List[Name]]:
         """The categories from `start` to `goal` along rules that start with
@@ -343,21 +341,10 @@ _IDENT_REST = re.compile(r"[\w']*")
 _BLANKS = re.compile(r"(?:\s|--[^\n]*)*")
 
 
-# The tables a lexer needs are built once per source text and once per
-# keyword set, not once per lexer: the driver builds a lexer for every
-# command of a file, and the text and the keyword set rarely change between
-# two of them.  Both caches hold the key's own object, so a hit costs a
-# hash lookup and an identity check (str and frozenset cache their hash).
-
-
-@functools.lru_cache(maxsize=32)
-def _line_starts(text: str) -> Tuple[int, ...]:
-    starts = [0]
-    i = text.find("\n")
-    while i >= 0:
-        starts.append(i + 1)
-        i = text.find("\n", i + 1)
-    return tuple(starts)
+# The symbol table a lexer needs is built once per keyword set, not once
+# per lexer: the runs of one process meet the same keyword sets again.  A
+# hit costs a hash lookup and an equality check, only an identity check
+# when the set is the cached object itself (a frozenset caches its hash).
 
 
 @functools.lru_cache(maxsize=32)
@@ -374,21 +361,30 @@ def _symbolic_tokens(keywords: frozenset) -> Dict[str, Tuple[str, ...]]:
 
 
 class Lexer:
-    def __init__(self, text: str, keywords: frozenset):
+    def __init__(self, text: str, keywords: frozenset, line_starts: Tuple[int, ...] = ()):
         self.text = text
         self.keywords = keywords
-        self._line_starts = _line_starts(text)
+        # the offsets that start a line, handed on from a lexer of the same text
+        self._line_starts = line_starts or (0, *[m.end() for m in re.finditer("\n", text)])
         self._symbolic = _symbolic_tokens(keywords)
         # position -> the token that starts there once blanks and comments
-        # are skipped; a lexer serves one command, so this dies with it
+        # are skipped; the parser trims it at each command start
         self._tokens: Dict[int, Token] = {}
+        # position -> the `LexError` there, read only when `_tokens` misses
+        self._errors: Dict[int, LexError] = {}
 
     def token(self, pos: int) -> Token:
-        """The token at `pos`, lexed at most once per lexer.  A `LexError`
-        is not kept: asking again raises it again."""
+        """The token at `pos`, lexed at most once per lexer.  A position
+        that does not lex raises its kept `LexError` again."""
         tok = self._tokens.get(pos)
         if tok is None:
-            tok = self._tokens[pos] = self.token_at(pos)
+            if pos in self._errors:
+                raise self._errors[pos].with_traceback(None)
+            try:
+                tok = self._tokens[pos] = self.token_at(pos)
+            except LexError as err:
+                self._errors[pos] = err
+                raise
         return tok
 
     def _info(self, offset: int) -> SourceInfo:
@@ -484,6 +480,43 @@ class Parser:
         self._tokens = self.lexer._tokens
         self.pos = pos
         self.quot_depth = 0
+
+    def start_command(self, pos: int) -> None:
+        """Start a top-level command at `pos`, under the table's keywords
+        as they stand now.  A new keyword set gets a new lexer; an unchanged
+        one keeps only what it knows of `pos`, which the last command's
+        lookahead may have lexed: no command reads back."""
+        self.pos = pos
+        self.quot_depth = 0
+        lexer = self.lexer
+        keywords = self.table.snapshot_keywords()
+        if keywords is not lexer.keywords:
+            lexer = self.lexer = Lexer(lexer.text, keywords, lexer._line_starts)
+        else:
+            lexer._tokens = {pos: lexer._tokens[pos]} if pos in lexer._tokens else {}
+            lexer._errors = {pos: lexer._errors[pos]} if pos in lexer._errors else {}
+        self._tokens = lexer._tokens
+
+    def skip_to_command(self, cmd_start: int, err_offset: int) -> int:
+        """The offset of the next line whose first token starts a command,
+        as the table knows commands, or of the end of the text.
+
+        `cmd_start` is the offset of the failed command's first token.  The
+        error's own line counts, as long as it starts past that token."""
+        text = self.lexer.text
+        pos = text.rfind("\n", 0, max(err_offset, 0)) + 1
+        while True:
+            if pos > cmd_start:
+                try:
+                    # the first token at or after `pos` starts its own line
+                    if self.table.starts_command(self.lexer.token(pos)):
+                        return pos
+                except LexError:
+                    pass  # a line that does not lex starts no command
+            line_end = text.find("\n", pos)
+            if line_end == -1:
+                return len(text)
+            pos = line_end + 1
 
     # -- token plumbing
 
@@ -1155,23 +1188,26 @@ def describe(tok: Token) -> str:
 def iter_commands(
     text: str,
     table: ParserTable,
-    on_error: Optional[Callable[[KernelError, int], int]] = None,
+    on_error: Optional[Callable[[KernelError, int], None]] = None,
 ) -> Iterator[Tuple[SourceInfo, Syntax]]:
     """The commands of `text` in order, each with the position of its
     first token.
 
-    Every command gets a new lexer over the table's keywords as they stand
-    when it is asked for, so a caller that processes each command before
-    asking for the next sees new keywords take effect on the next command.
+    One parser reads the file.  Each command starts under the table's
+    keywords as they stand when it is asked for (`Parser.start_command`),
+    so a caller that processes each command before asking for the next
+    sees new keywords take effect on the next command.
     A parse that runs out of Python stack fails as a `ParseError` at the
     command's first token.  Without `on_error` a lex or parse error
     propagates; with it, `on_error(err, start)` gets the error and the
-    offset of the failed command's first token, and returns the offset to
-    go on from; the iteration stops if that is no further on.
+    offset of the failed command's first token, and the commands go on
+    from `Parser.skip_to_command`; the iteration stops if that is no
+    further on.
     """
+    parser = Parser(text, table)
     pos = 0
     while True:
-        parser = Parser(text, table, pos)
+        parser.start_command(pos)
         first: Optional[Token] = None
         try:
             first = parser.peek()
@@ -1187,7 +1223,8 @@ def iter_commands(
             if on_error is None:
                 raise
             start = first.info.offset if first is not None else err.info.offset
-            next_pos = on_error(err.with_traceback(None), start)
+            on_error(err.with_traceback(None), start)
+            next_pos = parser.skip_to_command(start, err.info.offset if err.info else start)
             if next_pos <= pos:
                 return
             pos = next_pos

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
+from hygex import driver
 from hygex.driver import RunConfig, Runner
 from hygex.errors import LexError, ParseError
 from hygex.parser import (
@@ -405,8 +406,9 @@ class TestSlotPrecedence:
 
 
 class TestLexerTables:
-    """Every top-level command gets a new lexer, but the line-start table
-    and the keyword list are built once per source and per keyword set."""
+    """One parser reads a file.  It gets a new lexer only when a command
+    has changed the keywords, the new lexer takes over the line table, and
+    the symbol table is built once per keyword set."""
 
     @pytest.mark.parametrize(
         "declare, use, expanded",
@@ -480,6 +482,96 @@ class TestLexerTables:
             "error: 'x' has already been declared",
             "error: unknown identifier 'nope' @4:10",
         ]
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            # the lookahead that ends `syntax` lexes `go` as an identifier
+            (
+                'def a := 1\nsyntax "go" : command\ngo\ndef b := a\n',
+                "def a := 1\n"
+                'syntax "go" : command\n'
+                "error: unexpected syntax kind 'go' (no macro registered) @3:1\n"
+                "def b := a\n",
+            ),
+            # ... and finds no token at `!!`, which does not lex
+            (
+                'def a := 1\nsyntax "!!" : command\n!!\ndef b := a\n',
+                "def a := 1\n"
+                'syntax "!!" : command\n'
+                "error: unexpected syntax kind '!!' (no macro registered) @3:1\n"
+                "def b := a\n",
+            ),
+            (
+                'def a := 1\nmacro "go" : command => `(def g := a)\ngo\ndef b := a\n',
+                "def a := 1\n"
+                'macroDecl: macro "go" : command => `(def g := a) ==> '
+                'syntax "go" : command macro_rules | `(go) => `(def g := a)\n'
+                'syntax "go" : command\n'
+                "macro_rules | `(go) => `(def g := a{a})\n"
+                "go: go ==> def g.1 := a.1{a}\n"
+                "def g.1 := a\n"
+                "def b := a\n",
+            ),
+            (
+                'def a := 1\nmacro "!!" : command => `(def g := a)\n!!\ndef b := a\n',
+                "def a := 1\n"
+                'macroDecl: macro "!!" : command => `(def g := a) ==> '
+                'syntax "!!" : command macro_rules | `(!!) => `(def g := a)\n'
+                'syntax "!!" : command\n'
+                "macro_rules | `(!!) => `(def g := a{a})\n"
+                "!!: !! ==> def g.1 := a.1{a}\n"
+                "def g.1 := a\n"
+                "def b := a\n",
+            ),
+        ],
+        ids=["ident_to_keyword", "lex_error_to_keyword", "macro_ident", "macro_lex_error"],
+    )
+    def test_a_new_keyword_relexes_the_lookahead(self, src, expected):
+        """The command right after a new keyword begins with it, so the
+        token there was first lexed under the old keywords."""
+        from hygex.driver import run_string
+
+        _, out = run_string(src, RunConfig(stage="expand", trace_expansion=True))
+        assert out == expected
+
+    def test_resynchronising_reads_the_file_s_lexer(self, monkeypatch):
+        from hygex.driver import run_string
+
+        builds = []
+        raw = Lexer.__init__
+
+        def counted(lexer, *args):
+            builds.append(args[0])  # the text
+            raw(lexer, *args)
+
+        monkeypatch.setattr(Lexer, "__init__", counted)
+        src = "".join(f"def a{i} := {i}\ndef b{i} := )\n" for i in range(50))
+        code, out = run_string(src)
+        assert code == 1
+        assert out.count("error: expected term, found ')'") == 50
+        assert builds.count(src) == 1
+
+    def test_the_memo_holds_one_token_at_each_command_start(self, monkeypatch):
+        lines = [
+            f'notation "nt{i}" e => e + 1' if i % 250 == 1 else f"def d{i} := {i}"
+            for i in range(2000)
+        ]
+        sizes = []
+        raw = Parser.parse_command
+
+        def parse_command(parser):
+            if not parser.quot_depth:
+                # the first token is peeked by now, and nothing else
+                sizes.append((len(parser.lexer._tokens), len(parser.lexer._errors)))
+            return raw(parser)
+
+        monkeypatch.setattr(Parser, "parse_command", parse_command)
+        runner = Runner(RunConfig(stage="expand"))
+        runner.run_source("\n".join(lines) + "\n")
+        assert not runner.diagnostics
+        assert len(sizes) == 2000
+        assert set(sizes) == {(1, 0)}
 
 
 def reference_tokens(text, keywords):
@@ -623,19 +715,56 @@ class TestTokenCache:
             p.peek()
         assert (again.value.message, again.value.info) == (first.message, first.info)
 
-    @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
-    def test_each_position_is_lexed_once_per_lexer(self, name, monkeypatch):
+    def test_a_position_that_does_not_lex_is_lexed_once_per_lexer(self, monkeypatch):
+        from hygex.driver import run_string
+
+        src = "def x := fun | 0 => 1 | n => n\n@bad"
+        at = src.index("@")
         calls = Counter()
-        alive = {}  # keeps every lexer alive, so no two share an id
+        alive = []  # keeps every lexer alive, so no two share an id
         raw = Lexer.token_at
 
         def counted(lexer, pos):
-            alive[id(lexer)] = lexer
-            calls[id(lexer), pos] += 1
+            alive.append(lexer)
+            if lexer.text == src and _BLANKS.match(src, pos).end() == at:
+                calls[id(lexer)] += 1
             return raw(lexer, pos)
 
         monkeypatch.setattr(Lexer, "token_at", counted)
+        code, out = run_string(src)
+        assert (code, out.splitlines()[-1]) == (1, "error: illegal character '@' @2:1")
+        # one lexer, the file's: the `@` starts the failed command, where
+        # resynchronisation does not look
+        assert list(calls.values()) == [1]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+    def test_each_position_is_lexed_once_per_lexer(self, name, monkeypatch):
+        """Each position of a file is lexed at most once per keyword set,
+        and a file gets one lexer per keyword set that its commands start
+        under (a set only grows, so equal sets are the same set)."""
         kw, code = CORPUS_RUNS[name]
-        assert Runner(RunConfig(**kw)).run_files([str(CORPUS / f"{name}.hyg")]) == code
-        assert len(alive) > 1
+        runner = Runner(RunConfig(**kw))  # the prelude is built by now
+        calls = Counter()
+        alive = {}  # keeps every lexer alive, so no two share an id
+        starts = set()  # the keyword sets the file's commands start under
+        raw, raw_iter = Lexer.token_at, driver.iter_commands
+
+        def counted(lexer, pos):
+            alive[id(lexer)] = lexer
+            calls[lexer.keywords, pos] += 1
+            return raw(lexer, pos)
+
+        def recorded(text, table, on_error=None):
+            commands = raw_iter(text, table, on_error)
+            while True:
+                starts.add(frozenset(table.keywords))
+                try:
+                    yield next(commands)
+                except StopIteration:
+                    return
+
+        monkeypatch.setattr(Lexer, "token_at", counted)
+        monkeypatch.setattr(driver, "iter_commands", recorded)
+        assert runner.run_files([str(CORPUS / f"{name}.hyg")]) == code
+        assert len(alive) == len(starts)
         assert max(calls.values()) == 1
