@@ -363,7 +363,9 @@ class Expander:
             )
         symbol = strip_top_level_scopes(binder)
         if symbol in self.state.gctx:
-            raise ExpansionError(f"'{symbol}' has already been declared")
+            # at the name, where it came from source; a name that a macro
+            # built has no position
+            raise ExpansionError(f"'{symbol}' has already been declared", binder.info)
         self.state.gctx.add(symbol, decl)
         return Ident(binder.raw, symbol, (), None)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import KernelError, LexError, ParseError
@@ -32,6 +33,7 @@ from .syntax import (
     Node,
     SourceInfo,
     Syntax,
+    TupleRecord,
     slot_setters,
 )
 
@@ -311,53 +313,84 @@ class ParserTable:
 # Tokens
 
 
-class Token(Frozen):
-    __slots__ = ("kind", "text", "info", "end")
-    kind: str  # keyword | ident | num | str | special | quote | dquote | eof
-    text: str
-    info: SourceInfo
-    end: int
+class Token(TupleRecord, namedtuple("Token", "kind text info end")):
+    """One lexed token; `kind` is keyword | ident | num | str | special |
+    quote | dquote | eof.  A tuple-based record, as `SourceInfo` is: the
+    lexer builds both in C, see `Lexer.token_at`."""
 
-    def __init__(self, kind: str, text: str, info: SourceInfo, end: int) -> None:
-        _tok_kind(self, kind)
-        _tok_text(self, text)
-        _tok_info(self, info)
-        _tok_end(self, end)
+    __slots__ = ()
 
 
-_tok_kind, _tok_text, _tok_info, _tok_end = slot_setters(Token)
+_new = tuple.__new__
+
+# The lexer matches each token with one scanner, compiled once per set of
+# symbolic keywords: the keywords and specials that do not start like an
+# identifier.  Its pattern is the blanks and `--` comments before a token,
+# then at most one of three groups:
+#   1. an ASCII-headed identifier, dotted or not; a word keyword is told
+#      apart from an identifier by set membership, so a new word keyword
+#      never compiles a new scanner;
+#   2. the symbols, longest first under each first character, with the
+#      `$` and backquote heads;
+#   3. an ASCII numeral.
+# The token group is optional, so the match never fails and never
+# backtracks into a comment: a required group let `def x := 1 -- tail`
+# end with the token `l`, cut off the comment.  `re` has no possessive
+# quantifiers or atomic groups before Python 3.11.
+#
+# `re` has no class for `str.isalpha()` or `str.isdigit()`, so what the
+# groups cannot decide exactly is left to plain code: `Lexer._dispatch`
+# lexes a token that starts with a non-ASCII letter or digit, a string, a
+# `«»` identifier, a lex error and the end of the input, and `token_at`
+# itself goes on past a dotted part or digits that the ASCII groups stop
+# short of.  The heads `"`, `«`, `$` and the backquote win over any
+# keyword that starts with them, so such keywords are left out of the
+# scanner.
+
+# the blanks and `--` comments before a token: `\s` in a str pattern is
+# exactly what `str.isspace()` accepts
+_BLANKS = re.compile(r"(?:\s|--[^\n]*)*")
+
+# the rest of an identifier: `\w` in a str pattern is exactly what
+# `str.isalnum()` accepts, plus "_"
+_IDENT_REST = re.compile(r"[\w']*")
+
+_WORD = r"[A-Za-z_][\w']*(?:\.[A-Za-z_][\w']*)*"
+
+# what group 2 matches that is not a keyword
+_SYMBOL_KINDS = {
+    **dict.fromkeys(_SPECIALS, "special"),
+    "$[": "special", "$": "special", "``(": "dquote", "`(": "quote",
+}
 
 
 def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-# the rest of an identifier: `\w` in a str pattern is exactly what
-# `str.isalnum()` accepts, plus "_"
-_IDENT_REST = re.compile(r"[\w']*")
-
-# the blanks and `--` comments before a token: `\s` in a str pattern is
-# exactly what `str.isspace()` accepts
-_BLANKS = re.compile(r"(?:\s|--[^\n]*)*")
-
-
-# The symbol table a lexer needs is built once per keyword set, not once
-# per lexer: the runs of one process meet the same keyword sets again.  A
-# hit costs a hash lookup and an equality check, only an identity check
-# when the set is the cached object itself (a frozenset caches its hash).
+def _symbolic(keywords: frozenset) -> frozenset:
+    """The keywords that the scanner's symbol group matches."""
+    return frozenset(
+        k for k in keywords if not (_is_ident_start(k[0]) or k[0] in '`$"«')
+    )
 
 
 @functools.lru_cache(maxsize=32)
-def _symbolic_tokens(keywords: frozenset) -> Dict[str, Tuple[str, ...]]:
-    """Keywords and specials that do not start like an identifier, keyed
-    by their first character, each tuple longest first.  A symbol that
-    matches at a position starts with the character there, so probing
-    that one tuple finds what a longest-first scan of them all finds."""
+def _scanner(symbols: frozenset) -> re.Pattern:
+    """The scanner for a set of symbolic keywords (see above).  Keyword sets
+    that differ only in word keywords share it: a file grows its words far
+    more often than its symbols, and a compile costs far more than a
+    lexer: timed on a shared 2-core VM (CPython 3.11, best of 15), one
+    took 0.47, 0.95 and 6.0 ms at 19, 69 and 519 symbols."""
     by_first: Dict[str, List[str]] = {}
-    for k in sorted(keywords | _SPECIALS, key=len, reverse=True):
-        if not _is_ident_start(k[0]):
-            by_first.setdefault(k[0], []).append(k)
-    return {c: tuple(ks) for c, ks in by_first.items()}
+    for k in sorted(symbols | _SYMBOL_KINDS.keys(), key=len, reverse=True):
+        by_first.setdefault(k[0], []).append(re.escape(k[1:]))
+    # one branch per first character, its tails longest first
+    branches = "|".join(
+        re.escape(c) + ("(?:" + "|".join(tails) + ")" if tails != [""] else "")
+        for c, tails in by_first.items()
+    )
+    return re.compile(f"{_BLANKS.pattern}(?:({_WORD})|({branches})|([0-9]+))?")
 
 
 class Lexer:
@@ -366,7 +399,10 @@ class Lexer:
         self.keywords = keywords
         # the offsets that start a line, handed on from a lexer of the same text
         self._line_starts = line_starts or (0, *[m.end() for m in re.finditer("\n", text)])
-        self._symbolic = _symbolic_tokens(keywords)
+        # the number and bounds of the line lexed last: lookahead mostly
+        # moves forward within a line
+        self._line, self._line_lo, self._line_hi = 0, 0, -1
+        self._scanner = _scanner(_symbolic(keywords))
         # position -> the token that starts there once blanks and comments
         # are skipped; the parser trims it at each command start
         self._tokens: Dict[int, Token] = {}
@@ -393,67 +429,81 @@ class Lexer:
 
     def token_at(self, pos: int) -> Token:
         """Lex one token at `pos`, uncached; the parser goes through
-        `token`."""
+        `token`.  One scanner match decides most tokens (see above)."""
         text = self.text
-        pos = _BLANKS.match(text, pos).end()
-        starts = self._line_starts
-        line = bisect_right(starts, pos)
-        info = SourceInfo(line, pos - starts[line - 1] + 1, pos)
+        m = self._scanner.match(text, pos)
+        group = m.lastindex
+        if group is None:
+            return self._dispatch(m.end())
+        start, end = m.span(group)
+        if not self._line_lo <= start < self._line_hi:
+            starts = self._line_starts
+            line = self._line = bisect_right(starts, start)
+            self._line_lo = starts[line - 1]
+            self._line_hi = starts[line] if line < len(starts) else len(text) + 1
+        info = _new(SourceInfo, (self._line, start - self._line_lo + 1, start))
+        if group == 1:
+            if text.startswith(".", end):
+                end = _dotted_end(text, end)
+                word = text[start:end]
+            else:
+                word = m[1]
+            kind = "keyword" if word in self.keywords else "ident"
+            return _new(Token, (kind, word, info, end))
+        if group == 2:
+            sym = m[2]
+            return _new(Token, (_SYMBOL_KINDS.get(sym, "keyword"), sym, info, end))
+        while text[end : end + 1].isdigit():  # digits past the ASCII ones
+            end += 1
+        return _new(Token, ("num", text[start:end], info, end))
+
+    def _dispatch(self, start: int) -> Token:
+        """The token at `start`, past the blanks, where the scanner matched
+        none: the character there decides."""
+        text = self.text
+        info = self._info(start)
         n = len(text)
-        if pos >= n:
-            return Token("eof", "", info, pos)
-        c = text[pos]
-        # words first: no symbolic keyword starts like an identifier, and
-        # no character is both alphabetic and a digit
-        if c.isalpha() or c == "_":
-            end = _IDENT_REST.match(text, pos).end()
-            while (
-                end + 1 < n
-                and text[end] == "."
-                and (text[end + 1].isalpha() or text[end + 1] == "_")
-            ):
-                end = _IDENT_REST.match(text, end + 1).end()
-            word = text[pos:end]
+        if start >= n:
+            return Token("eof", "", info, start)
+        c = text[start]
+        if _is_ident_start(c):
+            end = _dotted_end(text, _IDENT_REST.match(text, start).end())
+            word = text[start:end]
             kind = "keyword" if word in self.keywords else "ident"
             return Token(kind, word, info, end)
         if c == "`":
-            if text.startswith("``(", pos):
-                return Token("dquote", "``(", info, pos + 3)
-            if text.startswith("`(", pos):
-                return Token("quote", "`(", info, pos + 2)
             raise LexError("stray '`' (expected '`(' or '``(')", info)
-        if c == "$":
-            if text.startswith("$[", pos):
-                return Token("special", "$[", info, pos + 2)
-            return Token("special", "$", info, pos + 1)
         if c == '"':
-            end = pos + 1
+            end = start + 1
             while end < n and text[end] != '"':
                 if text[end] == "\n":
                     break
                 end += 1
             if end >= n or text[end] != '"':
                 raise LexError("unterminated string literal", info)
-            return Token("str", text[pos : end + 1], info, end + 1)
+            return Token("str", text[start : end + 1], info, end + 1)
         if c == "«":
-            end = pos + 1
-            while end < n and text[end] != "»":
-                end += 1
-            if end >= n:
+            end = text.find("»", start + 1)
+            if end == -1:
                 raise LexError("unterminated '«' identifier", info)
-            if end == pos + 1:
+            if end == start + 1:
                 raise LexError("empty '«»' identifier", info)
-            return Token("ident", text[pos + 1 : end], info, end + 1)
-        for kw in self._symbolic.get(c, ()):
-            if text.startswith(kw, pos):
-                kind = "special" if kw in _SPECIALS else "keyword"
-                return Token(kind, kw, info, pos + len(kw))
+            return Token("ident", text[start + 1 : end], info, end + 1)
         if c.isdigit():
-            end = pos
+            end = start
             while end < n and text[end].isdigit():
                 end += 1
-            return Token("num", text[pos:end], info, end)
+            return Token("num", text[start:end], info, end)
         raise LexError(f"illegal character {c!r}", info)
+
+
+def _dotted_end(text: str, end: int) -> int:
+    """The end of an identifier whose first part ends at `end`: each part
+    after a dot starts with a letter or an underscore."""
+    n = len(text)
+    while end + 1 < n and text[end] == "." and _is_ident_start(text[end + 1]):
+        end = _IDENT_REST.match(text, end + 1).end()
+    return end
 
 
 def tokenize(text: str, keywords: frozenset = frozenset()) -> List[Token]:
@@ -520,9 +570,11 @@ class Parser:
 
     # -- token plumbing
 
+    # Most peeks ask again for a token already lexed, so `peek` and the
+    # hot callers below read the lexer's memo first; only a miss calls into
+    # the lexer, once.
+
     def peek(self, ahead: int = 0) -> Token:
-        # most peeks ask again for a token already lexed: read the lexer's
-        # memo before calling into it
         tokens = self._tokens
         tok = tokens.get(self.pos) or self.lexer.token(self.pos)
         while ahead:
@@ -534,10 +586,13 @@ class Parser:
         """The next token, or None when it does not lex.  A lookahead that
         may end a command uses this, so a lex error just after the command
         belongs to whatever comes next, not to the command."""
-        try:
-            return self.peek()
-        except LexError:
-            return None
+        tok = self._tokens.get(self.pos)
+        if tok is None:
+            try:
+                tok = self.lexer.token(self.pos)
+            except LexError:
+                return None
+        return tok
 
     def bump(self) -> Token:
         tok = self.peek()
@@ -545,7 +600,7 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self._tokens.get(self.pos) or self.lexer.token(self.pos)
         return tok.text == text and tok.kind in ("keyword", "special")
 
     def _at_before_end(self, text: str) -> bool:
@@ -560,14 +615,14 @@ class Parser:
         return self.peek().kind == "eof"
 
     def expect(self, text: str) -> Atom:
-        tok = self.peek()
+        tok = self._tokens.get(self.pos) or self.lexer.token(self.pos)
         if tok.kind in ("keyword", "special") and tok.text == text:
             self.pos = tok.end
             return Atom(tok.text, tok.info)
         raise ParseError(f"expected '{text}', found {describe(tok)}", tok.info)
 
     def expect_ident(self) -> Ident:
-        tok = self.peek()
+        tok = self._tokens.get(self.pos) or self.lexer.token(self.pos)
         if tok.kind != "ident":
             raise ParseError(f"expected identifier, found {describe(tok)}", tok.info)
         self.pos = tok.end
@@ -599,7 +654,7 @@ class Parser:
         category: a built-in form when the token starts one; else the
         category's rules, newest first, with backtracking; else, inside a
         quotation, a hole.  Fails with the error that got furthest."""
-        tok = self.peek()
+        tok = self._tokens.get(self.pos) or self.lexer.token(self.pos)
         builtin = self._BUILTIN_FORMS.get(category.name)
         if builtin is not None:
             form = builtin(self, tok)

@@ -11,27 +11,36 @@ dataclasses.  A `Name` is a `tuple` subclass: it is the tuple of its parts,
 so hashing and equality run in C and it equals (and hashes like) that
 tuple.
 
-`Frozen` is the kernel's one base for immutable records: the tree values
-here (`Node`, `Atom`, `Ident`, `Missing`, `SourceInfo`), the parser's
-`Token`, `ParseRule`, `Lit` and `CatRef`, the global `Decl`, the
-quotation captures and compiled quotations, the elaborator's core types
-and terms, and the tactic engine's propositions, goals and states.  Each
-subclass writes its ``__init__`` out; any later assignment or deletion
-raises `dataclasses.FrozenInstanceError`, as a frozen dataclass would.
-That immutability is what lets the prelude prototype and the prebuilt
-ground subtrees of compiled quotations be shared by every run.
+`Frozen` is the base of the slotted immutable records: the tree values
+here (`Node`, `Atom`, `Ident`, `Missing`), the parser's `ParseRule`, `Lit`
+and `CatRef`, the global `Decl`, the quotation captures and compiled
+quotations, the elaborator's core types and terms, and the tactic
+engine's propositions, goals and states.  Each subclass writes its
+``__init__`` out; any later assignment or deletion raises
+`dataclasses.FrozenInstanceError`, as a frozen dataclass would.  That
+immutability is what lets the prelude prototype and the prebuilt ground
+subtrees of compiled quotations be shared by every run.
 
 Every constructor uses one idiom.  Right after the class, `slot_setters`
 fetches the ``__set__`` of each slot's member descriptor once, into
-module globals (``_tok_kind, _tok_text, ... = slot_setters(Token)``), and
-``__init__`` calls them: ``_tok_kind(self, kind)``.  That writes the slot
+module globals (``_node_kind, _node_children = slot_setters(Node)``), and
+``__init__`` calls them: ``_node_kind(self, kind)``.  That writes the slot
 directly, past the refusing ``__setattr__``.  The idiom it replaced,
 ``object.__setattr__(self, "kind", kind)``, looked the name up on the
 class on every call.  Timed in one process (CPython 3.11, a shared 2-core
-VM, best of 15 rounds of 200,000), a `SourceInfo` went from 0.70 to
-0.46 µs, a `Token` from 0.82 to 0.59 µs, a `Node` from 0.59 to 0.42 µs and
-an `Ident` from 0.98 to 0.71 µs.  A lexed token builds one `SourceInfo` and
-one `Token`, and every expansion step builds nodes.
+VM, best of 15 rounds of 200,000), a `Node` went from 0.59 to 0.42 µs and
+an `Ident` from 0.98 to 0.71 µs; every expansion step builds nodes.
+
+Two records are tuple-based instead, as `Name` is: `SourceInfo` and the
+parser's `Token`, the two that the lexer builds for every token.  Each is
+a `namedtuple` subclass with `TupleRecord` first among its bases, so the
+lexer builds it in C with ``tuple.__new__(Token, (kind, text, info, end))``
+and its fields are read through C getters.  Timed as above, a `SourceInfo`
+built so costs 0.21 µs and a `Token` 0.20 µs, against 0.46 and 0.62 µs
+through the `Frozen` slot setters; the `namedtuple` constructor that other
+sites call costs 0.43 and 0.36 µs.  `TupleRecord` keeps their equality
+within one class, their hash and pickles those of the tuple of fields, and
+refuses assignment as `Frozen` does.
 
 Printing is one walk that tests exact types; no tree class has a subclass.
 `render` appends every token of a tree to one list and joins it once: users
@@ -48,6 +57,7 @@ pay for them at start-up, for a class that only an error path needs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
@@ -120,6 +130,31 @@ class Frozen:
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({args})"
+
+
+class TupleRecord:
+    """Mixin of the tuple-based records, listed first among the bases of a
+    `namedtuple` subclass with ``__slots__ = ()``; see the module
+    docstring.  The `namedtuple` gives the C field getters, ``repr`` and
+    ``match`` positions.  This keeps equality within one class, as
+    `Frozen`'s is (a plain tuple would equal any tuple of the same items),
+    and refuses assignment and deletion as `Frozen` does."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not (other.__class__ is self.__class__ and tuple.__eq__(self, other))
+
+    __hash__ = tuple.__hash__
+
+    def __reduce__(self):
+        return (self.__class__, tuple(self))
+
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +239,11 @@ def base_name(n: Name) -> Name:
 # Source locations
 
 
-class SourceInfo(Frozen):
-    __slots__ = ("line", "col", "offset")
-
-    def __init__(self, line: int, col: int, offset: int) -> None:
-        _info_line(self, line)
-        _info_col(self, col)
-        _info_offset(self, offset)
+class SourceInfo(TupleRecord, namedtuple("SourceInfo", "line col offset")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
-
-
-_info_line, _info_col, _info_offset = slot_setters(SourceInfo)
 
 
 # ---------------------------------------------------------------------------

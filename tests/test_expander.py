@@ -110,7 +110,9 @@ class TestMacroTower:
         runner = Runner(RunConfig())
         runner.state.single_scope = True
         runner.run_source(self.SRC)
-        assert any("already been declared" in d.message for d in runner.diagnostics)
+        [clash] = [d for d in runner.diagnostics if "already been declared" in d.message]
+        # the clashing name was built by the macro: it has no position
+        assert clash.info is None
 
 
 class TestExpandMacroStep:
@@ -157,6 +159,21 @@ class TestProcessCommand:
         code, lines = expanded_lines("def x := 1\ndef x := 2\n")
         assert code == 1
         assert any("already been declared" in l for l in lines)
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [
+            ("def x := 1\ndef x := 2\n", "error: 'x' has already been declared @2:5"),
+            (
+                "theorem t (p : Prop) : p → p := by intro h; exact h\n"
+                "theorem t (p : Prop) : p := by exact p\n",
+                "error: 't' has already been declared @2:9",
+            ),
+        ],
+    )
+    def test_a_redeclaration_is_placed_at_the_name(self, src, error):
+        code, lines = expanded_lines(src, stage="elaborate")
+        assert (code, lines[-1]) == (1, error)
 
     def test_unknown_command_without_prelude(self):
         code, lines = expanded_lines(

@@ -28,6 +28,7 @@ from hygex.parser import (
     Parser,
     ParserTable,
     Token,
+    _scanner,
     tokenize,
 )
 from hygex.syntax import (
@@ -407,8 +408,8 @@ class TestSlotPrecedence:
 
 class TestLexerTables:
     """One parser reads a file.  It gets a new lexer only when a command
-    has changed the keywords, the new lexer takes over the line table, and
-    the symbol table is built once per keyword set."""
+    has changed the keywords, and the new lexer takes over the line table
+    (the scanner is built once per set of symbols, see `TestScannerCache`)."""
 
     @pytest.mark.parametrize(
         "declare, use, expanded",
@@ -466,6 +467,20 @@ class TestLexerTables:
         assert lines[401:403] == ["def e0 := 0", "def e1 := 1"]
         assert lines[-1] == "error: expected term, found ')' @802:14"
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_positions_lexed_in_any_order_are_placed_alike(self, rnd):
+        # the lexer keeps the bounds of the line it lexed last; backtracking
+        # and lookahead may ask for any line next
+        text = "def a := 1\n\n  -- c\nb\n\u2003c.d 2 -- e\n«f g» ⟨\n"
+        expected = tokenize(text)
+        order = list(range(len(expected)))
+        rnd.shuffle(order)
+        lexer = Lexer(text, frozenset(_CORE_KEYWORDS))
+        starts = [0] + [tok.end for tok in expected]
+        got = {i: lexer.token_at(starts[i]) for i in order}
+        assert [got[i] for i in range(len(expected))] == expected
+
     def test_each_source_keeps_its_own_line_table(self, tmp_path):
         from hygex.driver import Runner
 
@@ -479,7 +494,7 @@ class TestLexerTables:
         assert errors == [
             "error: unknown identifier 'nope' @4:10",
             "error: unknown identifier 'nope' @1:10",
-            "error: 'x' has already been declared",
+            "error: 'x' has already been declared @1:5",
             "error: unknown identifier 'nope' @4:10",
         ]
 
@@ -655,22 +670,43 @@ def lex_outcome(lex, text, keywords):
         return ("LexError", err.message, err.info)
 
 
-# Symbols that share first characters, so that the longest match matters.
+# Symbols that share first characters, so that the longest match matters,
+# and symbols led by a digit, `$`, a backquote, `"` or `«`, which the
+# scanner must order against a numeral and the heads that start with them.
 _SYMBOLS = ["+", "++", "+>", "+++", ":=", "::", ":::", "<+>", "<", "<=", "=>",
-            "==", "-", "->", "→", "⟶", ".", "..", "'"]
-_WORDS = ["x", "ab", "k", "dup", "x.y", "x.", "_z", "a'", "λ", "é", "Ωx", "x²"]
+            "==", "-", "->", "→", "⟶", ".", "..", "'", "1+", "$$", "$x", "`x",
+            "``", '"!', "«<"]
+# words, and what the scanner hands back to the character dispatch: a
+# dotted part, a word or a numeral that goes on past ASCII
+_WORDS = ["x", "ab", "k", "dup", "x.y", "x.", "_z", "a'", "λ", "é", "Ωx", "x²",
+          "x.é", "é.x", "x._"]
 _PIECES = _SYMBOLS + _WORDS + [
-    " ", " ", "\n", "\t", "0", "42", "²", "-- note\n", "--", "«", "»", "«a b»",
-    '"', '"s"', "`", "`(", "``(", "$", "$[", "(", ")", "⟨", ",", "@",
+    " ", " ", "\n", "\t", "0", "1", "42", "²", "4²", "4٣", "٣", "-- note\n", "--",
+    "«", "»", "«a b»", '"', '"s"', "`", "`(", "``(", "$", "$[", "(", ")", "⟨", ",",
+    "@",
     # blanks beyond ASCII, and a comment that may end the input
     "\u00a0", "\u2003", "\x1c", "\x85", "\r", "-- tail",
 ]
+# 155 symbols over five characters, "-" among them: long runs of symbols
+# that share their first characters, and comments
+_MANY_SYMBOLS = sorted(
+    {a + b + c for a in "+-<=:" for b in ("", *"+-<=:") for c in ("", *"+-<=:")}
+)
+
+
+def every_code_point() -> str:
+    """Every code point, surrogates included, decoded in one C call."""
+    every = array("I", range(sys.maxunicode + 1)).tobytes().decode(
+        "utf-32-le" if sys.byteorder == "little" else "utf-32-be", "surrogatepass"
+    )
+    assert len(every) == sys.maxunicode + 1
+    return every
 
 
 class TestTokenCache:
-    """Each position is lexed once per lexer, and only the symbols that
-    share the first character there are tried; the tokens stay those of
-    a longest-first scan of every symbol."""
+    """Each position is lexed once per lexer, by one scanner match where
+    the scanner can decide the token; the tokens stay those of a
+    longest-first scan of every symbol."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -683,22 +719,44 @@ class TestTokenCache:
             reference_tokens, text, keywords
         )
 
-    @pytest.mark.parametrize("text", ["x -- note", "x --", "x\u2003-- a\n\x85-- b"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keywords=st.frozensets(st.sampled_from(_MANY_SYMBOLS), min_size=50),
+        pieces=st.lists(
+            st.sampled_from(_MANY_SYMBOLS + ["x", "1", " ", "\n", "-- c\n", "-- c"]),
+            max_size=40,
+        ),
+    )
+    def test_many_symbols_that_share_first_characters(self, keywords, pieces):
+        text = "".join(pieces)
+        assert lex_outcome(tokenize, text, keywords) == lex_outcome(
+            reference_tokens, text, keywords
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x -- note", "x --", "x\u2003-- a\n\x85-- b", "x -- trailing", "x\n-- -"],
+    )
     def test_a_comment_may_end_the_input(self, text):
-        assert [t.text for t in tokenize(text)] == ["x"]
+        # a token match that fails at the end must not back into the
+        # comment, whatever the keywords
+        for keywords in (frozenset(), frozenset({"-", "g"})):
+            assert [t.text for t in tokenize(text, keywords)] == ["x"]
 
     def test_blanks_are_exactly_the_space_characters(self):
-        # every code point, surrogates included, decoded in one C call
-        every = array("I", range(sys.maxunicode + 1)).tobytes().decode(
-            "utf-32-le" if sys.byteorder == "little" else "utf-32-be", "surrogatepass"
-        )
-        assert len(every) == sys.maxunicode + 1
-        spaces = list(filter(str.isspace, every))
+        every = every_code_point()
+        spaces = "".join(filter(str.isspace, every))
         # the lexer skips blanks with `\s`, which agrees with `str.isspace()`
         # on every code point
         assert _BLANKS.pattern.startswith(r"(?:\s|")
-        assert re.findall(r"\s", every) == spaces
-        assert _BLANKS.match("".join(spaces)).end() == len(spaces)
+        assert "".join(re.findall(r"\s", every)) == spaces
+        assert _BLANKS.match(spaces).end() == len(spaces)
+        # ... and so does every scanner, which starts with `_BLANKS`
+        for keywords in (frozenset(), frozenset(_SYMBOLS), frozenset(_MANY_SYMBOLS)):
+            scanner = Lexer("", keywords | _CORE_KEYWORDS)._scanner
+            assert scanner.pattern.startswith(_BLANKS.pattern)
+            m = scanner.match(spaces)
+            assert (m.end(), m.lastindex) == (len(spaces), None)
 
     @pytest.mark.parametrize(
         "src", ['def x := "open', "def x := @", "def x := ` y", "def «x := 1"]
@@ -768,3 +826,38 @@ class TestTokenCache:
         assert runner.run_files([str(CORPUS / f"{name}.hyg")]) == code
         assert len(alive) == len(starts)
         assert max(calls.values()) == 1
+
+
+class TestScannerCache:
+    """A scanner is compiled once per set of symbolic keywords: a compile
+    costs far more than a lexer, and files add word keywords far more
+    often than symbols."""
+
+    def test_keyword_sets_that_differ_in_words_share_a_scanner(self):
+        core = frozenset(_CORE_KEYWORDS)
+        a = Lexer("", core | {"lv5", "k"})
+        b = Lexer("", core | {"dup", "x.y", "«q", "$x"})
+        assert a._scanner is b._scanner is Lexer("", core)._scanner
+        assert Lexer("", core | {"<+>"})._scanner is not a._scanner
+
+    def test_a_run_that_adds_only_words_compiles_one_scanner(self):
+        runner = Runner(RunConfig(stage="elaborate"))  # the prelude is built by now
+        src = [
+            "def base := 1",
+            'macro "introH" : tactic => `(tactic| intro h)',
+            'notation "lv0" e => e + base',
+        ]
+        for g in range(1, 9):
+            src.append(f'notation "lv{g}" e => lv{g - 1} (e + base)')
+            src.append(f"def t{g} := (lv0 {g}, lv{g} base, lv{g - 1} 3)")
+            src.append(f"theorem th{g} (q : Prop) : q → q → q := by repeat introH; assumption")
+            if g % 3 == 1:
+                src.append(f'macro "chk{g}" e:term : term => ``(fun x => x + $e + base)')
+                src.append(f"def c{g} : Nat → Nat := chk{g} {g}")
+        _scanner.cache_clear()
+        runner.run_source("\n".join(src) + "\n")
+        assert runner.diagnostics == []
+        info = _scanner.cache_info()
+        # a lexer per keyword set: the file's first, then one after each of
+        # the 9 notations and 4 macros, all on the scanner the first compiled
+        assert (info.misses, info.hits) == (1, 9 + 4)
