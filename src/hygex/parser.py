@@ -4,6 +4,13 @@ The rule table is extended at runtime by ``syntax`` and
 ``declare_syntax_cat`` commands; literal tokens of registered rules become
 keywords from that point on.  Parsing itself is pure given a snapshot of
 the table, and the driver only mutates the table between commands.
+
+Most of the built-in grammar is rules of the table, registered by
+`ParserTable` before any user rule: `def`, `theorem`, `macro_rules`,
+`declare_syntax_cat`, `match`, `fun | …`, tuples, `⟨…⟩`, `+`, `→` and the
+tactics.  `Parser` writes out only identifiers, numerals, quotations,
+`fun x … =>`, the tactic `( … )` and the `syntax`, `macro` and `notation`
+commands.
 """
 
 from __future__ import annotations
@@ -75,15 +82,10 @@ CAT_TERM = Name.of("term")
 CAT_COMMAND = Name.of("command")
 CAT_TACTIC = Name.of("tactic")
 CAT_IDENT = Name.of("ident")  # pseudo-category: a single identifier
+# pseudo-category of the built-in rules only: tactics separated by `;`
+CAT_TACTIC_SEQ = Name.of("tacticSeq")
 
 APP_PREC = 100
-
-_CORE_KEYWORDS = {
-    "def", "theorem", "syntax", "macro_rules", "declare_syntax_cat",
-    "fun", "match", "with", "by", "Prop",
-    "intro", "exact", "assumption", "skip", "fail", "try",
-    ":=", "=>", ":", "|", "+", "→",
-}
 
 _SPECIALS = {"(", ")", "[", "]", "⟨", "⟩", ",", ";", "*"}
 
@@ -111,6 +113,8 @@ def rule_lit(atom: Atom) -> Lit:
     if not text:
         # the lexer never produces an empty token, so no rule could match
         raise ParseError("empty token in syntax rule", atom.info)
+    if not _lexes_alone(text):
+        raise ParseError(f"'{text}' can never be lexed as one token", atom.info)
     return Lit(text)
 
 
@@ -127,7 +131,21 @@ class CatRef(Frozen):
 _catref_cat, _catref_prec = slot_setters(CatRef)
 
 
-Item = Union[Lit, CatRef]
+class Many(TupleRecord, namedtuple("Many", "elem sep at_least_one", defaults=(None, False))):
+    """A repetition item of the built-in rules: `elem`, a `CatRef` or a
+    nested `ParseRule`, any number of times (at least once with
+    `at_least_one`), separated by the token `sep` when it is given.  It
+    parses into a `seq` or `sepseq` node through `Parser._parse_elements`,
+    so holes and splices work as in any sequence.  A category repetition
+    ends before the literal that follows it in its rule; a rule repetition
+    ends where no element starts: at a token other than the nested rule's
+    first literal or, inside a quotation, a hole."""
+
+    __slots__ = ()
+
+
+# a nested `ParseRule` is an item too: it parses into a node of its own kind
+Item = Union[Lit, CatRef, Many, "ParseRule"]
 
 
 class ParseRule(Frozen):
@@ -169,19 +187,20 @@ class ParserTable:
 
     def __init__(self) -> None:
         self.categories: Dict[Name, Category] = {}
-        self.keywords: Set[str] = set(_CORE_KEYWORDS)
+        self.keywords: Set[str] = set()
         self._keyword_snapshot = frozenset()  # stale: the set is never empty
         self.kinds: Set[Name] = set()
-        self.command_heads: Set[str] = {
-            "def", "theorem", "syntax", "macro_rules", "declare_syntax_cat",
-        }
+        self.command_heads: Set[str] = set()
+        # the written-out commands besides `macro` and `notation`, which the
+        # prelude enables; the written-out forms' other words, such as `fun`,
+        # `=>` and `:`, come from the rules below
+        self.enable_command_head("syntax")
         for cat in (CAT_TERM, CAT_COMMAND, CAT_TACTIC):
             self.categories[cat] = Category(cat)
+        # the kinds of the written-out forms; the rules register their own
         for kind in (
-            K_NUM, K_FUN, K_FUN_MULTI, K_FUN_MATCH, K_MATCH, K_ALT, K_TUPLE,
-            K_ANON_CTOR, K_APP, K_DEF, K_DEF_TYPED,
-            K_THEOREM, K_BINDER, K_BY, K_SYNTAX, K_MACRO_RULES, K_MR_ALT,
-            K_MACRO, K_ARGDECL, K_NOTATION, K_TSEQ, K_TPAREN, K_SLOT_PREC,
+            K_NUM, K_FUN, K_FUN_MULTI, K_APP, K_SYNTAX, K_MACRO, K_ARGDECL,
+            K_NOTATION, K_TSEQ, K_TPAREN, K_SLOT_PREC,
         ):
             self.kinds.add(kind)
         # the kernel's own node kinds: a generated kind must never take one
@@ -190,20 +209,40 @@ class ParserTable:
             KIND_SEPSEQ, KIND_SEQ, KIND_CMDSEQ, KIND_CHOICE,
         ):
             self.kinds.add(Name((kind,)))
-        # the built-in forms that are a literal and category slots; the rest
-        # are written out in `Parser`.  A newer rule shadows any of these.
-        self.register_rule(CAT_TERM, ParseRule(K_PLUS, (CatRef(CAT_TERM), Lit("+"), CatRef(CAT_TERM)), prec=65))
-        self.register_rule(CAT_TERM, ParseRule(K_ARROW, (CatRef(CAT_TERM), Lit("→"), CatRef(CAT_TERM)), prec=25, right_assoc=True))
+        # the built-in forms that are rules; a newer rule shadows any of them
+        term, ident = CatRef(CAT_TERM), CatRef(CAT_IDENT)
+        terms = Many(term, ",")
+        alts = Many(ParseRule(K_ALT, (Lit("|"), terms, Lit("=>"), term)), at_least_one=True)
         for kind, items in (
-            (K_INTRO, (Lit("intro"), CatRef(CAT_IDENT))),
-            (K_EXACT, (Lit("exact"), CatRef(CAT_TERM))),
+            (K_TUPLE, (Lit("("), terms, Lit(")"))),
+            (K_ANON_CTOR, (Lit("⟨"), terms, Lit("⟩"))),
+            (K_MATCH, (Lit("match"), terms, Lit("with"), alts)),
+            (K_FUN_MATCH, (Lit("fun"), alts)),
+        ):
+            self.register_rule(CAT_TERM, ParseRule(kind, items))
+        self.register_rule(CAT_TERM, ParseRule(K_PLUS, (term, Lit("+"), term), prec=65))
+        self.register_rule(CAT_TERM, ParseRule(K_ARROW, (term, Lit("→"), term), prec=25, right_assoc=True))
+        for kind, items in (
+            (K_INTRO, (Lit("intro"), ident)),
+            (K_EXACT, (Lit("exact"), term)),
             (K_ASSUMPTION, (Lit("assumption"),)),
             (K_SKIP, (Lit("skip"),)),
             (K_FAIL, (Lit("fail"),)),
             (K_TRY, (Lit("try"), CatRef(CAT_TACTIC))),
         ):
             self.register_rule(CAT_TACTIC, ParseRule(kind, items))
-        self.register_rule(CAT_COMMAND, ParseRule(K_DECLARE_CAT, (Lit("declare_syntax_cat"), CatRef(CAT_IDENT))))
+        binder = ParseRule(K_BINDER, (Lit("("), ident, Lit(":"), Lit("Prop"), Lit(")")))
+        by = ParseRule(K_BY, (Lit("by"), CatRef(CAT_TACTIC_SEQ)))
+        mr_alt = ParseRule(K_MR_ALT, (Lit("|"), term, Lit("=>"), term))
+        for kind, items in (
+            (K_DECLARE_CAT, (Lit("declare_syntax_cat"), ident)),
+            (K_MACRO_RULES, (Lit("macro_rules"), Many(mr_alt, at_least_one=True))),
+            (K_THEOREM, (Lit("theorem"), ident, Many(binder), Lit(":"), term, Lit(":="), by)),
+            # `defn` is the newer, so an untyped `def` never backtracks
+            (K_DEF_TYPED, (Lit("def"), ident, Lit(":"), term, Lit(":="), term)),
+            (K_DEF, (Lit("def"), ident, Lit(":="), term)),
+        ):
+            self.register_rule(CAT_COMMAND, ParseRule(kind, items))
 
     def copy(self) -> "ParserTable":
         """An independent table with the same categories, rules and
@@ -228,7 +267,7 @@ class ParserTable:
         self.keywords.add(name)
 
     def add_category(self, name: Name, info: Optional[SourceInfo] = None) -> None:
-        if name in self.categories or name in (CAT_IDENT,):
+        if name in self.categories or name in (CAT_IDENT, CAT_TACTIC_SEQ):
             raise ParseError(f"syntax category '{name}' already exists", info)
         self.categories[name] = Category(name)
 
@@ -259,8 +298,11 @@ class ParserTable:
                 raise ParseError(f"left-recursive syntax rule: {path}", info)
         self.categories[cat].rules.insert(0, rule)
         self.kinds.add(rule.kind)
-        for item in rule.items:
-            if isinstance(item, Lit):
+        for item in _nested_items(rule.items):
+            if isinstance(item, ParseRule):
+                self.kinds.add(item.kind)
+            elif isinstance(item, Lit) and item.text not in _SPECIALS:
+                # a special is lexed as one whatever the keywords
                 self.keywords.add(item.text)
 
     def _left_path(self, start: Name, goal: Name) -> Optional[List[Name]]:
@@ -283,7 +325,7 @@ class ParserTable:
         return None
 
     def starts_command(self, tok: Token) -> bool:
-        """Whether `tok` begins a command: a built-in command head or the
+        """Whether `tok` begins a command: a written-out command head or the
         leading literal of a command rule."""
         return tok.kind == "keyword" and (
             tok.text in self.command_heads
@@ -307,6 +349,16 @@ class ParserTable:
             n += 1
             kind = Name((f"{base}_{n}",))
         return kind
+
+
+def _nested_items(items: Sequence[Item]) -> Iterator[Item]:
+    """The items of a rule and of the rules nested in it, a repetition
+    standing for its element."""
+    for item in items:
+        item = item.elem if isinstance(item, Many) else item
+        yield item
+        if isinstance(item, ParseRule):
+            yield from _nested_items(item.items)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +558,25 @@ def _dotted_end(text: str, end: int) -> int:
     return end
 
 
+def _lexes_alone(text: str) -> bool:
+    """Whether `text`, once a keyword, lexes on its own as exactly one
+    keyword or special token.  Decided from the lexer's heads without
+    building a lexer, so a declaration lexes nothing: a word must be one
+    whole identifier; the heads `"`, `«` and the backquote always win; of
+    the `$` heads only the specials `$` and `$[` lex; and a symbol must not
+    start with a blank or a `--` comment."""
+    c = text[0]
+    if _is_ident_start(c):
+        return _dotted_end(text, _IDENT_REST.match(text).end()) == len(text)
+    if c in '"«`$':
+        return text in ("$", "$[")
+    return _BLANKS.match(text).end() == 0
+
+
 def tokenize(text: str, keywords: frozenset = frozenset()) -> List[Token]:
-    """Tokenize a whole input with a fixed keyword set (tests, tooling)."""
-    lexer = Lexer(text, keywords | frozenset(_CORE_KEYWORDS))
+    """Tokenize a whole input with a fixed keyword set added to those of a
+    new table (tests, tooling)."""
+    lexer = Lexer(text, keywords | ParserTable().snapshot_keywords())
     out = []
     pos = 0
     while True:
@@ -636,13 +704,16 @@ class Parser:
     # -- categories
 
     def parse_category(self, cat: Name, min_prec: int = 0) -> Syntax:
-        if self.quot_depth and self.peek().text == "$[":
-            # a splice group stands for the whole slot
+        if self.quot_depth and self.peek().text == "$[" and cat != CAT_TACTIC_SEQ:
+            # a splice group stands for the whole slot; a tactic sequence
+            # reads its holes tactic by tactic
             return self.parse_antiquot()
         if cat == CAT_IDENT:
             return self._ident_or_antiquot()
         if cat == CAT_TERM:
             return self.parse_term(min_prec)
+        if cat == CAT_TACTIC_SEQ:
+            return self.parse_tactic_seq()
         category = self.table.categories.get(cat)
         if category is None:
             raise ParseError(f"unknown syntax category '{cat}'", self.peek().info)
@@ -730,13 +801,37 @@ class Parser:
             item = items[i]
             if isinstance(item, Lit):
                 children.append(self.expect(item.text))
-            else:
+            elif isinstance(item, CatRef):
                 prec = item.prec
                 if i == len(items) - 1 and isinstance(items[0], CatRef):
                     # rightmost operand of an infix-like rule
                     prec = max(prec, rule.prec if rule.right_assoc else rule.prec + 1)
                 children.append(self.parse_category(item.cat, prec))
+            elif isinstance(item, Many):
+                children.append(self._parse_many(item, items[i + 1 : i + 2]))
+            else:
+                children.append(self._parse_rule_items(item, []))
         return Node(rule.kind, tuple(children))
+
+    def _parse_many(self, many: Many, after: Tuple[Item, ...]) -> Node:
+        """A repetition (see `Many`); `after` holds the item that follows it
+        in its rule, if any."""
+        elem = many.elem
+        if isinstance(elem, CatRef):
+            end = after[0].text
+            return self._parse_elements(
+                lambda: self.parse_category(elem.cat, elem.prec), many.sep,
+                lambda: self.at(end),
+            )
+        head = elem.items[0].text
+        starts = (head, "$", "$[") if self.quot_depth else (head,)
+        elems = self._parse_elements(
+            lambda: self._parse_rule_items(elem, []), many.sep,
+            lambda: not any(self._at_before_end(text) for text in starts),
+        )
+        if many.at_least_one and not elems.children:
+            raise ParseError(f"expected at least one '{head}' alternative", self.peek().info)
+        return elems
 
     # -- terms
 
@@ -798,31 +893,15 @@ class Parser:
             return Node(K_NUM, (Atom(tok.text, tok.info),))
         if tok.kind in ("quote", "dquote"):
             return self.parse_quotation()
-        if tok.text == "(":
-            open_ = self.expect("(")
-            elems = self._parse_elements(
-                lambda: self.parse_term(0), ",", lambda: self.at(")")
-            )
-            close = self.expect(")")
-            return Node(K_TUPLE, (open_, elems, close))
-        if tok.text == "⟨":
-            open_ = self.expect("⟨")
-            elems = self._parse_elements(
-                lambda: self.parse_term(0), ",", lambda: self.at("⟩")
-            )
-            close = self.expect("⟩")
-            return Node(K_ANON_CTOR, (open_, elems, close))
         if tok.text == "fun":
-            return self._parse_fun()
-        if tok.text == "match":
-            return self._parse_match()
+            bar = self.peek(1)
+            # `fun | …` is the `funMatch` rule
+            if not (bar.text == "|" and bar.kind == "keyword"):
+                return self._parse_fun()
         return None
 
     def _parse_fun(self) -> Node:
         fun = self.expect("fun")
-        if self.at("|"):
-            alts = self._parse_alts()
-            return Node(K_FUN_MATCH, (fun, alts))
         binders: List[Syntax] = []
         has_splice = False
         while not self.at("=>"):
@@ -839,40 +918,6 @@ class Parser:
         if len(binders) == 1 and not has_splice:
             return Node(K_FUN, (fun, binders[0], arrow, body))
         return Node(K_FUN_MULTI, (fun, Node(Name.of(KIND_SEQ), tuple(binders)), arrow, body))
-
-    def _parse_match(self) -> Node:
-        kw = self.expect("match")
-        discrs = self._parse_elements(
-            lambda: self.parse_term(0), ",", lambda: self.at("with")
-        )
-        with_ = self.expect("with")
-        alts = self._parse_alts()
-        return Node(K_MATCH, (kw, discrs, with_, alts))
-
-    def _parse_alts(self) -> Node:
-        alts: List[Syntax] = []
-        while True:
-            tok = self._peek_or_none()
-            if tok is None:
-                break
-            if tok.text == "|":
-                alts.append(self._parse_alt())
-            elif self.quot_depth and tok.text in ("$", "$["):
-                alts.append(self._parse_seq_item(self._parse_alt, None))
-            else:
-                break
-        if not alts:
-            raise ParseError("expected at least one '|' alternative", self.peek().info)
-        return Node(Name.of(KIND_SEQ), tuple(alts))
-
-    def _parse_alt(self) -> Node:
-        bar = self.expect("|")
-        pats = self._parse_elements(
-            lambda: self.parse_term(0), ",", lambda: self.at("=>")
-        )
-        arrow = self.expect("=>")
-        rhs = self.parse_term(0)
-        return Node(K_ALT, (bar, pats, arrow, rhs))
 
     # -- element sequences with splice support
 
@@ -1085,45 +1130,6 @@ class Parser:
         form = self._COMMAND_FORMS.get(tok.text)
         return None if form is None else form(self)
 
-    def _parse_def(self) -> Node:
-        kw = self.expect("def")
-        name = self._ident_or_antiquot()
-        if self.at(":"):
-            colon = self.expect(":")
-            ty = self.parse_term(0)
-            assign = self.expect(":=")
-            value = self.parse_term(0)
-            return Node(K_DEF_TYPED, (kw, name, colon, ty, assign, value))
-        assign = self.expect(":=")
-        value = self.parse_term(0)
-        return Node(K_DEF, (kw, name, assign, value))
-
-    def _parse_theorem(self) -> Node:
-        kw = self.expect("theorem")
-        name = self._ident_or_antiquot()
-        binders: List[Syntax] = []
-        while (
-            self.at("(")
-            and self.peek(2).text == ":"
-            and self.peek(3).text == "Prop"
-        ):
-            open_ = self.expect("(")
-            bname = self.expect_ident()
-            colon = self.expect(":")
-            sort = self.expect("Prop")
-            close = self.expect(")")
-            binders.append(Node(K_BINDER, (open_, bname, colon, sort, close)))
-        colon = self.expect(":")
-        target = self.parse_term(0)
-        assign = self.expect(":=")
-        by = self.expect("by")
-        script = self.parse_tactic_seq()
-        return Node(
-            K_THEOREM,
-            (kw, name, Node(Name.of(KIND_SEQ), tuple(binders)), colon, target,
-             assign, Node(K_BY, (by, script))),
-        )
-
     def _parse_syntax_cmd(self) -> Node:
         kw = self.expect("syntax")
         items: List[Syntax] = []
@@ -1160,19 +1166,6 @@ class Parser:
         colon = self.expect(":")
         cat = self.expect_ident()
         return Node(K_SYNTAX, (kw, Node(Name.of(KIND_SEQ), tuple(items)), colon, cat))
-
-    def _parse_macro_rules(self) -> Node:
-        kw = self.expect("macro_rules")
-        alts: List[Syntax] = []
-        while self._at_before_end("|"):
-            bar = self.expect("|")
-            pat = self.parse_term(0)
-            arrow = self.expect("=>")
-            rhs = self.parse_term(0)
-            alts.append(Node(K_MR_ALT, (bar, pat, arrow, rhs)))
-        if not alts:
-            raise ParseError("macro_rules needs at least one alternative", self.peek().info)
-        return Node(K_MACRO_RULES, (kw, Node(Name.of(KIND_SEQ), tuple(alts))))
 
     def _parse_macro_decl(self) -> Node:
         kw = self.expect("macro")
@@ -1222,14 +1215,14 @@ class Parser:
         rhs = self.parse_term(0)
         return Node(K_NOTATION, (kw, Node(Name.of(KIND_SEQ), tuple(items)), arrow, rhs))
 
-    # the written-out leading forms of the built-in categories; each
-    # returns None when the token starts none of its forms
+    # the written-out leading forms of the built-in categories, tried before
+    # the category's rules; each returns None when the token starts none of
+    # its forms.  Every other built-in form is a rule of the table.
     _BUILTIN_FORMS = {
         CAT_TERM: _term_form, CAT_TACTIC: _tactic_form, CAT_COMMAND: _command_form,
     }
     _COMMAND_FORMS = {
-        "def": _parse_def, "theorem": _parse_theorem, "syntax": _parse_syntax_cmd,
-        "macro_rules": _parse_macro_rules, "macro": _parse_macro_decl,
+        "syntax": _parse_syntax_cmd, "macro": _parse_macro_decl,
         "notation": _parse_notation_decl,
     }
 

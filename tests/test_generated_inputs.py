@@ -19,6 +19,7 @@ from conftest import CORPUS
 from corpus_config import CORPUS_RUNS
 from hygex.driver import RunConfig, Runner
 from hygex.errors import KernelError
+from hygex.parser import CAT_COMMAND
 
 # a dotted identifier, a numeral, or any other single character
 _TOKEN = re.compile(r"[A-Za-z_][\w.]*|\d+|\S")
@@ -33,7 +34,11 @@ VOCABULARY = sorted(
     {src[start:end] for name, src in SOURCES.items() for start, end in TOKENS[name]}
     | PRELUDE_TABLE.keywords
 )
-COMMAND_HEADS = sorted(PRELUDE_TABLE.command_heads)
+# the written-out command heads and the first words of the command rules
+COMMAND_HEADS = sorted(
+    PRELUDE_TABLE.command_heads
+    | {rule.items[0].text for rule in PRELUDE_TABLE.categories[CAT_COMMAND].rules if rule.leading}
+)
 
 
 @st.composite

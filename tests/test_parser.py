@@ -16,7 +16,6 @@ from hygex.driver import RunConfig, Runner
 from hygex.errors import LexError, ParseError
 from hygex.parser import (
     _BLANKS,
-    _CORE_KEYWORDS,
     _SPECIALS,
     CAT_COMMAND,
     CAT_TACTIC,
@@ -41,6 +40,10 @@ from hygex.syntax import (
     is_quotation,
     render,
 )
+
+
+# the keywords of a new table: those of its built-in rules and `syntax`
+CORE_KEYWORDS = ParserTable().snapshot_keywords()
 
 
 @pytest.fixture
@@ -476,7 +479,7 @@ class TestLexerTables:
         expected = tokenize(text)
         order = list(range(len(expected)))
         rnd.shuffle(order)
-        lexer = Lexer(text, frozenset(_CORE_KEYWORDS))
+        lexer = Lexer(text, CORE_KEYWORDS)
         starts = [0] + [tok.end for tok in expected]
         got = {i: lexer.token_at(starts[i]) for i in order}
         assert [got[i] for i in range(len(expected))] == expected
@@ -592,7 +595,7 @@ class TestLexerTables:
 def reference_tokens(text, keywords):
     """The lexer as a plain scan: every symbolic keyword is tried at every
     position, longest first, and positions are counted from scratch."""
-    keywords = frozenset(keywords) | frozenset(_CORE_KEYWORDS)
+    keywords = frozenset(keywords) | CORE_KEYWORDS
     symbolic = sorted(
         (k for k in keywords | _SPECIALS if not (k[0].isalpha() or k[0] == "_")),
         key=len,
@@ -753,7 +756,7 @@ class TestTokenCache:
         assert _BLANKS.match(spaces).end() == len(spaces)
         # ... and so does every scanner, which starts with `_BLANKS`
         for keywords in (frozenset(), frozenset(_SYMBOLS), frozenset(_MANY_SYMBOLS)):
-            scanner = Lexer("", keywords | _CORE_KEYWORDS)._scanner
+            scanner = Lexer("", keywords | CORE_KEYWORDS)._scanner
             assert scanner.pattern.startswith(_BLANKS.pattern)
             m = scanner.match(spaces)
             assert (m.end(), m.lastindex) == (len(spaces), None)
@@ -834,7 +837,7 @@ class TestScannerCache:
     often than symbols."""
 
     def test_keyword_sets_that_differ_in_words_share_a_scanner(self):
-        core = frozenset(_CORE_KEYWORDS)
+        core = CORE_KEYWORDS
         a = Lexer("", core | {"lv5", "k"})
         b = Lexer("", core | {"dup", "x.y", "«q", "$x"})
         assert a._scanner is b._scanner is Lexer("", core)._scanner

@@ -7,7 +7,9 @@ built-in tactic forms and `declare_syntax_cat` are rules of the table.
 
 `OldDispatchParser` keeps the dispatch this replaced, three first-match
 keyword loops and a hole that ended a built-in slot, as the reference of a
-differential over the corpus and the prelude sources.
+differential over the corpus and the prelude sources.  It parses `def`,
+`theorem`, `macro_rules`, `match`, `fun | …`, tuples and `⟨…⟩` with the
+written-out forms of `WrittenOutParser`, as the parser did then.
 """
 
 from typing import List, Optional
@@ -27,13 +29,20 @@ from hygex.parser import (
     K_ANON_CTOR,
     K_APP,
     K_ASSUMPTION,
+    K_ARROW,
     K_DECLARE_CAT,
+    K_DEF,
+    K_DEF_TYPED,
     K_EXACT,
     K_FAIL,
+    K_FUN_MATCH,
     K_INTRO,
+    K_MACRO_RULES,
+    K_MATCH,
     K_NUM,
     K_PLUS,
     K_SKIP,
+    K_THEOREM,
     K_TPAREN,
     K_TRY,
     K_TSEQ,
@@ -48,9 +57,10 @@ from hygex.parser import (
     iter_commands,
 )
 from hygex.syntax import Atom, Ident, Name, Node, Syntax, is_antiquot
+from written_out_parser import WrittenOutParser
 
 
-class OldDispatchParser(Parser):
+class OldDispatchParser(WrittenOutParser):
     """The category dispatch as it was before the built-in categories used
     the rule table: first-match keyword loops, written-out tactic forms and
     `declare_syntax_cat`, and a hole that ends a built-in category's slot."""
@@ -468,7 +478,12 @@ class TestBuiltInTacticsAreRules:
         table = ParserTable()
         tactic_kinds = {r.kind for r in table.categories[CAT_TACTIC].rules}
         assert tactic_kinds == {K_INTRO, K_EXACT, K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY}
-        assert [r.kind for r in table.categories[CAT_COMMAND].rules] == [K_DECLARE_CAT]
+        # newest first: an untyped `def` meets `defn` first and never backtracks
+        assert [r.kind for r in table.categories[CAT_COMMAND].rules] == [
+            K_DEF, K_DEF_TYPED, K_THEOREM, K_MACRO_RULES, K_DECLARE_CAT,
+        ]
+        term_kinds = [r.kind for r in table.categories[CAT_TERM].rules]
+        assert term_kinds == [K_ARROW, K_PLUS, K_FUN_MATCH, K_MATCH, K_ANON_CTOR, K_TUPLE]
 
     def test_a_newer_rule_shadows_a_built_in_one(self):
         src = (
