@@ -10,6 +10,12 @@ tactic engine and the prechecker apply transformers through it too.  What
 is the same for every step of a run is built once: a run state holds one
 `TransformerEnv` that all its steps share.  The step path tests exact
 types (`type(stx) is Ident`) and matches kinds against module-level sets.
+
+`Expander.expand` takes one Python frame per tree level: a chain of macro
+steps at one position unfolds in its loop, and a congruence node (`+`,
+`→`, application, sequences) expands its children in the same frame,
+keeping atoms without a call.  So the nesting macro `` `(nest $e) =>
+`(1 + nest $e) `` reaches the default `--max-expansion-depth`.
 """
 
 from __future__ import annotations
@@ -236,8 +242,10 @@ class Expander:
                     raise ExpansionError(f"cannot expand {stx!r}")
                 kind = stx.kind
                 if kind in _CONGRUENCE_KINDS:
-                    expand = self.expand
-                    return Node(kind, tuple([expand(c, lctx, depth) for c in stx.children]))
+                    children = []
+                    for c in stx.children:
+                        children.append(c if type(c) is Atom else self.expand(c, lctx, depth))
+                    return Node(kind, tuple(children))
                 if kind == K_NUM:
                     return stx
                 if kind == K_FUN:

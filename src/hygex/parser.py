@@ -11,6 +11,15 @@ Most of the built-in grammar is rules of the table, registered by
 tactics.  `Parser` writes out only identifiers, numerals, quotations,
 `fun x … =>`, the tactic `( … )` and the `syntax`, `macro` and `notation`
 commands.
+
+A rule decides its items once, when it is built: `ParseRule.steps` holds
+one step per item (a literal's text, a category slot with its effective
+precedence, a repetition with the item after it, or a nested rule), and
+`Parser._parse_rule_items` runs them.  Outside quotations the built-in
+slots are direct: a `term` slot is `parse_term` and an `ident` slot
+`expect_ident`; only inside a quotation, where holes may stand for them, do
+they go through `parse_category`.  So a right `→` chain costs two Python
+frames per level.
 """
 
 from __future__ import annotations
@@ -149,17 +158,21 @@ Item = Union[Lit, CatRef, Many, "ParseRule"]
 
 
 class ParseRule(Frozen):
-    """A rule of a category; `leading` (the rule starts with a literal) is
-    worked out once here, since the parser tests it for every rule it
-    tries."""
+    """A rule of a category.  What the parser asks of every use of the rule
+    is worked out once here: `head` (the text of the rule's leading
+    literal, None when it starts with a category) and the rule's `steps`,
+    one per item (see `_steps_of`); `rest` is the steps after the first
+    item, which the caller of a table rule has already read."""
 
-    __slots__ = ("kind", "items", "prec", "right_assoc", "leading")
+    __slots__ = ("kind", "items", "prec", "right_assoc", "head", "steps", "rest")
     _fields = ("kind", "items", "prec", "right_assoc")
     kind: Name
     items: Tuple[Item, ...]
     prec: int
     right_assoc: bool
-    leading: bool
+    head: Optional[str]
+    steps: Tuple[Tuple, ...]
+    rest: Tuple[Tuple, ...]
 
     def __init__(
         self, kind: Name, items: Tuple[Item, ...], prec: int = 0, right_assoc: bool = False
@@ -168,12 +181,50 @@ class ParseRule(Frozen):
         _rule_items(self, items)
         _rule_prec(self, prec)
         _rule_right_assoc(self, right_assoc)
-        _rule_leading(self, bool(items) and isinstance(items[0], Lit))
+        _rule_head(self, items[0].text if items and isinstance(items[0], Lit) else None)
+        steps = _steps_of(items, prec, right_assoc)
+        _rule_steps(self, steps)
+        _rule_rest(self, steps[1:])
+
+    @property
+    def leading(self) -> bool:
+        """Whether the rule starts with a literal."""
+        return self.head is not None
 
 
-_rule_kind, _rule_items, _rule_prec, _rule_right_assoc, _rule_leading = (
-    slot_setters(ParseRule)
-)
+(
+    _rule_kind, _rule_items, _rule_prec, _rule_right_assoc, _rule_head, _rule_steps, _rule_rest,
+) = slot_setters(ParseRule)
+
+# The kinds of rule steps; a step is `(kind, arg, extra)`:
+#   _LIT   a literal: arg is its text;
+#   _TERM, _IDENT, _CAT   a category slot: arg is the category, extra its
+#          effective precedence;
+#   _MANY  a repetition: arg is the `Many`, extra the item after it, if any;
+#   _RULE  a nested rule: arg is the rule.
+_LIT, _TERM, _IDENT, _CAT, _MANY, _RULE = range(6)
+
+
+def _steps_of(items: Tuple[Item, ...], prec: int, right_assoc: bool) -> Tuple[Tuple, ...]:
+    """The steps of a rule's items.  The rightmost operand of an infix-like
+    rule (one that starts with a category) gets the rule's precedence, one
+    more unless the rule is right-associative."""
+    steps = []
+    last = len(items) - 1
+    for i, item in enumerate(items):
+        if isinstance(item, Lit):
+            steps.append((_LIT, item.text, None))
+        elif isinstance(item, CatRef):
+            slot_prec = item.prec
+            if i == last and isinstance(items[0], CatRef):
+                slot_prec = max(slot_prec, prec if right_assoc else prec + 1)
+            code = _TERM if item.cat == CAT_TERM else _IDENT if item.cat == CAT_IDENT else _CAT
+            steps.append((code, item.cat, slot_prec))
+        elif isinstance(item, Many):
+            steps.append((_MANY, item, items[i + 1 : i + 2]))
+        else:
+            steps.append((_RULE, item, None))
+    return tuple(steps)
 
 
 class Category:
@@ -285,13 +336,13 @@ class ParserTable:
         for item in rule.items:
             if isinstance(item, CatRef) and not self.has_category(item.cat):
                 raise ParseError(f"unknown syntax category '{item.cat}'", info)
-        if not rule.leading and not (
+        if rule.head is None and not (
             len(rule.items) >= 2 and isinstance(rule.items[1], Lit)
         ):
             raise ParseError(
                 "rules starting with a category must have a literal token next", info
             )
-        if not rule.leading and rule.items[0].cat != cat:
+        if rule.head is None and rule.items[0].cat != cat:
             cycle = self._left_path(rule.items[0].cat, cat)
             if cycle is not None:
                 path = " → ".join(str(c) for c in [cat] + cycle)
@@ -319,7 +370,7 @@ class ParserTable:
             category = self.categories.get(here)
             for rule in category.rules if category is not None else ():
                 head = rule.items[0]
-                if not rule.leading and head.cat != here and head.cat not in paths:
+                if rule.head is None and head.cat != here and head.cat not in paths:
                     paths[head.cat] = paths[here] + [head.cat]
                     todo.append(head.cat)
         return None
@@ -329,10 +380,7 @@ class ParserTable:
         leading literal of a command rule."""
         return tok.kind == "keyword" and (
             tok.text in self.command_heads
-            or any(
-                rule.leading and rule.items[0].text == tok.text
-                for rule in self.categories[CAT_COMMAND].rules
-            )
+            or any(rule.head == tok.text for rule in self.categories[CAT_COMMAND].rules)
         )
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
@@ -732,37 +780,28 @@ class Parser:
             if form is not None:
                 return form
         best: Optional[ParseError] = None
-
-        def note(err: ParseError) -> None:
-            nonlocal best
-            if (
-                best is None
-                or best.info is None
-                or (err.info and err.info.offset > best.info.offset)
-            ):
-                # a kept traceback would tie this frame to itself in a cycle
-                best = err.with_traceback(None)
-
+        start = self.pos
         # in a quotation `$` starts a hole even where a rule starts with "$"
         hole = self.quot_depth and tok.text in ("$", "$[")
         if tok.kind in ("keyword", "special") and not hole:
+            text = tok.text
             for rule in category.rules:
-                if rule.leading and rule.items[0].text == tok.text:
-                    start = self.pos
+                if rule.head == text:
+                    # the leading literal is this token: its step is done here
+                    self.pos = tok.end
                     try:
-                        return self._parse_rule_items(rule, [])
+                        return self._parse_rule_items(rule, [Atom(text, tok.info)])
                     except ParseError as err:
-                        note(err)
+                        best = _furthest(best, err)
                         self.pos = start
         for rule in category.rules:
-            if rule.leading or rule.items[0].cat == category.name:
+            if rule.head is not None or rule.items[0].cat == category.name:
                 continue
-            start = self.pos
             try:
                 head = self.parse_category(rule.items[0].cat, rule.items[0].prec)
-                return self._parse_rule_items(rule, [head], from_item=1)
+                return self._parse_rule_items(rule, [head])
             except ParseError as err:
-                note(err)
+                best = _furthest(best, err)
                 self.pos = start
         if hole:
             return self.parse_antiquot()
@@ -775,42 +814,35 @@ class Parser:
         )
 
     def _parse_trailing(self, category: Category, left: Syntax, min_prec: int) -> Syntax:
-        # `register_rule` makes a rule that does not lead start with a
-        # category and go on with a literal
         while True:
             tok = self._peek_or_none()
             if tok is None or tok.kind not in ("keyword", "special"):
                 return left
-            for rule in category.rules:
-                if (
-                    not rule.leading
-                    and rule.items[1].text == tok.text
-                    and rule.items[0].cat == category.name
-                    and rule.prec >= min_prec
-                ):
-                    break
-            else:
+            rule = _trailing_rule(category, tok.text, min_prec)
+            if rule is None:
                 return left
-            left = self._parse_rule_items(rule, [left], from_item=1)
+            left = self._parse_rule_items(rule, [left])
 
-    def _parse_rule_items(
-        self, rule: ParseRule, children: List[Syntax], from_item: int = 0
-    ) -> Node:
-        items = rule.items
-        for i in range(from_item, len(items)):
-            item = items[i]
-            if isinstance(item, Lit):
-                children.append(self.expect(item.text))
-            elif isinstance(item, CatRef):
-                prec = item.prec
-                if i == len(items) - 1 and isinstance(items[0], CatRef):
-                    # rightmost operand of an infix-like rule
-                    prec = max(prec, rule.prec if rule.right_assoc else rule.prec + 1)
-                children.append(self.parse_category(item.cat, prec))
-            elif isinstance(item, Many):
-                children.append(self._parse_many(item, items[i + 1 : i + 2]))
+    def _parse_rule_items(self, rule: ParseRule, children: List[Syntax]) -> Node:
+        """The node of `rule`, whose first item is in `children` already
+        when the caller read it; `children` gets the others, step by step
+        (see `_steps_of`).  Outside quotations a `term` slot is
+        `parse_term` and an `ident` slot `expect_ident`; inside, every slot
+        goes through `parse_category`, which reads the holes."""
+        quoted = self.quot_depth
+        for code, arg, extra in rule.rest if children else rule.steps:
+            if code == _LIT:
+                children.append(self.expect(arg))
+            elif code == _TERM and not quoted:
+                children.append(self.parse_term(extra))
+            elif code == _IDENT and not quoted:
+                children.append(self.expect_ident())
+            elif code <= _CAT:
+                children.append(self.parse_category(arg, extra))
+            elif code == _MANY:
+                children.append(self._parse_many(arg, extra))
             else:
-                children.append(self._parse_rule_items(item, []))
+                children.append(self._parse_rule_items(arg, []))
         return Node(rule.kind, tuple(children))
 
     def _parse_many(self, many: Many, after: Tuple[Item, ...]) -> Node:
@@ -836,23 +868,23 @@ class Parser:
     # -- terms
 
     def parse_term(self, min_prec: int = 0) -> Syntax:
+        """A term: a leading form, then, one peek per turn, a trailing rule
+        or else an application argument, for as long as one follows."""
         category = self.table.categories[CAT_TERM]
         left = self._parse_leading(category)
+        apps = min_prec <= APP_PREC
         while True:
-            before = self.pos
-            left2 = self._parse_trailing(category, left, min_prec)
-            tok = self._peek_or_none() if min_prec <= APP_PREC else None
-            if (
-                tok is not None
-                and self._starts_term_leaf(tok)
-                and self._same_line(tok)
-            ):
-                arg = self._parse_leading(category)
-                left = Node(K_APP, (left2, arg))
-                continue
-            left = left2
-            if self.pos == before:
+            tok = self._peek_or_none()
+            if tok is None:
                 return left
+            if tok.kind in ("keyword", "special"):
+                rule = _trailing_rule(category, tok.text, min_prec)
+                if rule is not None:
+                    left = self._parse_rule_items(rule, [left])
+                    continue
+            if not (apps and self._starts_term_leaf(tok) and self._same_line(tok)):
+                return left
+            left = Node(K_APP, (left, self._parse_leading(category)))
 
     def _same_line(self, tok: Token) -> bool:
         # an application argument must not drift to the next line; this is
@@ -1225,6 +1257,32 @@ class Parser:
         "syntax": _parse_syntax_cmd, "macro": _parse_macro_decl,
         "notation": _parse_notation_decl,
     }
+
+
+def _trailing_rule(category: Category, text: str, min_prec: int) -> Optional[ParseRule]:
+    """The newest rule of `category` that continues a form of the category
+    with the literal `text`, at `min_prec` or above, if any.
+    `register_rule` makes a rule that does not lead start with a category
+    and go on with a literal."""
+    name = category.name
+    for rule in category.rules:
+        if (
+            rule.head is None
+            and rule.items[1].text == text
+            and rule.items[0].cat == name
+            and rule.prec >= min_prec
+        ):
+            return rule
+    return None
+
+
+def _furthest(best: Optional[ParseError], err: ParseError) -> ParseError:
+    """Of the error kept so far and a new one, the one that got further;
+    called only when a rule fails."""
+    if best is None or best.info is None or (err.info and err.info.offset > best.info.offset):
+        # a kept traceback would tie the parser's frames to the error in a cycle
+        return err.with_traceback(None)
+    return best
 
 
 def describe(tok: Token) -> str:

@@ -10,9 +10,10 @@ Patterns and templates are compiled once, at declaration, into closures:
 a pattern into a matcher that checks each node's class, kind, atom text or
 identifier spelling and arity, and a template into a builder in which every
 subtree holding no identifier, hole or splice is prebuilt and shared.  A
-macro step then runs those closures instead of walking the quotation.  The
-closures capture only the quotation, never run state, so one compiled rule
-serves every run that shares it.
+node builder fills a copy of the prebuilt children in its own frame, with
+no comprehension.  A macro step then runs those closures instead of
+walking the quotation.  The closures capture only the quotation, never
+run state, so one compiled rule serves every run that shares it.
 """
 
 from __future__ import annotations
@@ -496,8 +497,14 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
 
         return build_spliced_node, None
 
+    builds = [(i, build) for i, (build, _) in enumerate(parts) if build is not None]
+    prebuilt = [tree for _, tree in parts]
+
     def build_node(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
-        return Node(kind, tuple([t if b is None else b(env, tenv) for b, t in parts]))
+        children = prebuilt.copy()
+        for i, build in builds:
+            children[i] = build(env, tenv)
+        return Node(kind, tuple(children))
 
     return build_node, None
 

@@ -185,23 +185,31 @@ class TestOneDiagnosticPerBadCommand:
         ]
 
     @pytest.mark.parametrize(
-        "bad, error",
+        "bad, depth, error",
         [
-            # each level of a nesting macro still costs Python frames
-            (NEST, "error: recursion limit reached while processing this command @4:1"),
+            # each level of a nesting macro still costs a Python frame, so
+            # a high enough limit lets the stack run out first
+            (
+                NEST,
+                2000,
+                "error: recursion limit reached while processing this command @4:1",
+            ),
             (
                 "def x := " + " + ".join(["1"] * 500) + "\n",
+                512,
                 "error: recursion limit reached while processing this command @1:1",
             ),
             (
                 "def x := " + "(" * 400 + "1" + ")" * 400 + "\n",
+                512,
                 "error: recursion limit reached while parsing this command @1:1",
             ),
         ],
-        ids=["nesting_macro", "long_sum", "nested_parens"],
+        ids=["nesting_macro_2000", "long_sum", "nested_parens"],
     )
-    def test_running_out_of_stack_is_a_diagnostic(self, bad, error):
-        code, out = run_string(bad + "def y := 2\n", self.ELAB)
+    def test_running_out_of_stack_is_a_diagnostic(self, bad, depth, error):
+        cfg = RunConfig(stage="elaborate", max_expansion_depth=depth)
+        code, out = run_string(bad + "def y := 2\n", cfg)
         assert code == 1
         lines = out.splitlines()
         assert [line for line in lines if line.startswith("error:")] == [error]
@@ -215,6 +223,8 @@ class TestOneDiagnosticPerBadCommand:
             (LOOP, 2000, "loop"),
             (AGAIN, 2000, "again"),
             (NEST, 100, "nest"),
+            (NEST, 512, "nest"),
+            (NEST, 700, "nest"),
         ],
         ids=[
             "self_recursive_macro",
@@ -222,11 +232,14 @@ class TestOneDiagnosticPerBadCommand:
             "self_recursive_macro_2000",
             "command_chain_2000",
             "nesting_macro_100",
+            "nesting_macro",
+            "nesting_macro_700",
         ],
     )
     def test_depth_limit_fires(self, bad, depth, kind):
-        # a chain of steps at one position unfolds in a loop, so the limit
-        # fires before the Python stack runs out
+        # a chain of steps at one position unfolds in a loop, and a nesting
+        # macro costs one Python frame per level, so the limit fires before
+        # the Python stack runs out
         runner = Runner(RunConfig(stage="elaborate", max_expansion_depth=depth))
         runner.run_source(bad + "def y := 2\n")
         [diag] = runner.diagnostics
@@ -273,6 +286,27 @@ class TestOneDiagnosticPerBadCommand:
         lines = out.splitlines()
         assert [line for line in lines if line.startswith("error:")] == [error]
         assert lines[-1] == "def y : nat := natLit(2)"
+
+
+class TestLongSpines:
+    """Long spines run at the default limits: the parser takes two Python
+    frames per level of a right `→` chain, and the expander one per level
+    of a tree.  (`elaborate` is left out: a core `App` spine prints in two
+    frames per `+`.)"""
+
+    EXPAND = RunConfig(stage="expand")
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "def x := " + " + ".join(["1"] * 800) + "\n",
+            "def f := 1\ndef x := f" + " 1" * 800 + "\n",
+            "theorem t (p : Prop) : " + " → ".join(["p"] * 400) + " := by intro h; exact h\n",
+        ],
+        ids=["sum_of_800", "application_of_800", "arrow_chain_of_400"],
+    )
+    def test_it_expands_and_prints(self, src):
+        assert run_string(src, self.EXPAND) == (0, src)
 
 
 class TestBacktraceElision:

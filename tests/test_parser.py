@@ -400,6 +400,15 @@ class TestSlotPrecedence:
             "def a := wrap x + 1\n"
         )
         assert tight == "def a := wrapped + 1"  # + stayed outside the slot
+        atom = last_def_rhs(
+            "def wrapped := 1\n"
+            "def f := 2\n"
+            "def x := 2\n"
+            'syntax "wrap" term:101 : term\n'
+            "macro_rules | `(wrap $e) => `(wrapped)\n"
+            "def a := wrap f x\n"
+        )
+        assert atom == "def a := wrapped x"  # above 100 a slot takes no argument
 
     def test_round_trips(self, table):
         src = 'syntax "wrap" term:100 : term'

@@ -10,11 +10,17 @@ keyword loops and a hole that ended a built-in slot, as the reference of a
 differential over the corpus and the prelude sources.  It parses `def`,
 `theorem`, `macro_rules`, `match`, `fun | …`, tuples and `⟨…⟩` with the
 written-out forms of `WrittenOutParser`, as the parser did then.
+
+Both it and `ItemByItemParser` read a rule item by item, deciding each item
+at each use, where `Parser` runs the steps that each rule worked out once.
+`ItemByItemParser` differs from `Parser` in nothing else, so over generated
+corpus mutations its outcomes must equal the parser's exactly.
 """
 
 from typing import List, Optional
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import CORPUS
 from corpus_config import CORPUS_RUNS
@@ -26,6 +32,7 @@ from hygex.parser import (
     CAT_IDENT,
     CAT_TACTIC,
     CAT_TERM,
+    APP_PREC,
     K_ANON_CTOR,
     K_APP,
     K_ASSUMPTION,
@@ -50,6 +57,7 @@ from hygex.parser import (
     CatRef,
     Category,
     Lit,
+    Many,
     Parser,
     ParseRule,
     ParserTable,
@@ -57,7 +65,128 @@ from hygex.parser import (
     iter_commands,
 )
 from hygex.syntax import Atom, Ident, Name, Node, Syntax, is_antiquot
+from test_generated_inputs import mutated_corpus_files
 from written_out_parser import WrittenOutParser
+
+
+class ItemByItemParser(Parser):
+    """The parser as it was before each rule worked out its steps once: it
+    reads a rule item by item, deciding each item at each use, sends every
+    slot through `parse_category`, keeps its furthest error through a
+    closure, and peeks twice per `parse_term` turn.  The four methods are
+    verbatim copies of that parser's."""
+
+    def _parse_leading(self, category: Category) -> Syntax:
+        """One leading form of the category, the same way for every
+        category: a built-in form when the token starts one; else the
+        category's rules, newest first, with backtracking; else, inside a
+        quotation, a hole.  Fails with the error that got furthest."""
+        tok = self._tokens.get(self.pos) or self.lexer.token(self.pos)
+        builtin = self._BUILTIN_FORMS.get(category.name)
+        if builtin is not None:
+            form = builtin(self, tok)
+            if form is not None:
+                return form
+        best: Optional[ParseError] = None
+
+        def note(err: ParseError) -> None:
+            nonlocal best
+            if (
+                best is None
+                or best.info is None
+                or (err.info and err.info.offset > best.info.offset)
+            ):
+                # a kept traceback would tie this frame to itself in a cycle
+                best = err.with_traceback(None)
+
+        # in a quotation `$` starts a hole even where a rule starts with "$"
+        hole = self.quot_depth and tok.text in ("$", "$[")
+        if tok.kind in ("keyword", "special") and not hole:
+            for rule in category.rules:
+                if rule.leading and rule.items[0].text == tok.text:
+                    start = self.pos
+                    try:
+                        return self._parse_rule_items(rule, [])
+                    except ParseError as err:
+                        note(err)
+                        self.pos = start
+        for rule in category.rules:
+            if rule.leading or rule.items[0].cat == category.name:
+                continue
+            start = self.pos
+            try:
+                head = self.parse_category(rule.items[0].cat, rule.items[0].prec)
+                return self._parse_rule_items(rule, [head], from_item=1)
+            except ParseError as err:
+                note(err)
+                self.pos = start
+        if hole:
+            return self.parse_antiquot()
+        if best is not None:
+            raise best
+        if category.name == CAT_COMMAND:
+            raise ParseError(f"unknown command, found {describe(tok)}", tok.info)
+        raise ParseError(
+            f"expected {category.name}, found {describe(tok)}", tok.info
+        )
+
+    def _parse_trailing(self, category: Category, left: Syntax, min_prec: int) -> Syntax:
+        # `register_rule` makes a rule that does not lead start with a
+        # category and go on with a literal
+        while True:
+            tok = self._peek_or_none()
+            if tok is None or tok.kind not in ("keyword", "special"):
+                return left
+            for rule in category.rules:
+                if (
+                    not rule.leading
+                    and rule.items[1].text == tok.text
+                    and rule.items[0].cat == category.name
+                    and rule.prec >= min_prec
+                ):
+                    break
+            else:
+                return left
+            left = self._parse_rule_items(rule, [left], from_item=1)
+
+    def _parse_rule_items(
+        self, rule: ParseRule, children: List[Syntax], from_item: int = 0
+    ) -> Node:
+        items = rule.items
+        for i in range(from_item, len(items)):
+            item = items[i]
+            if isinstance(item, Lit):
+                children.append(self.expect(item.text))
+            elif isinstance(item, CatRef):
+                prec = item.prec
+                if i == len(items) - 1 and isinstance(items[0], CatRef):
+                    # rightmost operand of an infix-like rule
+                    prec = max(prec, rule.prec if rule.right_assoc else rule.prec + 1)
+                children.append(self.parse_category(item.cat, prec))
+            elif isinstance(item, Many):
+                children.append(self._parse_many(item, items[i + 1 : i + 2]))
+            else:
+                children.append(self._parse_rule_items(item, []))
+        return Node(rule.kind, tuple(children))
+
+    def parse_term(self, min_prec: int = 0) -> Syntax:
+        category = self.table.categories[CAT_TERM]
+        left = self._parse_leading(category)
+        while True:
+            before = self.pos
+            left2 = self._parse_trailing(category, left, min_prec)
+            tok = self._peek_or_none() if min_prec <= APP_PREC else None
+            if (
+                tok is not None
+                and self._starts_term_leaf(tok)
+                and self._same_line(tok)
+            ):
+                arg = self._parse_leading(category)
+                left = Node(K_APP, (left2, arg))
+                continue
+            left = left2
+            if self.pos == before:
+                return left
 
 
 class OldDispatchParser(WrittenOutParser):
@@ -138,6 +267,9 @@ class OldDispatchParser(WrittenOutParser):
         if best is not None:
             raise best
         raise ParseError(f"expected {category.name}, found {describe(tok)}", tok.info)
+
+    _parse_trailing = ItemByItemParser._parse_trailing
+    _parse_rule_items = ItemByItemParser._parse_rule_items
 
     def parse_term(self, min_prec: int = 0) -> Syntax:
         left = self._parse_term_leading()
@@ -255,26 +387,29 @@ class OldDispatchParser(WrittenOutParser):
         raise ParseError(f"unknown command, found {describe(tok)}", tok.info)
 
 
-def old_outcome(text: str, table: ParserTable, pos: int):
-    parser = OldDispatchParser(text, table, pos)
+def reference_outcome(parser_class, text: str, table: ParserTable, pos: int):
+    parser = parser_class(text, table, pos)
     try:
         return parser.parse_command()
     except (LexError, ParseError) as err:
         return type(err).__name__, err.message, err.info
 
 
-def checked_iter_commands(seen: List[Syntax]):
+def checked_iter_commands(seen: List[Syntax], reference=OldDispatchParser):
     """`iter_commands` that checks every command, and every parse error,
-    against the old dispatch on the same table."""
+    against the `reference` parser on the same table."""
 
     def checked(text, table, on_error=None):
         def on_error_checked(err, start):
-            assert old_outcome(text, table, start) == (type(err).__name__, err.message, err.info)
+            got = (type(err).__name__, err.message, err.info)
+            assert reference_outcome(reference, text, table, start) == got
             seen.append(err)
             return on_error(err, start)
 
         for info, cmd in iter_commands(text, table, on_error and on_error_checked):
-            assert old_outcome(text, table, info.offset) == cmd, text[info.offset:][:80]
+            assert reference_outcome(reference, text, table, info.offset) == cmd, (
+                text[info.offset:][:80]
+            )
             seen.append(cmd)
             yield info, cmd
 
@@ -296,6 +431,25 @@ class TestSameTreesAsTheOldDispatch:
         prelude._build_prelude()
         # TUPLE_RULES_SRC, REPEAT_SRC and NOTATIONS_SRC hold 1, 2 and 2
         assert len(seen) == 5
+
+
+class TestSameTreesAsTheItemByItemReader:
+    """Every command of generated corpus mutations, and every parse error,
+    comes out of `Parser` as out of `ItemByItemParser` on the same table."""
+
+    @settings(max_examples=100)
+    @given(case=mutated_corpus_files())
+    def test_mutated_corpus_files(self, case):
+        name, src = case
+        seen: List[Syntax] = []
+        runner = Runner(RunConfig(**dict(CORPUS_RUNS[name][0], stage="expand")))
+        raw = driver.iter_commands
+        driver.iter_commands = checked_iter_commands(seen, ItemByItemParser)
+        try:
+            runner.run_source(src)
+        finally:
+            driver.iter_commands = raw
+        assert seen
 
 
 def parse(src: str, table: ParserTable, method: str = "parse_term") -> Syntax:
@@ -358,6 +512,17 @@ class TestBuiltInCategoriesUseTheirRules:
         )
         assert code == 1
         assert out.splitlines()[-1] == "error: expected '?', found end of input @4:1"
+
+    def test_an_escaped_identifier_is_no_literal_once_lexed(self):
+        # the newer rule lexes `«!»` as a term; the older one then meets it
+        # at its literal "!" and must not take it for one
+        code, out = run_string(
+            'syntax "pk" "!" "?" : term\n'
+            'syntax "pk" term "??" : term\n'
+            "def b := pk «!» ?\n"
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "error: expected '??', found '?' @3:17"
 
     def test_tactic_trailing_rules_apply(self):
         src = (
