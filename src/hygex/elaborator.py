@@ -181,11 +181,19 @@ CoreExpr = object  # Const | Local | Lam | App | NatLit | Pair
 
 
 def core_str(x: object) -> str:
-    """The printed form of a core type or term, one frame per level; any
-    other value prints as its `str`."""
+    """The printed form of a core type or term, one frame per level, where
+    the function side of an `App` spine is one level; any other value
+    prints as its `str`."""
     cls = type(x)
     if cls is App:
-        return f"app({core_str(x.fn)}, {core_str(x.arg)})"
+        args = []
+        while type(x) is App:
+            args.append(x.arg)
+            x = x.fn
+        out = core_str(x)
+        while args:
+            out = f"app({out}, {core_str(args.pop())})"
+        return out
     if cls is Const:
         return f"const({x.name})"
     if cls is NatLit:

@@ -12,10 +12,12 @@ is the same for every step of a run is built once: a run state holds one
 types (`type(stx) is Ident`) and matches kinds against module-level sets.
 
 `Expander.expand` takes one Python frame per tree level: a chain of macro
-steps at one position unfolds in its loop, and a congruence node (`+`,
-`→`, application, sequences) expands its children in the same frame,
-keeping atoms without a call.  So the nesting macro `` `(nest $e) =>
-`(1 + nest $e) `` reaches the default `--max-expansion-depth`.
+steps at one position unfolds in its loop, and an in-place node (`+`,
+`→`, application, `match`, sequences) expands its children in the same
+frame, keeping atoms without a call.  So the nesting macro `` `(nest $e)
+=> `(1 + nest $e) `` reaches the default `--max-expansion-depth`.  Which
+kinds expand in place and which bind is `parser.IN_PLACE_KINDS` and
+`parser.BINDING_KINDS`, the table the prechecker reads too.
 """
 
 from __future__ import annotations
@@ -32,19 +34,17 @@ from .context import (
 )
 from .errors import ExpansionDepthError, ExpansionError, KernelError, UnboundIdentifier
 from .parser import (
+    BINDING_KINDS,
+    IN_PLACE_KINDS,
     CatRef,
     K_ALT,
-    K_APP,
-    K_ARROW,
     K_DECLARE_CAT,
     K_DEF,
     K_DEF_TYPED,
-    K_FUN,
     K_MACRO_RULES,
     K_MATCH,
     K_MR_ALT,
     K_NUM,
-    K_PLUS,
     K_SLOT_PREC,
     K_SYNTAX,
     K_THEOREM,
@@ -83,8 +83,6 @@ LocalContext = FrozenSet[Symbol]
 EMPTY_LOCALS: LocalContext = frozenset()
 
 _SEQ_KINDS = frozenset((Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ)))
-# kinds whose children expand in place, and the core commands
-_CONGRUENCE_KINDS = frozenset((K_PLUS, K_ARROW, K_APP)) | _SEQ_KINDS
 _DEF_KINDS = frozenset((K_DEF, K_DEF_TYPED))
 _CMDSEQ = Name.of(KIND_CMDSEQ)
 _CHOICE = Name.of(KIND_CHOICE)
@@ -140,6 +138,7 @@ class ExpanderState:
             self.prechecker = Prechecker(
                 self.gctx,
                 self.macros,
+                self.elaborators,
                 table=self.table,
                 notation_precheck=self.notation_precheck,
             )
@@ -241,17 +240,21 @@ class Expander:
                         return stx
                     raise ExpansionError(f"cannot expand {stx!r}")
                 kind = stx.kind
-                if kind in _CONGRUENCE_KINDS:
+                if kind in IN_PLACE_KINDS:
+                    if kind == K_MATCH:
+                        for alt in _seq_elements(stx.children[3]):
+                            if not (isinstance(alt, Node) and alt.kind == K_ALT):
+                                raise ExpansionError(
+                                    f"malformed match alternative '{render(alt)}'"
+                                )
                     children = []
                     for c in stx.children:
                         children.append(c if type(c) is Atom else self.expand(c, lctx, depth))
                     return Node(kind, tuple(children))
                 if kind == K_NUM:
                     return stx
-                if kind == K_FUN:
-                    return self._expand_fun(stx, lctx, depth)
-                if kind == K_MATCH:
-                    return self._expand_match(stx, lctx, depth)
+                if kind in BINDING_KINDS and kind not in state.macros:
+                    return self._expand_binding(stx, lctx, depth)
                 children = stx.children
                 if kind == K_TUPLE and kind not in state.macros:
                     # plain grouping when no tuple macros are installed
@@ -278,31 +281,26 @@ class Expander:
             err.frames[:0] = frames or ()
             raise
 
-    def _expand_fun(self, stx: Node, lctx: LocalContext, depth: int) -> Node:
-        kw, binder, arrow, body = stx.children
-        if not isinstance(binder, Ident):
-            raise ExpansionError(
-                f"binder must be an identifier, got '{render(binder)}'"
-            )
-        symbol = strip_top_level_scopes(binder)
-        body2 = self.expand(body, lctx | {symbol}, depth)
-        return Node(K_FUN, (kw, Ident(binder.raw, symbol, (), None), arrow, body2))
-
-    def _expand_match(self, stx: Node, lctx: LocalContext, depth: int) -> Node:
-        kw, discrs, with_, alts = stx.children
-        discrs2 = self.expand(discrs, lctx, depth)
-        out_alts = []
-        for alt in _seq_elements(alts):
-            if not (isinstance(alt, Node) and alt.kind == K_ALT):
-                raise ExpansionError(f"malformed match alternative '{render(alt)}'")
-            bar, pats, arrow, rhs = alt.children
+    def _expand_binding(self, stx: Node, lctx: LocalContext, depth: int) -> Node:
+        """Expand a binding form's body under the names its binder binds.  A
+        `fun` binder must be an identifier; in an alternative's patterns an
+        identifier that names a global is a reference, and the others bind."""
+        binder_at, body_at = BINDING_KINDS[stx.kind]
+        children = list(stx.children)
+        binder = children[binder_at]
+        if stx.kind == K_ALT:
             bound: set = set()
-            pats2 = self._expand_pattern(pats, lctx, bound)
-            rhs2 = self.expand(rhs, lctx | bound, depth)
-            out_alts.append(Node(K_ALT, (bar, pats2, arrow, rhs2)))
-        return Node(K_MATCH, (kw, discrs2, with_, Node(alts.kind, tuple(out_alts))))
+            children[binder_at] = self._expand_pattern(binder, bound)
+        elif type(binder) is Ident:
+            symbol = strip_top_level_scopes(binder)
+            children[binder_at] = Ident(binder.raw, symbol, (), None)
+            bound = {symbol}
+        else:
+            raise ExpansionError(f"binder must be an identifier, got '{render(binder)}'")
+        children[body_at] = self.expand(children[body_at], lctx | bound, depth)
+        return Node(stx.kind, tuple(children))
 
-    def _expand_pattern(self, stx: Syntax, lctx: LocalContext, bound: set) -> Syntax:
+    def _expand_pattern(self, stx: Syntax, bound: set) -> Syntax:
         """Pattern identifiers that match a global are references; all
         others bind."""
         match stx:
@@ -316,7 +314,7 @@ class Expander:
             case Node(kind=kind, children=children):
                 return Node(
                     kind,
-                    tuple(self._expand_pattern(c, lctx, bound) for c in children),
+                    tuple(self._expand_pattern(c, bound) for c in children),
                 )
             case _:
                 return stx

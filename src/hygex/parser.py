@@ -87,6 +87,16 @@ K_TRY = Name.of("try")
 K_TSEQ = Name.of("tseq")
 K_TPAREN = Name.of("tparen")
 
+# How each built-in form scopes its children; the expander and the
+# prechecker both read these.  A binding kind maps to the positions of its
+# binder and of the body the binder scopes over; `match` and `fun | …` bind
+# through their alternatives.  An in-place kind's children stay in the
+# scope of the node.
+BINDING_KINDS: Dict[Name, Tuple[int, int]] = {K_FUN: (1, 3), K_FUN_MULTI: (1, 3), K_ALT: (1, 3)}
+IN_PLACE_KINDS = frozenset(
+    (K_PLUS, K_ARROW, K_APP, K_MATCH, Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ))
+)
+
 CAT_TERM = Name.of("term")
 CAT_COMMAND = Name.of("command")
 CAT_TACTIC = Name.of("tactic")

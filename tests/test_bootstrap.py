@@ -237,8 +237,7 @@ class TestCheckedMacroDeclaration:
         assert code == 1
         assert out.splitlines() == [
             'syntax "mk" : command',
-            "error: cannot analyze quoted syntax of kind 'cmdseq'; "
-            "register a precheck hook or use a plain quotation",
+            "error: cannot analyze quoted syntax of kind 'cmdseq'; use a plain quotation",
             "error: unexpected syntax kind 'mk' (no macro registered) @4:1",
             "error: unknown identifier 'foo' @5:10",
         ]

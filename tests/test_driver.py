@@ -176,6 +176,20 @@ class TestOneDiagnosticPerBadCommand:
             "def y : nat := natLit(2)",
         ]
 
+    def test_ambiguous_quotation(self):
+        code, out = run_string(
+            'syntax "foo" : term\n'
+            'syntax "foo" : command\n'
+            'syntax "k" : term\n'
+            "macro_rules | `(k) => `(foo)\n"
+            "def y := 2\n"
+        )
+        assert code == 1
+        assert out.splitlines()[3:] == [
+            "error: ambiguous quotation: parses as both a term and a command @4:25",
+            "def y := 2",
+        ]
+
     def test_parse_error_in_the_first_command(self):
         code, out = run_string("def a := )\ndef b := 2\n", self.ELAB)
         assert code == 1
@@ -195,17 +209,12 @@ class TestOneDiagnosticPerBadCommand:
                 "error: recursion limit reached while processing this command @4:1",
             ),
             (
-                "def x := " + " + ".join(["1"] * 500) + "\n",
-                512,
-                "error: recursion limit reached while processing this command @1:1",
-            ),
-            (
                 "def x := " + "(" * 400 + "1" + ")" * 400 + "\n",
                 512,
                 "error: recursion limit reached while parsing this command @1:1",
             ),
         ],
-        ids=["nesting_macro_2000", "long_sum", "nested_parens"],
+        ids=["nesting_macro_2000", "nested_parens"],
     )
     def test_running_out_of_stack_is_a_diagnostic(self, bad, depth, error):
         cfg = RunConfig(stage="elaborate", max_expansion_depth=depth)
@@ -290,9 +299,9 @@ class TestOneDiagnosticPerBadCommand:
 
 class TestLongSpines:
     """Long spines run at the default limits: the parser takes two Python
-    frames per level of a right `→` chain, and the expander one per level
-    of a tree.  (`elaborate` is left out: a core `App` spine prints in two
-    frames per `+`.)"""
+    frames per level of a right `→` chain, the expander one per level of a
+    tree, and the core printer one per `+`, walking the function side of an
+    `App` spine in a loop."""
 
     EXPAND = RunConfig(stage="expand")
 
@@ -307,6 +316,13 @@ class TestLongSpines:
     )
     def test_it_expands_and_prints(self, src):
         assert run_string(src, self.EXPAND) == (0, src)
+
+    def test_a_sum_of_800_elaborates_and_prints(self):
+        term = "natLit(1)"
+        for _ in range(799):
+            term = f"app(app(const(Nat.add), {term}), natLit(1))"
+        src = "def x := " + " + ".join(["1"] * 800) + "\n"
+        assert run_string(src, RunConfig(stage="elaborate")) == (0, f"def x : nat := {term}\n")
 
 
 class TestBacktraceElision:

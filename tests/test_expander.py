@@ -288,3 +288,18 @@ class TestErrorSurfaces:
         )
         assert code == 1
         assert any("no macro alternative matched" in l for l in lines)
+
+    @pytest.mark.parametrize(
+        "rule, error",
+        [
+            ("`(bad $e) => `(match 1 with $e*)", "error: malformed match alternative '2'"),
+            ("`(bad $e) => `(fun $e => 1)", "error: binder must be an identifier, got '2'"),
+        ],
+        ids=["match_alternative", "fun_binder"],
+    )
+    def test_a_binding_form_rejects_what_cannot_bind(self, rule, error):
+        code, lines = expanded_lines(
+            f'syntax "bad" term : term\nmacro_rules | {rule}\ndef z := bad 2\n'
+        )
+        assert code == 1
+        assert lines[2:] == [error, "  in expansion of bad"]

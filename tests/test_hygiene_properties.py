@@ -15,52 +15,72 @@ from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
 from hygex.driver import RunConfig, Runner
 from hygex.expander import Expander, ExpanderState
-from hygex.parser import Parser, iter_commands
+from hygex.parser import BINDING_KINDS, K_ALT, K_FUN, K_FUN_MULTI, Parser, iter_commands
 from hygex.prelude import bootstrap, run_source
-from hygex.syntax import Ident, Name, Node, macro_scopes, render
+from hygex.syntax import Ident, Name, Node, render
 
 SCENARIOS = 500
 
 
-def _gen_template(rng, binder, hole_marker, depth=0):
-    """A right-hand side that binds `binder` and mentions the hole."""
+# one case per binding kind of the scoping table: a form that binds
+# `binder` in `body`
+BINDING_FORMS = {
+    K_FUN: lambda rng, binder, body: f"fun {binder} => {body}",
+    K_FUN_MULTI: lambda rng, binder, body: f"fun {binder} z => {body}",
+    K_ALT: lambda rng, binder, body: rng.choice(
+        [f"match 1 with | {binder} => {body}", f"fun | {binder} => {body}"]
+    ),
+}
+
+
+def _gen_template(rng, binder, hole_marker, kinds, depth=0):
+    """A right-hand side that binds `binder` and mentions the hole; adds
+    each binding kind it draws to `kinds`."""
+
+    def bind(body):
+        kind = rng.choice(list(BINDING_KINDS))
+        kinds.add(kind)
+        return BINDING_FORMS[kind](rng, binder, body)
+
     roll = rng.random()
     if depth > 2 or roll < 0.34:
-        return f"fun {binder} => {hole_marker} + {binder}"
+        return bind(f"{hole_marker} + {binder}")
     if roll < 0.67:
-        inner = _gen_template(rng, binder, hole_marker, depth + 1)
-        return f"fun {binder} => ({inner}) + {binder}"
-    inner = _gen_template(rng, binder, hole_marker, depth + 1)
-    return f"({inner}) + (fun {binder} => {hole_marker})"
+        inner = _gen_template(rng, binder, hole_marker, kinds, depth + 1)
+        return bind(f"({inner}) + {binder}")
+    inner = _gen_template(rng, binder, hole_marker, kinds, depth + 1)
+    return f"({inner}) + ({bind(hole_marker)})"
 
 
 class TestCaptureFreedom:
+    def test_every_binding_kind_has_a_generator_case(self):
+        assert set(BINDING_FORMS) == set(BINDING_KINDS)
+
     def test_randomized_scenarios_produce_zero_captures(self):
         rng = random.Random(20240)
         captures = 0
         for i in range(SCENARIOS):
             binder = rng.choice(["x", "y", "v", "tmp"])
-            template = _gen_template(rng, binder, "$e")
+            kinds = set()
+            template = _gen_template(rng, binder, "$e", kinds)
             state = ExpanderState()
             bootstrap(state)
-            run_source(
-                state,
-                f"def {binder} := 1\n"
+            # a pattern identifier that names a global is a reference, so
+            # a template with an alternative declares the global after it
+            rules = (
                 f'syntax "k{i}" term : term\n'
-                f"macro_rules | `(k{i} $e) => `({template})\n",
+                f"macro_rules | `(k{i} $e) => `({template})\n"
             )
-            # the use site passes an identifier spelled like the binder
+            glob = f"def {binder} := 1\n"
+            run_source(state, rules + glob if K_ALT in kinds else glob + rules)
+            # the use site passes an identifier spelled like the binder;
+            # each splice of it must still name the global, and no template
+            # occurrence may
             use = Parser(f"k{i} {binder}", state.table).parse_term()
             out = Expander(state).expand(use)
-
-            for ident in _idents(out):
-                if ident.raw != binder:
-                    continue
-                if macro_scopes(ident.name):
-                    continue  # a template occurrence, correctly renamed
-                # a use-site occurrence: must still be the global
-                if ident.name != Name.of(binder):
-                    captures += 1
+            names = [ident.name for ident in _idents(out) if ident.raw == binder]
+            if names.count(Name.of(binder)) != template.count("$e"):
+                captures += 1
         assert captures == 0
 
     def test_template_references_escape_use_site_binders(self):

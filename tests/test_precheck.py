@@ -67,7 +67,9 @@ class TestHeuristics:
         run.run_source('syntax "opaque" term : term\n')
         with pytest.raises(PrecheckError) as exc:
             check(state, "``(opaque x)")
-        assert "register a precheck hook" in exc.value.message
+        assert exc.value.message == (
+            "cannot analyze quoted syntax of kind 'opaque'; use a plain quotation"
+        )
 
     def test_unfold_depth_limit(self):
         run = Runner(RunConfig())
@@ -89,6 +91,22 @@ class TestHeuristics:
         check(state, "``(match scrut with | some a => a)")
         with pytest.raises(UnboundIdentifier):
             check(state, "``(match scrut with | some a => b)")
+
+
+class TestElaboratorKinds:
+    """A kind left to an elaborator, such as `⟨…⟩`, is checked child by
+    child, as the expander expands it."""
+
+    DECLS = 'def a := 1\ndef b := 2\nsyntax "k" : term\n'
+
+    def test_declared_components_pass(self):
+        code, _ = run_string(self.DECLS + "macro_rules | `(k) => ``(⟨a, b⟩)\n")
+        assert code == 0
+
+    def test_an_unknown_component_is_reported_at_it(self):
+        code, out = run_string(self.DECLS + "macro_rules | `(k) => ``(⟨a, zz⟩)\n")
+        assert code == 1
+        assert out.splitlines()[3:] == ["error: unknown identifier 'zz' @4:30"]
 
 
 class TestUnfoldFrames:
