@@ -164,30 +164,29 @@ class GlobalContext:
         return [g for gb, g in bucket if g == name or (len(gb) > n and gb[-n:] == nb)]
 
 
-# A transformer rewrites one syntax node.  It returns None when none of its
-# rules matched (a normal outcome) and raises on a real diagnostic.
+# A procedural transformer rewrites one syntax node.  It returns None when
+# it does not apply (a normal outcome) and raises on a real diagnostic.
 Transformer = Callable[[Syntax, "TransformerEnv"], Optional[Syntax]]
+Alternative = Tuple[Any, Any]  # (pattern, template) or (None, transformer)
 
 
-class MacroTable:
-    """Per node kind, registered transformers, newest first."""
+class MacroTable(dict):
+    """Per node kind, one flat list of alternatives, newest declaration
+    first.
 
-    def __init__(self) -> None:
-        self._by_kind: Dict[Name, List[Transformer]] = {}
+    A `macro_rules` block adds its (pattern, template) pairs ahead of the
+    older alternatives, in written order; a procedural transformer is one
+    entry.  `expander.macro_step` walks the list itself, so a step takes no
+    frame per declaration.  A kind with no alternative has no entry."""
 
     def register(self, kind: Name, transformer: Transformer) -> None:
-        self._by_kind.setdefault(kind, []).insert(0, transformer)
+        self.setdefault(kind, []).insert(0, (None, transformer))
+
+    def add_rules(self, kind: Name, rules: List[Alternative]) -> None:
+        self.setdefault(kind, [])[:0] = rules
 
     def copy(self) -> "MacroTable":
-        new = MacroTable()
-        new._by_kind = {k: list(ts) for k, ts in self._by_kind.items()}
-        return new
-
-    def lookup(self, kind: Name) -> List[Transformer]:
-        return self._by_kind.get(kind, [])
-
-    def __contains__(self, kind: Name) -> bool:
-        return bool(self._by_kind.get(kind))
+        return MacroTable({k: list(alts) for k, alts in self.items()})
 
 
 class TransformerEnv:
@@ -212,15 +211,3 @@ class TransformerEnv:
         self.single_scope = single_scope
         self.table = table
         self.notation_precheck = notation_precheck
-
-    def current_macro_scope(self) -> int:
-        return self.scopes.current()
-
-    def with_fresh_macro_scope(self):
-        return self.scopes.fresh()
-
-    def apply_scope(self, name: Name) -> Name:
-        msc = self.scopes.current()
-        if self.single_scope:
-            return Name(base_name(name) + (msc,))
-        return Name(name + (msc,))

@@ -113,6 +113,9 @@ class Const(Core):
 
 (_const_name,) = slot_setters(Const)
 
+# every `+` elaborates to an application of this one constant
+_NAT_ADD_CONST = Const(NAT_ADD)
+
 
 class Local(Core):
     __slots__ = ("symbol",)
@@ -272,13 +275,18 @@ def _ensure(expected: Optional[CoreType], actual: CoreType, stx: Syntax) -> Core
 def elab_term(
     stx: Syntax, env: ElabEnv, expected: Optional[CoreType] = None
 ) -> Tuple[CoreExpr, CoreType]:
-    match stx:
-        case Ident():
+    cls = type(stx)
+    if cls is not Node:
+        if cls is Ident:
             return _elab_ident(stx, env, expected)
-        case Node(kind=kind):
-            pass
-        case _:
-            raise ElabError(f"cannot elaborate '{render(stx)}'")
+        raise ElabError(f"cannot elaborate '{render(stx)}'")
+    kind = stx.kind
+    if kind == K_PLUS:
+        left, _op, right = stx.children
+        fst, _ = elab_term(left, env, NAT_TYPE)
+        snd, _ = elab_term(right, env, NAT_TYPE)
+        expr = App(App(_NAT_ADD_CONST, fst), snd)
+        return expr, _ensure(expected, NAT_TYPE, stx)
     if kind == K_NUM:
         value = int(stx.children[0].text)
         return NatLit(value), _ensure(expected, NAT_TYPE, stx)
@@ -286,12 +294,6 @@ def elab_term(
         return _elab_choice(stx, env, expected)
     if kind == K_FUN:
         return _elab_fun(stx, env, expected)
-    if kind == K_PLUS:
-        left, _op, right = stx.children
-        fst, _ = elab_term(left, env, NAT_TYPE)
-        snd, _ = elab_term(right, env, NAT_TYPE)
-        expr = App(App(Const(NAT_ADD), fst), snd)
-        return expr, _ensure(expected, NAT_TYPE, stx)
     if kind == K_APP:
         return _elab_app(stx, env, expected)
     elaborator = env.state.elaborators.get(kind)
@@ -309,7 +311,7 @@ def transformer_to_elaborator(
     """Take one macro step on the run's scopes, then elaborate the output;
     an error in either carries the step's frame."""
     state = env.state
-    step = macro_step(stx, state.macros.lookup(stx.kind), state.tenv, state.on_macro_step)
+    step = macro_step(stx, state.macros.get(stx.kind, ()), state.tenv, state.on_macro_step)
     if step is None:
         raise ElabError(
             f"no macro alternative matched '{render(stx)}' "

@@ -46,6 +46,11 @@ class PrecheckError(KernelError):
     pass
 
 
+class PrecheckLimitError(PrecheckError):
+    """The precheck's unfold limit fired; the driver places it at the
+    command, as it does an `ExpansionDepthError`."""
+
+
 class ElabError(KernelError):
     pass
 

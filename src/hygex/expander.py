@@ -6,10 +6,13 @@ scopes itself: scopes enter trees only when a quotation is instantiated
 inside some transformer.
 
 `macro_step` is the kernel's one macro-step routine; the elaborator, the
-tactic engine and the prechecker apply transformers through it too.  What
-is the same for every step of a run is built once: a run state holds one
+tactic engine and the prechecker take their steps through it too.  It
+walks a kind's flat, newest-first list of alternatives in the `MacroTable`
+and matches and instantiates a `macro_rules` pair itself.  What is the
+same for every step of a run is built once: a run state holds one
 `TransformerEnv` that all its steps share.  The step path tests exact
-types (`type(stx) is Ident`) and matches kinds against module-level sets.
+types (`type(stx) is Ident`) and matches kinds against module-level sets;
+`Expander.expand` looks up a kind's alternatives once per loop turn.
 
 `Expander.expand` takes one Python frame per tree level: a chain of macro
 steps at one position unfolds in its loop, and an in-place node (`+`,
@@ -25,11 +28,11 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .context import (
+    Alternative,
     Decl,
     GlobalContext,
     MacroTable,
     ScopeState,
-    Transformer,
     TransformerEnv,
 )
 from .errors import ExpansionDepthError, ExpansionError, KernelError, UnboundIdentifier
@@ -55,7 +58,9 @@ from .parser import (
 )
 from .precheck import Prechecker
 from .quotation import (
-    make_rule_transformer,
+    check_rules,
+    instantiate,
+    match_quotation,
     process_pattern,
     process_quotation,
 )
@@ -162,7 +167,10 @@ def resolve_identifier(
     if stx.preresolved:
         candidates = list(dict.fromkeys((*stx.preresolved, *candidates)))
     if len(candidates) == 1:
-        return Ident(stx.raw, candidates[0], (), None)
+        symbol = candidates[0]
+        if symbol == name and stx.info is None and not stx.preresolved:
+            return stx  # already its own plain resolution
+        return Ident(stx.raw, symbol, (), None)
     if candidates:
         return Node(_CHOICE, tuple([Ident(stx.raw, c, (), None) for c in candidates]))
     raise UnboundIdentifier(stx.raw, stx.info)
@@ -174,26 +182,35 @@ def resolve_identifier(
 
 def macro_step(
     stx: Node,
-    transformers: Sequence[Transformer],
+    alternatives: Sequence[Alternative],
     tenv: TransformerEnv,
     on_step: Optional[TraceFn] = None,
 ) -> Optional[Tuple[Syntax, Optional[int]]]:
-    """Apply the first matching transformer, newest first, under a fresh
-    scope of `tenv.scopes`; return the output and the step's scope (None if
-    never allocated), or None when none matched.  A `KernelError` raised by
-    a transformer gets this step's frame."""
+    """Apply the first alternative of a kind's list that applies, under a
+    fresh scope of `tenv.scopes`: a (pattern, template) pair applies when
+    the pattern matches, and a procedural transformer when it returns
+    syntax.  Return the output and the step's scope (None if never
+    allocated), or None when none applied.  A `KernelError` raised by an
+    alternative gets this step's frame."""
     # `ScopeState.fresh` without its context-manager calls: a step pushes
     # an unallocated scope and pops it however it ends
     stack = tenv.scopes._stack
     stack.append(None)
     try:
-        for transformer in transformers:
-            out = transformer(stx, tenv)
-            if out is not None:
-                scope = stack[-1]
-                if on_step is not None:
-                    on_step(stx.kind, stx, out)
-                return out, scope
+        for pattern, body in alternatives:
+            if pattern is None:
+                out = body(stx, tenv)
+                if out is None:
+                    continue
+            else:
+                env = match_quotation(pattern, stx)
+                if env is None:
+                    continue
+                out = instantiate(body, env, tenv)
+            scope = stack[-1]
+            if on_step is not None:
+                on_step(stx.kind, stx, out)
+            return out, scope
     except KernelError as err:
         err.frames.insert(0, (stx.kind, stack[-1]))
         raise
@@ -208,16 +225,16 @@ class Expander:
 
     # -- macro steps
 
-    def expand_macro_step(self, stx: Node) -> Tuple[Syntax, Optional[int]]:
-        """One macro step on the run's scopes: the output and its scope."""
-        state = self.state
-        transformers = state.macros.lookup(stx.kind)
-        if not transformers:
+    def expand_macro_step(self, stx: Node, alternatives) -> Tuple[Syntax, Optional[int]]:
+        """One macro step on the run's scopes, given the alternatives of the
+        node's kind (None if it has none): the output and its scope."""
+        if alternatives is None:
             raise ExpansionError(
                 f"unexpected syntax kind '{stx.kind}' (no macro registered)",
                 info=_info_of(stx),
             )
-        step = macro_step(stx, transformers, state.tenv, state.on_macro_step)
+        state = self.state
+        step = macro_step(stx, alternatives, state.tenv, state.on_macro_step)
         if step is None:
             raise ExpansionError(
                 f"no macro alternative matched '{render(stx)}'", info=_info_of(stx)
@@ -253,25 +270,26 @@ class Expander:
                     return Node(kind, tuple(children))
                 if kind == K_NUM:
                     return stx
-                if kind in BINDING_KINDS and kind not in state.macros:
-                    return self._expand_binding(stx, lctx, depth)
-                children = stx.children
-                if kind == K_TUPLE and kind not in state.macros:
-                    # plain grouping when no tuple macros are installed
-                    elems = _seq_elements(children[1])
-                    if len(elems) == 1:
-                        return self.expand(elems[0], lctx, depth)
-                if is_quotation(stx):
-                    raise ExpansionError(
-                        "quotations are only supported as macro right-hand sides",
-                        info=_info_of(stx),
-                    )
-                if kind in state.elaborators and kind not in state.macros:
-                    # type-directed syntax is left for the elaborator; its term
-                    # children still participate in expansion and resolution
-                    expand = self.expand
-                    return Node(kind, tuple([expand(c, lctx, depth) for c in children]))
-                stx, scope = self.expand_macro_step(stx)
+                alternatives = state.macros.get(kind)
+                if alternatives is None:
+                    if kind in BINDING_KINDS:
+                        return self._expand_binding(stx, lctx, depth)
+                    if kind == K_TUPLE:
+                        # plain grouping when no tuple macros are installed
+                        elems = _seq_elements(stx.children[1])
+                        if len(elems) == 1:
+                            return self.expand(elems[0], lctx, depth)
+                    if is_quotation(stx):
+                        raise ExpansionError(
+                            "quotations are only supported as macro right-hand sides",
+                            info=_info_of(stx),
+                        )
+                    if kind in state.elaborators:
+                        # type-directed syntax is left for the elaborator; its term
+                        # children still participate in expansion and resolution
+                        expand = self.expand
+                        return Node(kind, tuple([expand(c, lctx, depth) for c in stx.children]))
+                stx, scope = self.expand_macro_step(stx, alternatives)
                 frames = frames or []
                 frames.append((kind, scope))
                 depth += 1
@@ -351,7 +369,7 @@ class Expander:
                     return [self._process_macro_rules(stx)]
                 if kind == K_DECLARE_CAT:
                     return [self._process_declare_cat(stx)]
-                stx, scope = self.expand_macro_step(stx)
+                stx, scope = self.expand_macro_step(stx, self.state.macros.get(kind))
                 frames = frames or []
                 frames.append((kind, scope))
                 depth += 1
@@ -448,8 +466,7 @@ class Expander:
             rules.append((pattern, template))
             shown = Node(Name(("quot",) + rhs.kind[1:]), (template.body,))
             out_alts.append(Node(K_MR_ALT, (bar, pat, arrow, shown)))
-        transformer = make_rule_transformer(rules)
-        self.state.macros.register(rules[0][0].kind, transformer)
+        self.state.macros.add_rules(check_rules(rules), rules)
         return Node(K_MACRO_RULES, (kw, Node(alts.kind, tuple(out_alts))))
 
     def _process_declare_cat(self, stx: Node) -> Node:

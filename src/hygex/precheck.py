@@ -14,7 +14,7 @@ from typing import Collection, Optional, Set
 
 from . import expander  # a module import: the expander imports this module
 from .context import GlobalContext, MacroTable, ScopeCounter, ScopeState, TransformerEnv
-from .errors import PrecheckError, UnboundIdentifier
+from .errors import PrecheckError, PrecheckLimitError, UnboundIdentifier
 from .parser import BINDING_KINDS, IN_PLACE_KINDS, K_FUN_MATCH, K_TUPLE, ParserTable
 from .syntax import (
     KIND_ANTIQUOT,
@@ -45,7 +45,9 @@ class Prechecker:
     `fun | …` and the kinds left to an elaborator are checked child by
     child; fragments without captured identifiers pass outright; macro
     kinds are unfolded one step with scratch scopes that never touch the
-    run's visible numbering.
+    run's visible numbering.  `depth` counts the unfolds along the path
+    from the fragment's root, through binders and children, so a macro
+    that unfolds to a binder around its own use meets `max_unfold`.
     """
 
     def __init__(
@@ -81,20 +83,21 @@ class Prechecker:
             binder, body = positions
             bound = _binder_names(stx.children[binder])
             if bound is not None:  # an unknown binder accepts the body
-                self.check(stx.children[body], qctx | bound)
+                self.check(stx.children[body], qctx | bound, depth)
             return
         if kind in _WALKED_KINDS or (kind in self.elaborators and kind not in self.macros):
             for c in stx.children:
-                self.check(c, qctx)
+                self.check(c, qctx, depth)
             return
         if not _has_captured_ident(stx):
             return
-        if kind in self.macros:
+        alternatives = self.macros.get(kind)
+        if alternatives is not None:
             if depth >= self.max_unfold:
-                raise PrecheckError(
+                raise PrecheckLimitError(
                     f"cannot analyze '{kind}': macro unfolding limit reached"
                 )
-            step = expander.macro_step(stx, self.macros.lookup(kind), self._tenv)
+            step = expander.macro_step(stx, alternatives, self._tenv)
             if step is not None:
                 self.check(step[0], qctx, depth + 1)
                 return

@@ -190,7 +190,7 @@ def _install_fun_macros(state: ExpanderState) -> None:
         # one fresh variable per discriminant, each under its own scope
         discrs = []
         for _ in ps1.elems:
-            with tenv.with_fresh_macro_scope():
+            with tenv.scopes.fresh():
                 discrs.append(instantiate(discr_template, {}, tenv))
         env2 = dict(env)
         env2[discrs_var] = Seq(tuple(discrs))

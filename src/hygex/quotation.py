@@ -13,7 +13,10 @@ subtree holding no identifier, hole or splice is prebuilt and shared.  A
 node builder fills a copy of the prebuilt children in its own frame, with
 no comprehension.  A macro step then runs those closures instead of
 walking the quotation.  The closures capture only the quotation, never
-run state, so one compiled rule serves every run that shares it.
+run state, so one compiled rule serves every run that shares it.  A
+`macro_rules` block is no closure of its own: `check_rules` validates its
+(pattern, template) pairs, and `expander.macro_step` matches and
+instantiates them in turn.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .syntax import (
     Syntax,
     add_macro_scope,
     antiquot_payload,
+    base_name,
     is_antiquot,
     is_quotation,
     is_splice,
@@ -44,17 +48,12 @@ from .syntax import (
 
 # ---------------------------------------------------------------------------
 # Match environments
-
-
-class Tree(Frozen):
-    __slots__ = ("stx",)
-    stx: Syntax
-
-    def __init__(self, stx: Syntax) -> None:
-        _tree_stx(self, stx)
-
-
-(_tree_stx,) = slot_setters(Tree)
+#
+# A match environment maps each pattern variable to what it captured: a
+# hole's capture is the tree itself, and a splice's is a `Seq` or a
+# `SepSeq` of its elements; under a nested splice a variable holds a `Rep`
+# of one capture per element.  A tree is never one of these three classes,
+# so the class tells a sequence capture from a tree.
 
 
 class SepSeq(Frozen):
@@ -94,8 +93,9 @@ class Rep(Frozen):
 (_rep_items,) = slot_setters(Rep)
 
 
-Capture = Union[Tree, SepSeq, Seq, Rep]
+Capture = Union[Syntax, SepSeq, Seq, Rep]
 MatchEnv = Dict[Name, Capture]
+_SEQ_CAPTURES = (SepSeq, Seq, Rep)
 
 # A compiled pattern writes its captures into the environment it is given
 # and says whether the tree matched; a compiled template builds a tree.
@@ -104,14 +104,12 @@ Builder = Callable[[MatchEnv, TransformerEnv], Syntax]
 
 
 def _elems_of(capture: Capture) -> Tuple[Syntax, ...]:
-    match capture:
-        case Tree(stx):
-            return (stx,)
-        case SepSeq(elems, _):
-            return elems
-        case Seq(elems):
-            return elems
-    raise ExpansionError("sequence payload expected, got element-wise captures")
+    cls = type(capture)
+    if cls is SepSeq or cls is Seq:
+        return capture.elems
+    if cls is Rep:
+        raise ExpansionError("sequence payload expected, got element-wise captures")
+    return (capture,)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def _compile_hole_matcher(anti: Node) -> Matcher:
     if admits is None:
 
         def match_hole(stx: Syntax, env: MatchEnv) -> bool:
-            env[var] = Tree(stx)
+            env[var] = stx
             return True
 
         return match_hole
@@ -304,7 +302,7 @@ def _compile_hole_matcher(anti: Node) -> Matcher:
     def match_tagged_hole(stx: Syntax, env: MatchEnv) -> bool:
         if not admits(stx):
             return False
-        env[var] = Tree(stx)
+        env[var] = stx
         return True
 
     return match_tagged_hole
@@ -345,7 +343,7 @@ def _compile_node_matcher(pat: Node) -> Matcher:
                 if not m(inputs[i], env):
                     return False
             for i, var in holes:
-                env[var] = Tree(inputs[i])
+                env[var] = inputs[i]
             return True
 
         return match_node
@@ -465,7 +463,13 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
         raw, name, pre = stx.raw, stx.name, stx.preresolved
 
         def build_ident(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
-            return Ident(raw, tenv.apply_scope(name), pre, None)
+            # `ScopeState.current` inline: the step's scope, allocated on first use
+            scopes = tenv.scopes
+            scope = scopes._stack[-1]
+            if scope is None:
+                scope = scopes._stack[-1] = scopes.counter.alloc()
+            base = base_name(name) if tenv.single_scope else name
+            return Ident(raw, Name(base + (scope,)), pre, None)
 
         return build_ident, None
     if type(stx) is Atom:
@@ -514,11 +518,11 @@ def _compile_hole_builder(anti: Node) -> Builder:
 
     def build_hole(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
         capture = env[var]
-        if type(capture) is not Tree:
+        if type(capture) in _SEQ_CAPTURES:
             raise ExpansionError(
                 f"hole ${var} expects a single tree, got a sequence capture"
             )
-        return capture.stx
+        return capture
 
     return build_hole
 
@@ -561,7 +565,7 @@ def _compile_splice_builder(
             if type(capture) is Rep:
                 per_var[v] = capture.items
             else:
-                per_var[v] = tuple(Tree(e) for e in _elems_of(capture))
+                per_var[v] = _elems_of(capture)
             lengths.add(len(per_var[v]))
         if not vars_:
             raise ExpansionError("nested splice without antiquotations")
@@ -581,16 +585,13 @@ def _compile_splice_builder(
 
 
 # ---------------------------------------------------------------------------
-# Rule transformers
-
-# A procedural right-hand side gets the match environment and the
-# transformer environment and returns replacement syntax.
-RuleBody = Union[QuotationTemplate, Callable[[MatchEnv, TransformerEnv], Syntax]]
+# Rules
 
 
-def make_rule_transformer(
-    rules: Sequence[Tuple[QuotationPattern, RuleBody]]
-) -> Callable[[Syntax, TransformerEnv], Optional[Syntax]]:
+def check_rules(rules: Sequence[Tuple[QuotationPattern, QuotationTemplate]]) -> Name:
+    """The one kind a `macro_rules` block's (pattern, template) pairs all
+    target; raises when there is none, there are several, or a template has
+    a hole that its pattern does not bind."""
     if not rules:
         raise ExpansionError("macro_rules needs at least one alternative")
     kinds = {p.kind for p, _ in rules}
@@ -599,28 +600,12 @@ def make_rule_transformer(
         raise ExpansionError(
             f"macro_rules alternatives target different syntax kinds: {names}"
         )
-    # (pattern, body, whether the body is a template), decided once per rule
-    alternatives = []
-    for pattern, body in rules:
-        is_template = isinstance(body, QuotationTemplate)
-        if is_template:
-            stray = body.holes - pattern.vars
-            if stray:
-                names = ", ".join(sorted(str(s) for s in stray))
-                raise ExpansionError(f"unbound antiquotation variable: {names}")
-        alternatives.append((pattern, body, is_template))
-
-    def transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
-        for pattern, body, is_template in alternatives:
-            env = match_quotation(pattern, stx)
-            if env is None:
-                continue
-            if is_template:
-                return instantiate(body, env, tenv)
-            return body(env, tenv)
-        return None
-
-    return transformer
+    for pattern, template in rules:
+        stray = template.holes - pattern.vars
+        if stray:
+            names = ", ".join(sorted(str(s) for s in stray))
+            raise ExpansionError(f"unbound antiquotation variable: {names}")
+    return kinds.pop()
 
 
 def mk_c_ident(name: Name, tenv: Optional[TransformerEnv] = None) -> Ident:

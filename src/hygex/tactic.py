@@ -216,7 +216,7 @@ def eval_tactic(
                 "tactic macro expansion budget exceeded (see --max-repeat)"
             )
         ts.steps_left[0] -= 1
-        unfolded, scope = ts.expander.expand_macro_step(stx)
+        unfolded, scope = ts.expander.expand_macro_step(stx, ts.state.macros[kind])
         try:
             return eval_tactic(unfolded, ts, trace)
         except KernelError as err:

@@ -24,7 +24,7 @@ from hygex.errors import ElabError
 from hygex.expander import Expander, ExpanderState
 from hygex.parser import Parser
 from hygex.prelude import NOTATIONS_SRC, bootstrap, run_source
-from hygex.quotation import Tree, instantiate, process_quotation
+from hygex.quotation import instantiate, process_quotation
 from hygex.syntax import Ident, Name, format_scoped, macro_scopes, render
 
 
@@ -92,7 +92,7 @@ def test_03_quotation_processing():
         tenv = TransformerEnv(state.gctx, state.scopes)
         with state.scopes.fresh():
             out = instantiate(
-                template, {Name.of("b"): Tree(Ident("q", Name.of("q"), ()))}, tenv
+                template, {Name.of("b"): Ident("q", Name.of("q"), ())}, tenv
             )
         instantiated = out.children[0]
         assert format_scoped(instantiated) == "a.1{a.a, b.a}"
@@ -124,7 +124,7 @@ def test_05_tuple_macros():
                 if isinstance(src_or_node, str)
                 else src_or_node
             )
-            out, _scope = expander.expand_macro_step(node)
+            out, _scope = expander.expand_macro_step(node, state.macros.get(node.kind))
             return out
 
         one = step("(1, 2, 3)")

@@ -38,7 +38,7 @@ def contents(state: ExpanderState):
         frozenset(table.command_heads),
         tuple((s, (d.kind, d.type_, d.prop)) for s, d in state.gctx.decls.items()),
         {k: tuple(b) for k, b in state.gctx._suffix_index.items()},
-        {k: tuple(ts) for k, ts in state.macros._by_kind.items()},
+        {k: tuple(alts) for k, alts in state.macros.items()},
         dict(state.elaborators),
         dict(state.tactics),
         state.scopes.counter._next,
@@ -109,8 +109,8 @@ class TestIsolation:
             assert cat.rules is not proto.table.categories[n].rules
         for k, bucket in state.gctx._suffix_index.items():
             assert bucket is not proto.gctx._suffix_index[k]
-        for k, ts in state.macros._by_kind.items():
-            assert ts is not proto.macros._by_kind[k]
+        for k, alts in state.macros.items():
+            assert alts is not proto.macros[k]
         assert state.elaborators is not proto.elaborators
         assert state.tactics is not proto.tactics
         assert state.scopes is not proto.scopes

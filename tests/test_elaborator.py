@@ -196,7 +196,7 @@ class TestAdapterFrames:
 
     @staticmethod
     def _boom(stx, tenv):
-        tenv.current_macro_scope()
+        tenv.scopes.current()
         raise ExpansionError("boom")
 
     @pytest.mark.parametrize("route", ["expander", "adapter"])

@@ -119,13 +119,14 @@ class TestExpandMacroStep:
     def test_tuple_single_step(self, ):
         state = _fresh_state()
         stx = _parse_term(state, "(1, 2, 3)")
-        out, scope = Expander(state).expand_macro_step(stx)
+        out, scope = Expander(state).expand_macro_step(stx, state.macros.get(stx.kind))
         assert render(out) == "Prod.mk.1{Prod.mk} 1 (2, 3)"
         assert scope == 1
 
     def test_empty_tuple_single_step(self):
         state = _fresh_state()
-        out, scope = Expander(state).expand_macro_step(_parse_term(state, "()"))
+        stx = _parse_term(state, "()")
+        out, scope = Expander(state).expand_macro_step(stx, state.macros.get(stx.kind))
         assert render(out) == "Unit.unit.1{Unit.unit}"
         assert scope == 1
 
@@ -144,6 +145,32 @@ class TestExpandMacroStep:
         assert code == 0
         assert "def u1 := union y y" in lines
         assert "def u2 := special y" in lines
+
+    def test_a_user_block_goes_ahead_of_the_prelude_alternatives(self):
+        # one flat list per kind: the user's pair alternative first, then
+        # the prelude's three in their written order
+        code, lines = expanded_lines(
+            "def mypair := 1\n"
+            "macro_rules | `(($a, $b)) => `(mypair $a $b)\n"
+            "def p := (1, 2)\n"
+            "def u := ()\n"
+            "def g := (7)\n"
+            "def t := (1, 2, 3)\n",
+            trace_expansion=True,
+        )
+        assert code == 0
+        assert lines[2:] == [
+            "tuple: (1, 2) ==> mypair.1{mypair} 1 2",
+            "def p := mypair 1 2",
+            "tuple: () ==> Unit.unit.2{Unit.unit}",
+            "def u := Unit.unit",
+            # `($e)` allocates no scope: the next step still gets 3
+            "tuple: (7) ==> 7",
+            "def g := 7",
+            "tuple: (1, 2, 3) ==> Prod.mk.3{Prod.mk} 1 (2, 3)",
+            "tuple: (2, 3) ==> mypair.4{mypair} 2 3",
+            "def t := Prod.mk 1 (mypair 2 3)",
+        ]
 
     def test_two_expansions_take_scopes_one_and_two(self):
         code, lines = expanded_lines(
@@ -269,6 +296,12 @@ class TestErrorSurfaces:
         code, lines = expanded_lines("def q := `(x)\n")
         assert code == 1
         assert any("macro right-hand sides" in l for l in lines)
+
+    def test_a_quotation_kind_with_an_alternative_takes_a_step(self):
+        # the error above holds while the kind has no alternative; like
+        # every other kind, it takes a macro step once it has one
+        code, lines = expanded_lines("macro_rules | `(`(x)) => `(1)\ndef q := `(x)\n")
+        assert code == 0 and lines[1] == "def q := 1"
 
     def test_macro_rules_lhs_must_be_a_quotation(self):
         code, lines = expanded_lines("macro_rules | 1 => `(2)\n")

@@ -4,7 +4,11 @@ The capture generator builds macros whose templates bind a variable and
 splice a hole under it, then calls them with same-spelled use-site
 identifiers.  Hygiene holds iff the spliced reference never resolves to
 the template's binder and the template's references never resolve to
-use-site binders.
+use-site binders.  A local that a template binds under the use site's own
+name would resolve the use site to a name equal to the global's, so the
+capture check also watches resolution itself: a use-site identifier
+(one with source info; template identifiers have none) that no use-site
+binder encloses must never resolve through the local context.
 """
 
 import random
@@ -13,6 +17,7 @@ import pytest
 
 from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
+from hygex import expander
 from hygex.driver import RunConfig, Runner
 from hygex.expander import Expander, ExpanderState
 from hygex.parser import BINDING_KINDS, K_ALT, K_FUN, K_FUN_MULTI, Parser, iter_commands
@@ -77,9 +82,9 @@ class TestCaptureFreedom:
             # each splice of it must still name the global, and no template
             # occurrence may
             use = Parser(f"k{i} {binder}", state.table).parse_term()
-            out = Expander(state).expand(use)
+            out, local_uses = _expand_watching(state, use)
             names = [ident.name for ident in _idents(out) if ident.raw == binder]
-            if names.count(Name.of(binder)) != template.count("$e"):
+            if names.count(Name.of(binder)) != template.count("$e") or local_uses:
                 captures += 1
         assert captures == 0
 
@@ -140,6 +145,24 @@ class TestCorpusProperties:
                 runner.run_files([str(CORPUS / f"{name}.hyg")])
                 outs.add(runner.output)
             assert len(outs) == 1, name
+
+
+def _expand_watching(state, stx):
+    """Expand `stx`; also return the use-site identifiers (those with source
+    info) that resolved through the local context."""
+    local_uses = []
+    resolve = expander.resolve_identifier
+
+    def watched(ident, lctx, gctx):
+        if ident.info is not None and ident.name in lctx:
+            local_uses.append(ident)
+        return resolve(ident, lctx, gctx)
+
+    expander.resolve_identifier = watched
+    try:
+        return Expander(state).expand(stx), local_uses
+    finally:
+        expander.resolve_identifier = resolve
 
 
 def _idents(stx):

@@ -81,6 +81,21 @@ class TestHeuristics:
             check(run.state, "``(spin x)", max_unfold=8)
         assert "unfolding limit" in exc.value.message
 
+    def test_unfolds_count_through_binders_and_the_limit_is_placed(self):
+        # each unfold puts a binder around the next use: the count runs
+        # along the path, and the diagnostic sits at the command
+        code, out = run_string(
+            'syntax "spin" term : term\n'
+            'syntax "k" : term\n'
+            "macro_rules | `(spin $e) => `(fun x => spin $e)\n"
+            "macro_rules | `(k) => ``(spin y)\n"
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "error: cannot analyze 'spin': macro unfolding limit reached @4:1"
+        )
+        assert "recursion limit reached" not in out
+
     def test_antiquot_binder_accepts_the_body(self):
         # an unknown binder makes the body unanalyzable; accept it
         check(fresh_state(), "``(fun $x => mystery)")

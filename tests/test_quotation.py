@@ -12,12 +12,14 @@ from hygex.driver import RunConfig, Runner
 from hygex.context import (
     Decl,
     GlobalContext,
+    MacroTable,
     RESERVED_SCOPE,
     ScopeCounter,
     ScopeState,
     TransformerEnv,
 )
 from hygex.errors import ExpansionError
+from hygex.expander import macro_step
 from hygex.parser import Parser, ParserTable
 from hygex.quotation import (
     Capture,
@@ -27,13 +29,12 @@ from hygex.quotation import (
     Rep,
     Seq,
     SepSeq,
-    Tree,
     _elems_of,
     _hole_var,
     _split_elements,
     collect_holes,
+    check_rules,
     instantiate,
-    make_rule_transformer,
     match_quotation,
     mk_c_ident,
     process_pattern,
@@ -51,6 +52,7 @@ from hygex.syntax import (
     Node,
     SourceInfo,
     Syntax,
+    base_name,
     format_scoped,
     is_antiquot,
     is_splice,
@@ -122,7 +124,7 @@ class TestProcessQuotation:
 class TestInstantiate:
     def test_const_template_applies_the_scope(self, table):
         template = process_quotation(quot("`(fun x => $e)", table), gctx_of("x", "e"))
-        env = {Name.of("e"): Tree(Ident("x", Name.of("x"), ()))}
+        env = {Name.of("e"): Ident("x", Name.of("x"), ())}
         out = instantiate(template, env, tenv())
         binder, body = out.children[1], out.children[3]
         assert format_scoped(binder) == "x.1{x}"
@@ -134,7 +136,7 @@ class TestInstantiate:
             quot("`(Prod.mk $e ($es,*))", table), gctx_of("Prod.mk")
         )
         env = {
-            Name.of("e"): Tree(num(1)),
+            Name.of("e"): num(1),
             Name.of("es"): SepSeq((num(2), num(3)), ","),
         }
         out = instantiate(template, env, tenv())
@@ -213,7 +215,7 @@ class TestMatchQuotation:
         stx = quot("`((1, 2, 3))", table).children[0]
         env = match_quotation(pattern, stx)
         assert env is not None
-        assert isinstance(env[Name.of("e")], Tree)
+        assert render(env[Name.of("e")]) == "1"
         es = env[Name.of("es")]
         assert isinstance(es, SepSeq)
         assert [render(e) for e in es.elems] == ["2", "3"]
@@ -237,7 +239,7 @@ class TestMatchQuotation:
         assert isinstance(patss, Rep) and len(patss.items) == 2
         assert isinstance(branches, Rep) and len(branches.items) == 2
         assert all(isinstance(p, SepSeq) for p in patss.items)
-        assert all(isinstance(b, Tree) for b in branches.items)
+        assert [render(b) for b in branches.items] == ["a", "d"]
 
     def test_identifiers_match_by_surface_spelling(self, table):
         # scoped macro output still matches a plainly spelled pattern
@@ -264,7 +266,7 @@ class TestMatchQuotation:
         assert match_quotation(pattern, one) is None
         env = match_quotation(pattern, two)
         assert env[Name.of("xs")] == Seq(())
-        assert render(env[Name.of("b")].stx) == "y"
+        assert render(env[Name.of("b")]) == "y"
 
     def test_duplicate_pattern_variable_rejected(self, table):
         with pytest.raises(ExpansionError):
@@ -279,7 +281,7 @@ def _const_table():
     return t
 
 
-class TestMakeRuleTransformer:
+class TestRuleAlternatives:
     def test_alternatives_tried_in_order(self, table):
         rules = []
         for pat_src, rhs_src in [
@@ -292,11 +294,13 @@ class TestMakeRuleTransformer:
                     process_quotation(quot(rhs_src, table), gctx_of("Unit.unit")),
                 )
             )
-        transformer = make_rule_transformer(rules)
+        assert check_rules(rules) == Name.of("tuple")
         unit = quot("`(())", table).children[0]
         one = quot("`((1))", table).children[0]
-        assert render(transformer(unit, tenv())) == "Unit.unit.1{Unit.unit}"
-        assert render(transformer(one, tenv())) == "1"
+        out, scope = macro_step(unit, rules, tenv())
+        assert render(out) == "Unit.unit.1{Unit.unit}" and scope == 1
+        out, scope = macro_step(one, rules, tenv())
+        assert render(out) == "1" and scope is None
 
     def test_no_alternative_is_none(self, table):
         rules = [
@@ -305,8 +309,8 @@ class TestMakeRuleTransformer:
                 process_quotation(quot("`(Unit.unit)", table), gctx_of()),
             )
         ]
-        transformer = make_rule_transformer(rules)
-        assert transformer(quot("`((1))", table).children[0], tenv()) is None
+        check_rules(rules)
+        assert macro_step(quot("`((1))", table).children[0], rules, tenv()) is None
 
     def test_mixed_kinds_rejected(self, table):
         rules = [
@@ -320,7 +324,7 @@ class TestMakeRuleTransformer:
             ),
         ]
         with pytest.raises(ExpansionError) as exc:
-            make_rule_transformer(rules)
+            check_rules(rules)
         assert "different syntax kinds" in exc.value.message
 
     def test_template_hole_must_be_bound_by_pattern(self, table):
@@ -331,21 +335,50 @@ class TestMakeRuleTransformer:
             )
         ]
         with pytest.raises(ExpansionError) as exc:
-            make_rule_transformer(rules)
+            check_rules(rules)
         assert "unbound antiquotation" in exc.value.message
 
     def test_procedural_body_receives_env(self, table):
+        # a procedural alternative matches for itself, as `fun | …` does
+        pattern = process_pattern(quot("`(($e))", table))
         seen = {}
 
-        def body(env, env_t):
+        def transformer(stx, env_t):
+            env = match_quotation(pattern, stx)
+            if env is None:
+                return None
             seen.update(env)
             return num(7)
 
-        rules = [(process_pattern(quot("`(($e))", table)), body)]
-        transformer = make_rule_transformer(rules)
-        out = transformer(quot("`((3))", table).children[0], tenv())
-        assert render(out) == "7"
-        assert Name.of("e") in seen
+        alternatives = [(None, transformer)]
+        assert macro_step(quot("`(())", table).children[0], alternatives, tenv()) is None
+        out, scope = macro_step(quot("`((3))", table).children[0], alternatives, tenv())
+        assert render(out) == "7" and scope is None
+        assert render(seen[Name.of("e")]) == "3"
+
+    def test_one_flat_list_newest_block_first(self, table):
+        def rule(pat_src, rhs_src):
+            return (
+                process_pattern(quot(pat_src, table)),
+                process_quotation(quot(rhs_src, table), gctx_of()),
+            )
+
+        old = [rule("`(())", "`(0)"), rule("`(($e))", "`($e)")]
+        new = [rule("`(($a, $b))", "`(1)"), rule("`(())", "`(2)")]
+
+        def probe(stx, env_t):
+            return None
+
+        kind = Name.of("tuple")
+        macros = MacroTable()
+        macros.add_rules(kind, old)
+        macros.register(kind, probe)
+        macros.add_rules(kind, new)
+        assert macros[kind] == [*new, (None, probe), *old]
+        macros.copy().add_rules(kind, old)
+        assert len(macros[kind]) == 5
+        out, _ = macro_step(quot("`(())", table).children[0], macros[kind], tenv())
+        assert render(out) == "2"
 
 
 class TestMkCIdent:
@@ -397,7 +430,7 @@ def _ref_match(pat: Syntax, stx: Syntax, env: MatchEnv) -> bool:
     if isinstance(pat, Node) and is_antiquot(pat):
         if not _ref_antiquot_admits(pat, stx):
             return False
-        env[_hole_var(pat)] = Tree(stx)
+        env[_hole_var(pat)] = stx
         return True
     match pat, stx:
         case Atom(text=a), Atom(text=b):
@@ -482,17 +515,19 @@ def ref_instantiate(template: QuotationTemplate, env: MatchEnv, env_t: Transform
 def _ref_instantiate(stx: Syntax, env: MatchEnv, env_t: TransformerEnv) -> Syntax:
     match stx:
         case Ident(raw=raw, name=name, preresolved=pre):
-            return Ident(raw, env_t.apply_scope(name), pre, None)
+            scope = env_t.scopes.current()
+            base = base_name(name) if env_t.single_scope else name
+            return Ident(raw, Name(base + (scope,)), pre, None)
         case Atom(text=text):
             return Atom(text, None)
         case Node() if is_antiquot(stx):
             capture = env[_hole_var(stx)]
-            if not isinstance(capture, Tree):
+            if isinstance(capture, (Seq, SepSeq, Rep)):
                 raise ExpansionError(
                     f"hole ${_hole_var(stx)} expects a single tree, "
                     "got a sequence capture"
                 )
-            return capture.stx
+            return capture
         case Node(kind=kind, children=children):
             out: List[Syntax] = []
             for child in children:
@@ -532,7 +567,7 @@ def _ref_instantiate_splice(
         if isinstance(capture, Rep):
             per_var[v] = capture.items
         else:
-            per_var[v] = tuple(Tree(e) for e in _elems_of(capture))
+            per_var[v] = _elems_of(capture)
         lengths.add(len(per_var[v]))
     if not vars_:
         raise ExpansionError("nested splice without antiquotations")
@@ -609,7 +644,7 @@ def _draw_tree(draw, depth: int = 0) -> Syntax:
 def _draw_capture(draw, depth: int = 0) -> Capture:
     shape = draw(CAPTURE_SHAPE)
     if shape == "tree" or (shape == "rep" and depth >= 2):
-        return Tree(_draw_tree(draw))
+        return _draw_tree(draw)
     if shape == "rep":
         return Rep(tuple(_draw_capture(draw, depth + 1) for _ in range(draw(COUNT))))
     elems = tuple(_draw_tree(draw) for _ in range(draw(COUNT)))
@@ -806,7 +841,7 @@ class TestCompiledAgreesWithTheInterpreter:
             ),
             ("`(($[x + 1],*))", {}, "nested splice without antiquotations"),
             ("`(f $e)", {}, "unbound antiquotation variable: e"),
-            ("`(($xs,*))", {"xs": Rep((Tree(num(1)),))}, "element-wise captures"),
+            ("`(($xs,*))", {"xs": Rep((num(1),))}, "element-wise captures"),
         ],
     )
     def test_the_same_errors(self, table, src, env, message):
@@ -827,7 +862,7 @@ class TestLazyScopesAndSharing:
     def test_a_template_without_identifiers_allocates_no_scope(self, table):
         template = process_quotation(quot("`(($e, 1))", table), gctx_of())
         env_t = tenv()
-        out = instantiate(template, {Name.of("e"): Tree(num(2))}, env_t)
+        out = instantiate(template, {Name.of("e"): num(2)}, env_t)
         assert render(out) == "(2, 1)"
         assert env_t.scopes.peek() is None
 
@@ -901,9 +936,9 @@ class TestCompiledRulesCaptureNoRunState:
         )
         assert not runner.diagnostics
         names = set()
-        for kind, transformers in runner.state.macros._by_kind.items():
-            for transformer in transformers:
-                for obj in reachable(transformer):
+        for kind, alternatives in runner.state.macros.items():
+            for alternative in alternatives:
+                for obj in reachable(alternative):
                     assert not isinstance(obj, RUN_STATE), (kind, obj)
                     if isinstance(obj, types.FunctionType):
                         names.add(obj.__name__)

@@ -20,13 +20,13 @@ import bench_counts
 from hygex.context import Decl, GlobalContext, ScopeCounter, ScopeState, TransformerEnv
 from hygex.driver import RunConfig, Runner
 from hygex.errors import ExpansionError, UnboundIdentifier
-from hygex.expander import ExpanderState, resolve_identifier
+from hygex.expander import ExpanderState, macro_step, resolve_identifier
 from hygex.parser import K_NUM, Parser, ParserTable
 from hygex.precheck import _has_captured_ident
 from hygex.prelude import bootstrap
 from hygex.quotation import (
     instantiate,
-    make_rule_transformer,
+    match_quotation,
     process_pattern,
     process_quotation,
 )
@@ -274,13 +274,15 @@ class TestInstantiateStillChecksItsHoles:
 
         template = process_quotation(term("`($e + $f)"), GlobalContext())
 
-        def body(env, tenv):
+        pattern = process_pattern(term("`(($x))"))
+
+        def transformer(stx, tenv):
+            env = match_quotation(pattern, stx)
             return instantiate(template, {Name.of("e"): env[Name.of("x")]}, tenv)
 
-        transformer = make_rule_transformer([(process_pattern(term("`(($x))")), body)])
         tenv = TransformerEnv(GlobalContext(), ScopeState())
         with pytest.raises(ExpansionError) as exc:
-            transformer(term("(1)"), tenv)
+            macro_step(term("(1)"), [(None, transformer)], tenv)
         assert exc.value.message == "unbound antiquotation variable: f"
 
 
