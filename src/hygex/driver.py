@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .context import Decl
 from .elaborator import ElabEnv, elab_term, interp_type
-from .errors import ExpansionDepthError, KernelError, PrecheckLimitError
+from .errors import ExpansionDepthError, KernelError, PrecheckLimitError, TacticBudgetError
 from .expander import Expander, ExpanderState, TraceFn
 from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, ParserTable, iter_commands
 from .prelude import bootstrap
@@ -244,9 +244,10 @@ def _macro_step_tracer(lines: List[str]) -> TraceFn:
 
 
 def _placed(err: KernelError, start: SourceInfo) -> KernelError:
-    """The error, with a depth-limit error placed at the command's first
-    token; every other error keeps its own position or none."""
-    if isinstance(err, (ExpansionDepthError, PrecheckLimitError)):
+    """The error, with a limit error (expansion depth, precheck unfolds,
+    tactic budget) placed at the command's first token; every other error
+    keeps its own position or none."""
+    if isinstance(err, (ExpansionDepthError, PrecheckLimitError, TacticBudgetError)):
         err.info = start
     return err
 

@@ -60,5 +60,6 @@ class TacticError(KernelError):
 
 
 class TacticBudgetError(KernelError):
-    """Deliberately not a TacticError: `try` must not swallow it."""
+    """Deliberately not a TacticError: `try` must not swallow it.  The
+    driver places it at the command, as it does an `ExpansionDepthError`."""
 

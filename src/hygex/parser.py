@@ -5,12 +5,14 @@ The rule table is extended at runtime by ``syntax`` and
 keywords from that point on.  Parsing itself is pure given a snapshot of
 the table, and the driver only mutates the table between commands.
 
-Most of the built-in grammar is rules of the table, registered by
-`ParserTable` before any user rule: `def`, `theorem`, `macro_rules`,
+The built-in grammar is rules of the table, registered by `ParserTable`
+before any user rule: `def`, `theorem`, `syntax`, `macro_rules`,
 `declare_syntax_cat`, `match`, `fun | …`, tuples, `⟨…⟩`, `+`, `→` and the
-tactics.  `Parser` writes out only identifiers, numerals, quotations,
-`fun x … =>`, the tactic `( … )` and the `syntax`, `macro` and `notation`
-commands.
+tactics with their `( … )`; the prelude registers `MACRO_RULE` and
+`NOTATION_RULE`.  A newer rule shadows any of them and backtracks to it
+when it fails.  `Parser` writes out only identifiers, numerals, quotations,
+`fun x … =>` and the leaves of the command items: a string literal, a
+category name with its tight `cat:N`, a notation parameter.
 
 A rule decides its items once, when it is built: `ParseRule.steps` holds
 one step per item (a literal's text, a category slot with its effective
@@ -19,7 +21,7 @@ precedence, a repetition with the item after it, or a nested rule), and
 slots are direct: a `term` slot is `parse_term` and an `ident` slot
 `expect_ident`; only inside a quotation, where holes may stand for them, do
 they go through `parse_category`.  So a right `→` chain costs two Python
-frames per level.
+frames per level, and a nested tuple five.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ CAT_TACTIC = Name.of("tactic")
 CAT_IDENT = Name.of("ident")  # pseudo-category: a single identifier
 # pseudo-category of the built-in rules only: tactics separated by `;`
 CAT_TACTIC_SEQ = Name.of("tacticSeq")
+# The item categories of `syntax`, `macro` and `notation`.  Their names are
+# plain strings, which no identifier's `Name` equals, so no user rule can
+# refer to them or add to them.
+CAT_SYNTAX_ITEM = "syntax item"
+CAT_MACRO_ITEM = "macro item"
+CAT_NOTATION_ITEM = "notation item"
 
 APP_PREC = 100
 
@@ -149,13 +157,18 @@ class CatRef(Frozen):
 
 _catref_cat, _catref_prec = slot_setters(CatRef)
 
+# the `term` and `ident` slots of the built-in rules; also the elements of
+# `fun`'s binders and of a bare splice group
+_IDENT_ELEM, _TERM_ELEM = CatRef(CAT_IDENT), CatRef(CAT_TERM)
+_SEQ, _SEPSEQ = Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ)
+
 
 class Many(TupleRecord, namedtuple("Many", "elem sep at_least_one", defaults=(None, False))):
     """A repetition item of the built-in rules: `elem`, a `CatRef` or a
     nested `ParseRule`, any number of times (at least once with
     `at_least_one`), separated by the token `sep` when it is given.  It
-    parses into a `seq` or `sepseq` node through `Parser._parse_elements`,
-    so holes and splices work as in any sequence.  A category repetition
+    parses into a `seq` or `sepseq` node through `Parser._parse_many`, so
+    holes and splices work as in any sequence.  A category repetition
     ends before the literal that follows it in its rule; a rule repetition
     ends where no element starts: at a token other than the nested rule's
     first literal or, inside a quotation, a hole."""
@@ -251,18 +264,13 @@ class ParserTable:
         self.keywords: Set[str] = set()
         self._keyword_snapshot = frozenset()  # stale: the set is never empty
         self.kinds: Set[Name] = set()
-        self.command_heads: Set[str] = set()
-        # the written-out commands besides `macro` and `notation`, which the
-        # prelude enables; the written-out forms' other words, such as `fun`,
-        # `=>` and `:`, come from the rules below
-        self.enable_command_head("syntax")
-        for cat in (CAT_TERM, CAT_COMMAND, CAT_TACTIC):
+        for cat in (
+            CAT_TERM, CAT_COMMAND, CAT_TACTIC, CAT_SYNTAX_ITEM, CAT_MACRO_ITEM,
+            CAT_NOTATION_ITEM,
+        ):
             self.categories[cat] = Category(cat)
         # the kinds of the written-out forms; the rules register their own
-        for kind in (
-            K_NUM, K_FUN, K_FUN_MULTI, K_APP, K_SYNTAX, K_MACRO, K_ARGDECL,
-            K_NOTATION, K_TSEQ, K_TPAREN, K_SLOT_PREC,
-        ):
+        for kind in (K_NUM, K_FUN, K_FUN_MULTI, K_APP, K_TSEQ, K_SLOT_PREC):
             self.kinds.add(kind)
         # the kernel's own node kinds: a generated kind must never take one
         for kind in (
@@ -270,8 +278,10 @@ class ParserTable:
             KIND_SEPSEQ, KIND_SEQ, KIND_CMDSEQ, KIND_CHOICE,
         ):
             self.kinds.add(Name((kind,)))
-        # the built-in forms that are rules; a newer rule shadows any of them
-        term, ident = CatRef(CAT_TERM), CatRef(CAT_IDENT)
+        # the built-in forms that are rules; a newer rule shadows any of
+        # them.  They are added unchecked: `tparen` refers to `tacticSeq`,
+        # which no user rule may name.
+        term, ident = _TERM_ELEM, _IDENT_ELEM
         terms = Many(term, ",")
         alts = Many(ParseRule(K_ALT, (Lit("|"), terms, Lit("=>"), term)), at_least_one=True)
         for kind, items in (
@@ -280,9 +290,9 @@ class ParserTable:
             (K_MATCH, (Lit("match"), terms, Lit("with"), alts)),
             (K_FUN_MATCH, (Lit("fun"), alts)),
         ):
-            self.register_rule(CAT_TERM, ParseRule(kind, items))
-        self.register_rule(CAT_TERM, ParseRule(K_PLUS, (term, Lit("+"), term), prec=65))
-        self.register_rule(CAT_TERM, ParseRule(K_ARROW, (term, Lit("→"), term), prec=25, right_assoc=True))
+            self._add_rule(CAT_TERM, ParseRule(kind, items))
+        self._add_rule(CAT_TERM, ParseRule(K_PLUS, (term, Lit("+"), term), prec=65))
+        self._add_rule(CAT_TERM, ParseRule(K_ARROW, (term, Lit("→"), term), prec=25, right_assoc=True))
         for kind, items in (
             (K_INTRO, (Lit("intro"), ident)),
             (K_EXACT, (Lit("exact"), term)),
@@ -290,12 +300,17 @@ class ParserTable:
             (K_SKIP, (Lit("skip"),)),
             (K_FAIL, (Lit("fail"),)),
             (K_TRY, (Lit("try"), CatRef(CAT_TACTIC))),
+            (K_TPAREN, (Lit("("), CatRef(CAT_TACTIC_SEQ), Lit(")"))),
         ):
-            self.register_rule(CAT_TACTIC, ParseRule(kind, items))
+            self._add_rule(CAT_TACTIC, ParseRule(kind, items))
+        # a `macro` item: a string literal or this rule
+        self._add_rule(CAT_MACRO_ITEM, ParseRule(K_ARGDECL, (ident, Lit(":"), ident)))
         binder = ParseRule(K_BINDER, (Lit("("), ident, Lit(":"), Lit("Prop"), Lit(")")))
         by = ParseRule(K_BY, (Lit("by"), CatRef(CAT_TACTIC_SEQ)))
         mr_alt = ParseRule(K_MR_ALT, (Lit("|"), term, Lit("=>"), term))
+        syntax_items = Many(CatRef(CAT_SYNTAX_ITEM), at_least_one=True)
         for kind, items in (
+            (K_SYNTAX, (Lit("syntax"), syntax_items, Lit(":"), ident)),
             (K_DECLARE_CAT, (Lit("declare_syntax_cat"), ident)),
             (K_MACRO_RULES, (Lit("macro_rules"), Many(mr_alt, at_least_one=True))),
             (K_THEOREM, (Lit("theorem"), ident, Many(binder), Lit(":"), term, Lit(":="), by)),
@@ -303,7 +318,7 @@ class ParserTable:
             (K_DEF_TYPED, (Lit("def"), ident, Lit(":"), term, Lit(":="), term)),
             (K_DEF, (Lit("def"), ident, Lit(":="), term)),
         ):
-            self.register_rule(CAT_COMMAND, ParseRule(kind, items))
+            self._add_rule(CAT_COMMAND, ParseRule(kind, items))
 
     def copy(self) -> "ParserTable":
         """An independent table with the same categories, rules and
@@ -313,7 +328,6 @@ class ParserTable:
         new.keywords = set(self.keywords)
         new._keyword_snapshot = self._keyword_snapshot
         new.kinds = set(self.kinds)
-        new.command_heads = set(self.command_heads)
         return new
 
     def snapshot_keywords(self) -> frozenset:
@@ -322,10 +336,6 @@ class ParserTable:
         if len(self._keyword_snapshot) != len(self.keywords):
             self._keyword_snapshot = frozenset(self.keywords)
         return self._keyword_snapshot
-
-    def enable_command_head(self, name: str) -> None:
-        self.command_heads.add(name)
-        self.keywords.add(name)
 
     def add_category(self, name: Name, info: Optional[SourceInfo] = None) -> None:
         if name in self.categories or name in (CAT_IDENT, CAT_TACTIC_SEQ):
@@ -357,6 +367,10 @@ class ParserTable:
             if cycle is not None:
                 path = " → ".join(str(c) for c in [cat] + cycle)
                 raise ParseError(f"left-recursive syntax rule: {path}", info)
+        self._add_rule(cat, rule)
+
+    def _add_rule(self, cat: Name, rule: ParseRule) -> None:
+        """Add `rule` to `cat`, newest first, with its kinds and keywords."""
         self.categories[cat].rules.insert(0, rule)
         self.kinds.add(rule.kind)
         for item in _nested_items(rule.items):
@@ -386,11 +400,10 @@ class ParserTable:
         return None
 
     def starts_command(self, tok: Token) -> bool:
-        """Whether `tok` begins a command: a written-out command head or the
-        leading literal of a command rule."""
-        return tok.kind == "keyword" and (
-            tok.text in self.command_heads
-            or any(rule.head == tok.text for rule in self.categories[CAT_COMMAND].rules)
+        """Whether `tok` begins a command: the leading literal of a command
+        rule."""
+        return tok.kind == "keyword" and any(
+            rule.head == tok.text for rule in self.categories[CAT_COMMAND].rules
         )
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
@@ -407,6 +420,16 @@ class ParserTable:
             n += 1
             kind = Name((f"{base}_{n}",))
         return kind
+
+
+# `macro` and `notation` are no core commands: the prelude registers them
+MACRO_RULE = ParseRule(
+    K_MACRO,
+    (Lit("macro"), Many(CatRef(CAT_MACRO_ITEM)), Lit(":"), _IDENT_ELEM, Lit("=>"), _TERM_ELEM),
+)
+NOTATION_RULE = ParseRule(
+    K_NOTATION, (Lit("notation"), Many(CatRef(CAT_NOTATION_ITEM)), Lit("=>"), _TERM_ELEM)
+)
 
 
 def _nested_items(items: Sequence[Item]) -> Iterator[Item]:
@@ -857,23 +880,54 @@ class Parser:
 
     def _parse_many(self, many: Many, after: Tuple[Item, ...]) -> Node:
         """A repetition (see `Many`); `after` holds the item that follows it
-        in its rule, if any."""
-        elem = many.elem
-        if isinstance(elem, CatRef):
+        in its rule, if any.  At most one element may be a splice."""
+        elem, sep = many.elem, many.sep
+        if type(elem) is CatRef:
             end = after[0].text
-            return self._parse_elements(
-                lambda: self.parse_category(elem.cat, elem.prec), many.sep,
-                lambda: self.at(end),
-            )
-        head = elem.items[0].text
-        starts = (head, "$", "$[") if self.quot_depth else (head,)
-        elems = self._parse_elements(
-            lambda: self._parse_rule_items(elem, []), many.sep,
-            lambda: not any(self._at_before_end(text) for text in starts),
-        )
-        if many.at_least_one and not elems.children:
-            raise ParseError(f"expected at least one '{head}' alternative", self.peek().info)
-        return elems
+        else:
+            end, starts = None, (elem.head, "$", "$[") if self.quot_depth else (elem.head,)
+        children: List[Syntax] = []
+        spliced = False
+        while (
+            not self.at(end) if end is not None
+            else any(self._at_before_end(text) for text in starts)
+        ):
+            if children and sep is not None:
+                children.append(self.expect(sep))
+            item = self._parse_element(elem)
+            if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
+                if spliced:
+                    raise ParseError("at most one splice per sequence", self.peek().info)
+                spliced = True
+            children.append(item)
+        if many.at_least_one and not children:
+            what = elem.cat if end is not None else f"'{elem.head}' alternative"
+            raise ParseError(f"expected at least one {what}", self.peek().info)
+        return Node(_SEPSEQ if sep is not None else _SEQ, tuple(children))
+
+    def _parse_element(self, elem: Union[CatRef, ParseRule]) -> Syntax:
+        """One element of a repetition, of `fun`'s binders or of a splice
+        group: `elem` is a category or a nested rule.  Inside a quotation it
+        may be a splice, `$x*`, `$x,*`, `$x;*` or `$[…]*`; outside, a `term`
+        element is `parse_term`."""
+        if self.quot_depth:
+            tok = self.peek()
+            if tok.text == "$[":
+                return self._parse_splicegroup(elem)
+            if tok.text == "$":
+                # commit to the antiquotation only when it is a splice item;
+                # otherwise it is an ordinary leaf of the element grammar
+                start = self.pos
+                anti = self.parse_antiquot()
+                spliced = self._maybe_splice_suffix(anti)
+                if spliced is not anti:
+                    return spliced
+                self.pos = start
+        if type(elem) is not CatRef:
+            return self._parse_rule_items(elem, [])
+        if elem.cat == CAT_TERM and not self.quot_depth:
+            return self.parse_term(elem.prec)
+        return self.parse_category(elem.cat, elem.prec)
 
     # -- terms
 
@@ -947,7 +1001,7 @@ class Parser:
         binders: List[Syntax] = []
         has_splice = False
         while not self.at("=>"):
-            item = self._parse_seq_item(self._ident_or_antiquot, None)
+            item = self._parse_element(_IDENT_ELEM)
             if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
                 has_splice = True
             binders.append(item)
@@ -959,51 +1013,9 @@ class Parser:
         body = self.parse_term(0)
         if len(binders) == 1 and not has_splice:
             return Node(K_FUN, (fun, binders[0], arrow, body))
-        return Node(K_FUN_MULTI, (fun, Node(Name.of(KIND_SEQ), tuple(binders)), arrow, body))
+        return Node(K_FUN_MULTI, (fun, Node(_SEQ, tuple(binders)), arrow, body))
 
-    # -- element sequences with splice support
-
-    def _parse_elements(
-        self,
-        elem_fn: Callable[[], Syntax],
-        sep: Optional[str],
-        at_end: Callable[[], bool],
-    ) -> Node:
-        """Parse ``sep``-separated elements into a sequence node.
-
-        Inside quotations, an element may be an antiquotation splice; at
-        most one splice is allowed per sequence.
-        """
-        children: List[Syntax] = []
-        splices = 0
-        while not at_end():
-            if children and sep is not None:
-                children.append(self.expect(sep))
-            item = self._parse_seq_item(elem_fn, sep)
-            if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
-                splices += 1
-                if splices > 1:
-                    raise ParseError("at most one splice per sequence", self.peek().info)
-            children.append(item)
-        kind = KIND_SEPSEQ if sep is not None else KIND_SEQ
-        return Node(Name.of(kind), tuple(children))
-
-    def _parse_seq_item(
-        self, elem_fn: Callable[[], Syntax], sep: Optional[str]
-    ) -> Syntax:
-        tok = self.peek()
-        if self.quot_depth and tok.text == "$[":
-            return self._parse_splicegroup(elem_fn)
-        if self.quot_depth and tok.text == "$":
-            # commit to the antiquotation only when it is a splice item;
-            # otherwise it is an ordinary leaf of the element grammar
-            start = self.pos
-            anti = self.parse_antiquot()
-            spliced = self._maybe_splice_suffix(anti)
-            if spliced is not anti:
-                return spliced
-            self.pos = start
-        return elem_fn()
+    # -- splices
 
     def _maybe_splice_suffix(self, anti: Node) -> Syntax:
         tok = self.peek()
@@ -1021,10 +1033,10 @@ class Parser:
             return Node(Name((KIND_SPLICE, tok.text)), (anti,))
         return anti
 
-    def _parse_splicegroup(self, elem_fn: Callable[[], Syntax]) -> Node:
+    def _parse_splicegroup(self, elem: Union[CatRef, ParseRule]) -> Node:
         self.expect("$[")
-        inner = self._parse_seq_item(elem_fn, None)
-        close = self.expect("]")
+        inner = self._parse_element(elem)
+        self.expect("]")
         tok = self.peek()
         sep = ""
         if tok.kind == "special" and tok.text in (",", ";") and self.peek(1).text == "*":
@@ -1040,7 +1052,7 @@ class Parser:
         tok = self.peek()
         if tok.text == "$[":
             # bare nested splice in slot position: parse as term element
-            return self._parse_splicegroup(lambda: self.parse_term(0))
+            return self._parse_splicegroup(_TERM_ELEM)
         dollar = self.expect("$")
         tok = self.peek()
         if tok.text == "(":
@@ -1144,14 +1156,6 @@ class Parser:
 
     # -- tactics
 
-    def _tactic_form(self, tok: Token) -> Optional[Syntax]:
-        if tok.text == "(" and tok.kind == "special":
-            open_ = self.expect("(")
-            inner = self.parse_tactic_seq()
-            close = self.expect(")")
-            return Node(K_TPAREN, (open_, inner, close))
-        return None
-
     def parse_tactic_seq(self) -> Syntax:
         first = self.parse_category(CAT_TACTIC)
         if self._at_before_end(";"):
@@ -1165,107 +1169,47 @@ class Parser:
     def parse_command(self) -> Syntax:
         return self.parse_category(CAT_COMMAND)
 
-    def _command_form(self, tok: Token) -> Optional[Syntax]:
-        # an escaped identifier spelled like a head, `«def»`, starts no form
-        if tok.kind != "keyword" or tok.text not in self.table.command_heads:
+    # -- the items of `syntax`, `macro` and `notation`
+
+    def _string_item(self, tok: Token) -> Optional[Syntax]:
+        """A string literal; a `macro` item `x:cat` is the `argdecl` rule."""
+        if tok.kind != "str":
             return None
-        form = self._COMMAND_FORMS.get(tok.text)
-        return None if form is None else form(self)
+        self.pos = tok.end
+        return Atom(tok.text, tok.info)
 
-    def _parse_syntax_cmd(self) -> Node:
-        kw = self.expect("syntax")
-        items: List[Syntax] = []
-        while not self.at(":"):
-            tok = self.peek()
-            if tok.kind == "str":
-                self.bump()
-                items.append(Atom(tok.text, tok.info))
-            elif tok.kind in ("ident", "keyword") and tok.text != ":":
-                self.bump()
-                slot = Ident(tok.text, Name.of(tok.text), (), tok.info)
-                colon = self.peek()
-                # a tight `cat:N` raises the slot's minimum precedence
-                if (
-                    colon.text == ":"
-                    and colon.info.offset == tok.end
-                    and self.peek(1).kind == "num"
-                    and self.peek(1).info.offset == colon.end
-                ):
-                    self.bump()
-                    prec = self.bump()
-                    items.append(
-                        Node(K_SLOT_PREC, (slot, Atom(prec.text, prec.info)))
-                    )
-                else:
-                    items.append(slot)
-            else:
-                raise ParseError(
-                    f"expected string literal or category, found {describe(tok)}",
-                    tok.info,
-                )
-        if not items:
-            raise ParseError("empty syntax rule", self.peek().info)
-        colon = self.expect(":")
-        cat = self.expect_ident()
-        return Node(K_SYNTAX, (kw, Node(Name.of(KIND_SEQ), tuple(items)), colon, cat))
+    def _notation_item(self, tok: Token) -> Optional[Syntax]:
+        """A string literal or a parameter."""
+        if tok.kind != "ident":
+            return self._string_item(tok)
+        self.pos = tok.end
+        return Ident(tok.text, Name.of(tok.text), (), tok.info)
 
-    def _parse_macro_decl(self) -> Node:
-        kw = self.expect("macro")
-        items: List[Syntax] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "str":
-                self.bump()
-                items.append(Atom(tok.text, tok.info))
-            elif tok.kind == "ident":
-                self.bump()
-                name = Ident(tok.text, Name.of(tok.text), (), tok.info)
-                colon = self.expect(":")
-                cat = self.expect_ident()
-                items.append(Node(K_ARGDECL, (name, colon, cat)))
-            elif tok.text == ":":
-                break
-            else:
-                raise ParseError(
-                    f"expected macro item or ':', found {describe(tok)}", tok.info
-                )
-        colon = self.expect(":")
-        cat = self.expect_ident()
-        arrow = self.expect("=>")
-        rhs = self.parse_term(0)
-        return Node(
-            K_MACRO,
-            (kw, Node(Name.of(KIND_SEQ), tuple(items)), colon, cat, arrow, rhs),
-        )
+    def _syntax_item(self, tok: Token) -> Optional[Syntax]:
+        """A string literal or a category name; a tight `cat:N` raises the
+        slot's minimum precedence."""
+        if tok.kind not in ("ident", "keyword"):
+            return self._string_item(tok)
+        self.pos = tok.end
+        slot = Ident(tok.text, Name.of(tok.text), (), tok.info)
+        colon = self.peek()
+        if (
+            colon.text == ":"
+            and colon.info.offset == tok.end
+            and self.peek(1).kind == "num"
+            and self.peek(1).info.offset == colon.end
+        ):
+            self.bump()
+            prec = self.bump()
+            return Node(K_SLOT_PREC, (slot, Atom(prec.text, prec.info)))
+        return slot
 
-    def _parse_notation_decl(self) -> Node:
-        kw = self.expect("notation")
-        items: List[Syntax] = []
-        while not self.at("=>"):
-            tok = self.peek()
-            if tok.kind == "str":
-                self.bump()
-                items.append(Atom(tok.text, tok.info))
-            elif tok.kind == "ident":
-                self.bump()
-                items.append(Ident(tok.text, Name.of(tok.text), (), tok.info))
-            else:
-                raise ParseError(
-                    f"expected notation item or '=>', found {describe(tok)}", tok.info
-                )
-        arrow = self.expect("=>")
-        rhs = self.parse_term(0)
-        return Node(K_NOTATION, (kw, Node(Name.of(KIND_SEQ), tuple(items)), arrow, rhs))
-
-    # the written-out leading forms of the built-in categories, tried before
-    # the category's rules; each returns None when the token starts none of
-    # its forms.  Every other built-in form is a rule of the table.
+    # the written-out leading forms, tried before the category's rules; each
+    # returns None when the token starts none of its forms.  Apart from
+    # `fun x … =>` they are token-kind leaves.
     _BUILTIN_FORMS = {
-        CAT_TERM: _term_form, CAT_TACTIC: _tactic_form, CAT_COMMAND: _command_form,
-    }
-    _COMMAND_FORMS = {
-        "syntax": _parse_syntax_cmd, "macro": _parse_macro_decl,
-        "notation": _parse_notation_decl,
+        CAT_TERM: _term_form, CAT_SYNTAX_ITEM: _syntax_item, CAT_MACRO_ITEM: _string_item,
+        CAT_NOTATION_ITEM: _notation_item,
     }
 
 

@@ -25,6 +25,7 @@ from .elaborator import (
 from .errors import ExpansionError, KernelError
 from .expander import Expander, ExpanderState, _seq_elements
 from .parser import (
+    CAT_COMMAND,
     K_ANON_CTOR,
     K_ARGDECL,
     K_FUN,
@@ -35,6 +36,8 @@ from .parser import (
     K_MR_ALT,
     K_NOTATION,
     K_SYNTAX,
+    MACRO_RULE,
+    NOTATION_RULE,
     CatRef,
     Parser,
     iter_commands,
@@ -265,7 +268,7 @@ _DEFAULT_QUOT_CATS = {Name.of("term"), Name.of("command")}
 
 
 def _install_macro_command(state: ExpanderState) -> None:
-    state.table.enable_command_head("macro")
+    state.table.register_rule(CAT_COMMAND, MACRO_RULE)
     state.macros.register(K_MACRO, _macro_transformer)
 
 
@@ -320,5 +323,5 @@ def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]
 
 
 def _install_notation_command(state: ExpanderState) -> None:
-    state.table.enable_command_head("notation")
+    state.table.register_rule(CAT_COMMAND, NOTATION_RULE)
     state.macros.register(K_NOTATION, _notation_transformer)

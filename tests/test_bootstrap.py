@@ -35,7 +35,6 @@ def contents(state: ExpanderState):
         {n: tuple(c.rules) for n, c in table.categories.items()},
         frozenset(table.keywords),
         frozenset(table.kinds),
-        frozenset(table.command_heads),
         tuple((s, (d.kind, d.type_, d.prop)) for s, d in state.gctx.decls.items()),
         {k: tuple(b) for k, b in state.gctx._suffix_index.items()},
         {k: tuple(alts) for k, alts in state.macros.items()},

@@ -1,8 +1,10 @@
 """Built-in commands, `match`, `fun | …` and brackets as rules of the table.
 
-`def`, `theorem`, `macro_rules`, `match`, `fun | …`, tuples and `⟨…⟩` are
-rules that `ParserTable` registers before any user rule, with the `Many`
-repetition item for their sequences.  `WrittenOutParser` keeps the forms
+`def`, `theorem`, `syntax`, `macro_rules`, `match`, `fun | …`, tuples, `⟨…⟩`
+and the tactic `( … )` are rules that `ParserTable` registers before any
+user rule, with the `Many` repetition item for their sequences; the prelude
+registers `macro` and `notation`.  The items of `syntax`, `macro` and
+`notation` are categories of their own.  `WrittenOutParser` keeps the forms
 they replace as the reference of a differential: on the corpus, the
 prelude sources and generated corpus mutations, both parsers give every
 command the same tree and end position or the same error, apart from the
@@ -155,6 +157,43 @@ class TestListedDifferences:
         assert isinstance(old[0], Node)
         assert new[1:] == ("at most one splice per sequence", new[2]) and new[2].col == 46
 
+    @pytest.mark.parametrize(
+        "src, name, old_message, message",
+        [
+            (
+                'syntax "q" [ : term', "syntax item",
+                "expected string literal or category, found '['",
+                "expected syntax item, found '['",
+            ),
+            (
+                'macro "r" 5 : term => `(1)', "macro item",
+                "expected macro item or ':', found '5'", "expected identifier, found '5'",
+            ),
+            (
+                'notation "k" 5 => 1', "notation item",
+                "expected notation item or '=>', found '5'", "expected notation item, found '5'",
+            ),
+            ("syntax : term", "empty syntax", "empty syntax rule", "expected at least one syntax item"),
+        ],
+        ids=["syntax_item", "macro_item", "notation_item", "empty_syntax"],
+    )
+    def test_an_item_category_names_the_item_it_expected(self, src, name, old_message, message):
+        old, new = self.both(src)
+        assert old[1] == old_message and new[1] == message and old[2] == new[2]
+        assert known_difference(src, self.table, old, new) == name
+        assert run_string(src) == (1, f"error: {message} @1:{new[2].col}\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["syntax $x : term", "syntax $xs* : term", "macro x:$c : term => `(1)",
+         'notation "a" $[$x]* => 1'],
+    )
+    def test_holes_stand_for_command_items(self, body):
+        src = f"def y := `({body})"
+        old, new = self.both(src)
+        assert old[1] == f"expected term, found '{body.split()[0]}'"
+        assert isinstance(new[0], Node) and new[1] == len(src)
+
     def test_an_unlisted_difference_is_not_one(self):
         src = "def x := )"
         old, _ = self.both(src)
@@ -247,6 +286,40 @@ class TestDeadLiterals:
         assert _lexes_alone(text) == lexes
 
 
+class TestShadowedCommands:
+    """A newer rule shadows `syntax`, `macro`, `notation` and the tactic
+    `( … )` as any other, and backtracks to them when it fails."""
+
+    def test_a_rule_led_by_macro_backtracks_to_the_prelude_s(self):
+        code, out = run_string(
+            'syntax "macro" "!" : command\n'
+            "macro_rules | `(macro !) => `(def seven := 7)\n"
+            "macro !\n"
+            'macro "mm" : term => `(2)\n'
+            "def s := mm\n"
+        )
+        assert code == 0, out
+        assert out.splitlines()[2:] == [
+            "def seven.1 := 7",
+            'syntax "mm" : term',
+            "macro_rules | `(mm) => `(2)",
+            "def s := 2",
+        ]
+
+    def test_a_tactic_rule_led_by_a_parenthesis_backtracks_to_the_group(self):
+        src = (
+            'syntax "(" "!" ")" : tactic\n'
+            "macro_rules | `(tactic| ( ! )) => `(tactic| assumption)\n"
+            "theorem t (p : Prop) : p → p := by intro h; ( ! )\n"
+            "theorem u (p : Prop) : p → p := by (intro h; exact h)\n"
+        )
+        code, out = run_string(src, RunConfig(stage="elaborate"))
+        assert code == 0, out
+        assert out.splitlines()[-2:] == [
+            "theorem t : p → p := proved", "theorem u : p → p := proved",
+        ]
+
+
 def test_token_soups_start_with_every_command_word():
     # the built-in commands are rules now, not command heads
     assert COMMAND_HEADS == [
@@ -258,8 +331,21 @@ def test_token_soups_start_with_every_command_word():
     "src, error",
     [
         ("declare_syntax_cat tacticSeq", "syntax category 'tacticSeq' already exists @1:1"),
+        # the built-in `tparen` rule refers to it, but no user rule may
         ('syntax "x" tacticSeq : term', "unknown syntax category 'tacticSeq' @1:1"),
     ],
 )
 def test_the_tactic_sequence_category_is_the_built_in_rules_own(src, error):
+    assert run_string(src + "\ndef a := 1\n") == (1, f"error: {error}\ndef a := 1\n")
+
+
+@pytest.mark.parametrize(
+    "src, error",
+    [
+        ('syntax "x" «syntax item» : term', "unknown syntax category 'syntax item' @1:1"),
+        ('syntax "x" : «macro item»', "unknown syntax category 'macro item' @1:1"),
+    ],
+)
+def test_no_identifier_names_an_item_category(src, error):
+    # their names are plain strings, which no identifier's `Name` equals
     assert run_string(src + "\ndef a := 1\n") == (1, f"error: {error}\ndef a := 1\n")

@@ -299,9 +299,9 @@ class TestOneDiagnosticPerBadCommand:
 
 class TestLongSpines:
     """Long spines run at the default limits: the parser takes two Python
-    frames per level of a right `→` chain, the expander one per level of a
-    tree, and the core printer one per `+`, walking the function side of an
-    `App` spine in a loop."""
+    frames per level of a right `→` chain and five per nested tuple, the
+    expander one per level of a tree, and the core printer one per `+`,
+    walking the function side of an `App` spine in a loop."""
 
     EXPAND = RunConfig(stage="expand")
 
@@ -316,6 +316,13 @@ class TestLongSpines:
     )
     def test_it_expands_and_prints(self, src):
         assert run_string(src, self.EXPAND) == (0, src)
+
+    def test_160_nested_parentheses_parse_and_print(self):
+        # a level costs five Python frames: under CPython 3.11's default
+        # recursion limit 197 levels parse
+        src = "def x := " + "(" * 160 + "1" + ")" * 160 + "\n"
+        assert run_string(src) == (0, "def x := 1\n")
+        assert run_string(src, RunConfig(stage="elaborate")) == (0, "def x : nat := natLit(1)\n")
 
     def test_a_sum_of_800_elaborates_and_prints(self):
         term = "natLit(1)"
@@ -362,11 +369,10 @@ class TestConfig:
             RunConfig(max_repeat=0)
 
     def test_no_prelude_has_no_notation(self):
-        code, out = run_string(
-            'notation "const" e => fun x => e\n', RunConfig(prelude=False)
-        )
-        assert code == 1
-        assert "unknown command" in out
+        for src in ['notation "const" e => fun x => e', 'macro "x" : term => `(1)']:
+            code, out = run_string(src + "\n", RunConfig(prelude=False))
+            assert code == 1
+            assert out == f"error: unknown command, found '{src.split()[0]}' @1:1\n"
 
 
 class TestCli:

@@ -34,10 +34,9 @@ VOCABULARY = sorted(
     {src[start:end] for name, src in SOURCES.items() for start, end in TOKENS[name]}
     | PRELUDE_TABLE.keywords
 )
-# the written-out command heads and the first words of the command rules
+# the first words of the command rules
 COMMAND_HEADS = sorted(
-    PRELUDE_TABLE.command_heads
-    | {rule.items[0].text for rule in PRELUDE_TABLE.categories[CAT_COMMAND].rules if rule.leading}
+    {rule.head for rule in PRELUDE_TABLE.categories[CAT_COMMAND].rules if rule.leading}
 )
 
 

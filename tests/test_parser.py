@@ -14,6 +14,7 @@ from corpus_config import CORPUS_RUNS
 from hygex import driver
 from hygex.driver import RunConfig, Runner
 from hygex.errors import LexError, ParseError
+from hygex.parser import MACRO_RULE, NOTATION_RULE
 from hygex.parser import (
     _BLANKS,
     _SPECIALS,
@@ -49,8 +50,8 @@ CORE_KEYWORDS = ParserTable().snapshot_keywords()
 @pytest.fixture
 def table():
     t = ParserTable()
-    t.enable_command_head("macro")
-    t.enable_command_head("notation")
+    t.register_rule(CAT_COMMAND, MACRO_RULE)
+    t.register_rule(CAT_COMMAND, NOTATION_RULE)
     return t
 
 
@@ -198,6 +199,13 @@ class TestParseCategory:
         )
         after = strip_info(parse_command("def y := f (x + 1)", table))
         assert before == after
+
+    def test_fun_takes_up_to_64_binders(self, table):
+        binders = [f"x{i}" for i in range(65)]
+        out = parse_term(f"fun {' '.join(binders[:64])} => x0", table)
+        assert out.kind == Name.of("funMulti") and len(out.children[1].children) == 64
+        with pytest.raises(ParseError, match="^runaway binder list$"):
+            parse_term(f"fun {' '.join(binders)} => x0", table)
 
     def test_parse_error_mentions_expectation(self, table):
         with pytest.raises(ParseError) as exc:
@@ -462,7 +470,7 @@ class TestLexerTables:
         after = table.snapshot_keywords()
         assert "bump" in after and "bump" not in before
         assert table.snapshot_keywords() is after
-        table.enable_command_head("bumpcmd")
+        table.register_rule(CAT_COMMAND, ParseRule(Name.of("bumpCmd"), (Lit("bumpcmd"),)))
         assert "bumpcmd" in table.snapshot_keywords()
 
     def test_late_diagnostics_report_their_own_line(self):

@@ -20,7 +20,8 @@ from hygex.context import (
 )
 from hygex.errors import ExpansionError
 from hygex.expander import macro_step
-from hygex.parser import Parser, ParserTable
+from hygex.parser import CAT_COMMAND, Parser, ParserTable
+from hygex.parser import MACRO_RULE
 from hygex.quotation import (
     Capture,
     MatchEnv,
@@ -113,7 +114,7 @@ class TestProcessQuotation:
         assert format_scoped(x) == "x{x}"
 
     def test_holes_inside_nested_quotations_belong_to_the_outer_template(self, table):
-        table.enable_command_head("macro")
+        table.register_rule(CAT_COMMAND, MACRO_RULE)
         template = process_quotation(
             quot("`(def f := 1 macro \"mm\" : command => `(def $y := f + 1))", table),
             gctx_of(),

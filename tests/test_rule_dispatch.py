@@ -8,8 +8,9 @@ built-in tactic forms and `declare_syntax_cat` are rules of the table.
 `OldDispatchParser` keeps the dispatch this replaced, three first-match
 keyword loops and a hole that ended a built-in slot, as the reference of a
 differential over the corpus and the prelude sources.  It parses `def`,
-`theorem`, `macro_rules`, `match`, `fun | …`, tuples and `⟨…⟩` with the
-written-out forms of `WrittenOutParser`, as the parser did then.
+`theorem`, `syntax`, `macro`, `notation`, `macro_rules`, `match`,
+`fun | …`, tuples and `⟨…⟩` with the written-out forms of
+`WrittenOutParser`, as the parser did then.
 
 Both it and `ItemByItemParser` read a rule item by item, deciding each item
 at each use, where `Parser` runs the steps that each rule worked out once.
@@ -30,11 +31,13 @@ from hygex.errors import LexError, ParseError
 from hygex.parser import (
     CAT_COMMAND,
     CAT_IDENT,
+    CAT_MACRO_ITEM,
     CAT_TACTIC,
     CAT_TERM,
     APP_PREC,
     K_ANON_CTOR,
     K_APP,
+    K_ARGDECL,
     K_ASSUMPTION,
     K_ARROW,
     K_DECLARE_CAT,
@@ -49,6 +52,7 @@ from hygex.parser import (
     K_NUM,
     K_PLUS,
     K_SKIP,
+    K_SYNTAX,
     K_THEOREM,
     K_TPAREN,
     K_TRY,
@@ -66,7 +70,7 @@ from hygex.parser import (
 )
 from hygex.syntax import Atom, Ident, Name, Node, Syntax, is_antiquot
 from test_generated_inputs import mutated_corpus_files
-from written_out_parser import WrittenOutParser
+from written_out_parser import WrittenOutParser, written_out_heads
 
 
 class ItemByItemParser(Parser):
@@ -376,9 +380,9 @@ class OldDispatchParser(WrittenOutParser):
             kw = self.expect("declare_syntax_cat")
             name = self.expect_ident()
             return Node(K_DECLARE_CAT, (kw, name))
-        if tok.text == "macro" and "macro" in self.table.command_heads:
+        if tok.text == "macro" and "macro" in written_out_heads(self.table):
             return self._parse_macro_decl()
-        if tok.text == "notation" and "notation" in self.table.command_heads:
+        if tok.text == "notation" and "notation" in written_out_heads(self.table):
             return self._parse_notation_decl()
         if tok.kind == "keyword":
             for rule in self.table.categories[CAT_COMMAND].rules:
@@ -642,11 +646,14 @@ class TestBuiltInTacticsAreRules:
     def test_the_table_holds_them(self):
         table = ParserTable()
         tactic_kinds = {r.kind for r in table.categories[CAT_TACTIC].rules}
-        assert tactic_kinds == {K_INTRO, K_EXACT, K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY}
+        assert tactic_kinds == {
+            K_INTRO, K_EXACT, K_ASSUMPTION, K_SKIP, K_FAIL, K_TRY, K_TPAREN,
+        }
         # newest first: an untyped `def` meets `defn` first and never backtracks
         assert [r.kind for r in table.categories[CAT_COMMAND].rules] == [
-            K_DEF, K_DEF_TYPED, K_THEOREM, K_MACRO_RULES, K_DECLARE_CAT,
+            K_DEF, K_DEF_TYPED, K_THEOREM, K_MACRO_RULES, K_DECLARE_CAT, K_SYNTAX,
         ]
+        assert [r.kind for r in table.categories[CAT_MACRO_ITEM].rules] == [K_ARGDECL]
         term_kinds = [r.kind for r in table.categories[CAT_TERM].rules]
         assert term_kinds == [K_ARROW, K_PLUS, K_FUN_MATCH, K_MATCH, K_ANON_CTOR, K_TUPLE]
 

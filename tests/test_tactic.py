@@ -166,7 +166,9 @@ class TestRepeat:
             RunConfig(stage="elaborate", max_repeat=32),
         )
         assert code == 1
-        assert "budget exceeded" in out
+        assert out.splitlines()[0] == (
+            "error: tactic macro expansion budget exceeded (see --max-repeat) @1:1"
+        )
 
     def test_unsolved_goals_are_reported(self):
         code, out = run_string(

@@ -1,39 +1,63 @@
 """The built-in forms written out by hand, as the reference of a differential.
 
-`def`, `theorem`, `macro_rules`, `match`, `fun | …`, tuples and `⟨…⟩` are
-rules of the table (`ParserTable.__init__`).  `WrittenOutParser` parses them
-the way the parser did before they were: as written-out forms that the
-category dispatch tries before any rule of the table.  On the same table it
-must give the same outcome as `Parser`, tree and end position or error,
-apart from the differences that `known_difference` names.
+`def`, `theorem`, `syntax`, `macro_rules`, `match`, `fun | …`, tuples,
+`⟨…⟩` and the tactic `( … )` are rules of the table (`ParserTable.__init__`),
+and so are `macro` and `notation` once the prelude registers them.
+`WrittenOutParser` parses them the way the parser did before they were: as
+written-out forms that the category dispatch tries before any rule of the
+table, reading their sequences through `_parse_elements`, which takes the
+element reader and the end test as functions.  On the same table it must
+give the same outcome as `Parser`, tree and end position or error, apart
+from the differences that `known_difference` names.
 """
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from hygex.errors import LexError, ParseError
 from hygex.parser import (
     CAT_COMMAND,
+    CAT_TACTIC,
     CAT_TERM,
     K_ALT,
     K_ANON_CTOR,
+    K_ARGDECL,
     K_BINDER,
     K_BY,
     K_DEF,
     K_DEF_TYPED,
     K_FUN_MATCH,
+    K_MACRO,
     K_MACRO_RULES,
     K_MATCH,
     K_MR_ALT,
+    K_NOTATION,
+    K_SLOT_PREC,
+    K_SYNTAX,
     K_THEOREM,
+    K_TPAREN,
     K_TUPLE,
     Parser,
     ParserTable,
     Token,
+    describe,
 )
-from hygex.syntax import KIND_SEQ, Name, Node, Syntax
+from hygex.syntax import (
+    KIND_SEPSEQ, KIND_SEQ, KIND_SPLICE, KIND_SPLICEGROUP, Atom, Ident, Name, Node, Syntax,
+)
 
-# the command heads that are rules of the table now
-_RULE_HEADS = ("def", "theorem", "macro_rules")
+# the kinds of the built-in rules: those of a new table and the prelude's
+# `macro` and `notation`
+_BUILT_IN_KINDS = {
+    rule.kind for category in ParserTable().categories.values() for rule in category.rules
+} | {K_MACRO, K_NOTATION}
+
+
+def written_out_heads(table: ParserTable) -> set:
+    """The first words of the built-in command rules of `table`: `macro`
+    and `notation` only once the prelude registered them."""
+    return {
+        rule.head for rule in table.categories[CAT_COMMAND].rules if rule.kind in _BUILT_IN_KINDS
+    }
 
 
 class WrittenOutParser(Parser):
@@ -103,9 +127,7 @@ class WrittenOutParser(Parser):
 
     def _command_form(self, tok: Token) -> Optional[Syntax]:
         # an escaped identifier spelled like a head, `«def»`, starts no form
-        if tok.kind != "keyword" or not (
-            tok.text in self.table.command_heads or tok.text in _RULE_HEADS
-        ):
+        if tok.kind != "keyword" or tok.text not in written_out_heads(self.table):
             return None
         form = self._COMMAND_FORMS.get(tok.text)
         return None if form is None else form(self)
@@ -162,11 +184,165 @@ class WrittenOutParser(Parser):
             raise ParseError("macro_rules needs at least one alternative", self.peek().info)
         return Node(K_MACRO_RULES, (kw, Node(Name.of(KIND_SEQ), tuple(alts))))
 
+    def _parse_syntax_cmd(self) -> Node:
+        kw = self.expect("syntax")
+        items: List[Syntax] = []
+        while not self.at(":"):
+            tok = self.peek()
+            if tok.kind == "str":
+                self.bump()
+                items.append(Atom(tok.text, tok.info))
+            elif tok.kind in ("ident", "keyword") and tok.text != ":":
+                self.bump()
+                slot = Ident(tok.text, Name.of(tok.text), (), tok.info)
+                colon = self.peek()
+                # a tight `cat:N` raises the slot's minimum precedence
+                if (
+                    colon.text == ":"
+                    and colon.info.offset == tok.end
+                    and self.peek(1).kind == "num"
+                    and self.peek(1).info.offset == colon.end
+                ):
+                    self.bump()
+                    prec = self.bump()
+                    items.append(
+                        Node(K_SLOT_PREC, (slot, Atom(prec.text, prec.info)))
+                    )
+                else:
+                    items.append(slot)
+            else:
+                raise ParseError(
+                    f"expected string literal or category, found {describe(tok)}",
+                    tok.info,
+                )
+        if not items:
+            raise ParseError("empty syntax rule", self.peek().info)
+        colon = self.expect(":")
+        cat = self.expect_ident()
+        return Node(K_SYNTAX, (kw, Node(Name.of(KIND_SEQ), tuple(items)), colon, cat))
+
+    def _parse_macro_decl(self) -> Node:
+        kw = self.expect("macro")
+        items: List[Syntax] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "str":
+                self.bump()
+                items.append(Atom(tok.text, tok.info))
+            elif tok.kind == "ident":
+                self.bump()
+                name = Ident(tok.text, Name.of(tok.text), (), tok.info)
+                colon = self.expect(":")
+                cat = self.expect_ident()
+                items.append(Node(K_ARGDECL, (name, colon, cat)))
+            elif tok.text == ":":
+                break
+            else:
+                raise ParseError(
+                    f"expected macro item or ':', found {describe(tok)}", tok.info
+                )
+        colon = self.expect(":")
+        cat = self.expect_ident()
+        arrow = self.expect("=>")
+        rhs = self.parse_term(0)
+        return Node(
+            K_MACRO,
+            (kw, Node(Name.of(KIND_SEQ), tuple(items)), colon, cat, arrow, rhs),
+        )
+
+    def _parse_notation_decl(self) -> Node:
+        kw = self.expect("notation")
+        items: List[Syntax] = []
+        while not self.at("=>"):
+            tok = self.peek()
+            if tok.kind == "str":
+                self.bump()
+                items.append(Atom(tok.text, tok.info))
+            elif tok.kind == "ident":
+                self.bump()
+                items.append(Ident(tok.text, Name.of(tok.text), (), tok.info))
+            else:
+                raise ParseError(
+                    f"expected notation item or '=>', found {describe(tok)}", tok.info
+                )
+        arrow = self.expect("=>")
+        rhs = self.parse_term(0)
+        return Node(K_NOTATION, (kw, Node(Name.of(KIND_SEQ), tuple(items)), arrow, rhs))
+
+    def _tactic_form(self, tok: Token) -> Optional[Syntax]:
+        if tok.text == "(" and tok.kind == "special":
+            open_ = self.expect("(")
+            inner = self.parse_tactic_seq()
+            close = self.expect(")")
+            return Node(K_TPAREN, (open_, inner, close))
+        return None
+
+    # -- element sequences with splice support
+
+    def _parse_elements(
+        self,
+        elem_fn: Callable[[], Syntax],
+        sep: Optional[str],
+        at_end: Callable[[], bool],
+    ) -> Node:
+        """Parse ``sep``-separated elements into a sequence node.
+
+        Inside quotations, an element may be an antiquotation splice; at
+        most one splice is allowed per sequence.
+        """
+        children: List[Syntax] = []
+        splices = 0
+        while not at_end():
+            if children and sep is not None:
+                children.append(self.expect(sep))
+            item = self._parse_seq_item(elem_fn, sep)
+            if isinstance(item, Node) and item.kind[0] in (KIND_SPLICE, KIND_SPLICEGROUP):
+                splices += 1
+                if splices > 1:
+                    raise ParseError("at most one splice per sequence", self.peek().info)
+            children.append(item)
+        kind = KIND_SEPSEQ if sep is not None else KIND_SEQ
+        return Node(Name.of(kind), tuple(children))
+
+    def _parse_seq_item(
+        self, elem_fn: Callable[[], Syntax], sep: Optional[str]
+    ) -> Syntax:
+        tok = self.peek()
+        if self.quot_depth and tok.text == "$[":
+            return self._parse_splicegroup_of(elem_fn)
+        if self.quot_depth and tok.text == "$":
+            # commit to the antiquotation only when it is a splice item;
+            # otherwise it is an ordinary leaf of the element grammar
+            start = self.pos
+            anti = self.parse_antiquot()
+            spliced = self._maybe_splice_suffix(anti)
+            if spliced is not anti:
+                return spliced
+            self.pos = start
+        return elem_fn()
+
+    # `Parser._parse_splicegroup` as it was, named apart from the parser's,
+    # which takes an element where this takes its reader
+    def _parse_splicegroup_of(self, elem_fn: Callable[[], Syntax]) -> Node:
+        self.expect("$[")
+        inner = self._parse_seq_item(elem_fn, None)
+        close = self.expect("]")
+        tok = self.peek()
+        sep = ""
+        if tok.kind == "special" and tok.text in (",", ";") and self.peek(1).text == "*":
+            sep = tok.text
+            self.bump()
+        self.expect("*")
+        parts = (KIND_SPLICEGROUP, sep) if sep else (KIND_SPLICEGROUP,)
+        return Node(Name(parts), (inner,))
+
     _BUILTIN_FORMS = {
-        **Parser._BUILTIN_FORMS, CAT_TERM: _term_form, CAT_COMMAND: _command_form,
+        **Parser._BUILTIN_FORMS, CAT_TERM: _term_form, CAT_TACTIC: _tactic_form,
+        CAT_COMMAND: _command_form,
     }
     _COMMAND_FORMS = {
-        **Parser._COMMAND_FORMS, "def": _parse_def, "theorem": _parse_theorem,
+        "syntax": _parse_syntax_cmd, "macro": _parse_macro_decl,
+        "notation": _parse_notation_decl, "def": _parse_def, "theorem": _parse_theorem,
         "macro_rules": _parse_macro_rules,
     }
 
@@ -182,12 +358,11 @@ def outcome(parser_class, text: str, table, pos: int):
 
 
 # the first tokens of the forms written out here, by category
-_WRITTEN_OUT_HEADS = {(CAT_TERM, t) for t in ("(", "⟨", "match", "fun")} | {
-    (CAT_COMMAND, t) for t in _RULE_HEADS
-}
-_BUILT_IN_KINDS = {
-    rule.kind for category in ParserTable().categories.values() for rule in category.rules
-}
+_WRITTEN_OUT_HEADS = (
+    {(CAT_TERM, t) for t in ("(", "⟨", "match", "fun")}
+    | {(CAT_TACTIC, "(")}
+    | {(CAT_COMMAND, t) for t in WrittenOutParser._COMMAND_FORMS}
+)
 
 
 def known_difference(text: str, table, written_out, rules) -> Optional[str]:
@@ -221,4 +396,25 @@ def known_difference(text: str, table, written_out, rules) -> Optional[str]:
         == ("ParseError", "expected at least one '|' alternative", old_info)
     ):
         return "empty macro_rules"
+    if (
+        old_message == "empty syntax rule"
+        and (kind, message, info) == ("ParseError", "expected at least one syntax item", old_info)
+    ):
+        return "empty syntax"
+    # an item category reports the item it expected, at the same token
+    for name, old_prefix, new_prefix in _ITEM_MESSAGES:
+        found = old_message[len(old_prefix):]
+        if (
+            old_message.startswith(old_prefix)
+            and (kind, message, info) == ("ParseError", new_prefix + found, old_info)
+        ):
+            return name
     return None
+
+
+# the written-out item readers' messages and those of the item categories
+_ITEM_MESSAGES = (
+    ("syntax item", "expected string literal or category, found ", "expected syntax item, found "),
+    ("macro item", "expected macro item or ':', found ", "expected identifier, found "),
+    ("notation item", "expected notation item or '=>', found ", "expected notation item, found "),
+)
