@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .parser import ParserTable
-from .syntax import Frozen, Name, Symbol, Syntax, base_name, macro_scopes, slot_setters
+from .syntax import Frozen, Ident, Name, Symbol, Syntax, base_name, macro_scopes, slot_setters
 
 # Scope value reserved for kernel-synthesized constant references; the
 # run counter starts above it, so no user binder can ever carry it.
@@ -101,12 +101,19 @@ class GlobalContext:
     so that an exact match keeps its place among the suffix matches; flat
     namespaces thus add nothing to the index.  Buckets keep declaration
     order, so candidates come back in it.
+
+    `refs` holds the context's resolved references, one shared `Ident`
+    per (spelling, symbol), handed out by `ref`.  `resolve_identifier`
+    returns one of these objects unchanged: identity marks a reference
+    whose resolution is final, so no later stage scans the globals for it
+    again.  A copy starts a table of its own.
     """
 
     def __init__(self) -> None:
         self.decls: Dict[Symbol, Decl] = {}
         # (last base component, macro scopes) -> [(base parts, symbol)]
         self._suffix_index: Dict[Tuple[Any, Tuple[int, ...]], List[Tuple[tuple, Symbol]]] = {}
+        self.refs: Dict[Tuple[str, Symbol], Ident] = {}
 
     def __contains__(self, symbol: Symbol) -> bool:
         return symbol in self.decls
@@ -118,11 +125,20 @@ class GlobalContext:
         return self.decls.get(symbol)
 
     def copy(self) -> "GlobalContext":
-        """An independent context with the same globals; `Decl`s are shared."""
+        """An independent context with the same globals and an empty
+        reference table; `Decl`s are shared."""
         new = GlobalContext()
         new.decls = dict(self.decls)
         new._suffix_index = {k: list(b) for k, b in self._suffix_index.items()}
         return new
+
+    def ref(self, raw: str, symbol: Symbol) -> Ident:
+        """The context's one resolved reference to `symbol` spelt `raw`."""
+        key = (raw, symbol)
+        ident = self.refs.get(key)
+        if ident is None:
+            ident = self.refs[key] = Ident(raw, symbol, (), None)
+        return ident
 
     def add(self, symbol: Symbol, decl: Decl) -> None:
         if symbol not in self.decls:

@@ -104,14 +104,20 @@ CoreType = object  # TNat | TUnit | TPropAtom | TArrow | TProd
 
 
 class Const(Core):
-    __slots__ = ("name",)
+    """A global constant.  Its printed form is built once, into `text`,
+    which is not one of its fields: equality, hashing, ``match`` and
+    pickling see only the name."""
+
+    __slots__ = ("name", "text")
+    _fields = ("name",)
     name: Name
 
     def __init__(self, name: Name) -> None:
         _const_name(self, name)
+        _const_text(self, f"const({name})")
 
 
-(_const_name,) = slot_setters(Const)
+_const_name, _const_text = slot_setters(Const)
 
 # every `+` elaborates to an application of this one constant
 _NAT_ADD_CONST = Const(NAT_ADD)
@@ -198,7 +204,7 @@ def core_str(x: object) -> str:
             out = f"app({out}, {core_str(args.pop())})"
         return out
     if cls is Const:
-        return f"const({x.name})"
+        return x.text
     if cls is NatLit:
         return f"natLit({x.value})"
     if cls is Local:
@@ -225,13 +231,17 @@ def core_str(x: object) -> str:
 
 
 class ElabEnv:
-    """Locals, signatures, and the shared quotation-scope capability."""
+    """Locals, signatures, and the shared quotation-scope capability.
+
+    `consts` holds the one `Const` per global symbol that `_elab_ident`
+    hands out; a child environment shares its parent's."""
 
     def __init__(
         self,
         state: ExpanderState,
         locals: Dict[Symbol, CoreType] = OMITTED,
         constructors: Dict[type, Tuple[Name, int]] = OMITTED,
+        consts: Dict[Symbol, Const] = OMITTED,
     ) -> None:
         self.state = state
         self.locals = {} if locals is OMITTED else locals
@@ -241,6 +251,7 @@ class ElabEnv:
             if constructors is OMITTED
             else constructors
         )
+        self.consts = {} if consts is OMITTED else consts
 
     @property
     def scopes(self):
@@ -253,7 +264,7 @@ class ElabEnv:
     def child(self, symbol: Symbol, ty: CoreType) -> "ElabEnv":
         locals2 = dict(self.locals)
         locals2[symbol] = ty
-        return ElabEnv(self.state, locals2, self.constructors)
+        return ElabEnv(self.state, locals2, self.constructors, self.consts)
 
 
 def _mismatch(expected: CoreType, actual: CoreType, stx: Syntax) -> ElabError:
@@ -337,7 +348,10 @@ def _elab_ident(
     sig = env.signature(symbol)
     if sig is None:
         raise ElabError(f"'{symbol}' has no value signature")
-    return Const(symbol), _ensure(expected, sig, stx)
+    const = env.consts.get(symbol)
+    if const is None:
+        const = env.consts[symbol] = Const(symbol)
+    return const, _ensure(expected, sig, stx)
 
 
 def _elab_choice(

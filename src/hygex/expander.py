@@ -5,6 +5,12 @@ against the local and global contexts.  The expander never invents macro
 scopes itself: scopes enter trees only when a quotation is instantiated
 inside some transformer.
 
+The expander's resolution is final.  A run keeps one shared `Ident` per
+(spelling, symbol) that a reference resolves to, in its `GlobalContext`;
+later stages, the elaborator and the tactic engine, still pass each
+reference through `resolve_identifier`, which recognises one of those
+objects by identity and returns it without scanning the globals again.
+
 `macro_step` is the kernel's one macro-step routine; the elaborator, the
 tactic engine and the prechecker take their steps through it too.  It
 walks a kind's flat, newest-first list of alternatives in the `MacroTable`
@@ -158,22 +164,28 @@ def resolve_identifier(
     stx: Ident, lctx: LocalContext, gctx: GlobalContext
 ) -> Syntax:
     """Resolve a reference: local match wins, then top-level scopes plus
-    matching globals, otherwise the identifier is unbound."""
+    matching globals, otherwise the identifier is unbound.
+
+    A resolved reference is the context's shared `Ident` for its spelling
+    and symbol (`GlobalContext.ref`), and that object comes back unchanged,
+    before any scan: its resolution is final.  An equal `Ident` built
+    elsewhere is resolved as any other."""
     name = stx.name
+    raw = stx.raw
+    if gctx.refs.get((raw, name)) is stx:
+        return stx
     if name in lctx:
-        return Ident(stx.raw, name, (), None)
+        return gctx.ref(raw, name)
     # `match_surface` lists each global once; only a preresolution can repeat one
     candidates = gctx.match_surface(name)
     if stx.preresolved:
         candidates = list(dict.fromkeys((*stx.preresolved, *candidates)))
     if len(candidates) == 1:
-        symbol = candidates[0]
-        if symbol == name and stx.info is None and not stx.preresolved:
-            return stx  # already its own plain resolution
-        return Ident(stx.raw, symbol, (), None)
+        return gctx.ref(raw, candidates[0])
     if candidates:
-        return Node(_CHOICE, tuple([Ident(stx.raw, c, (), None) for c in candidates]))
-    raise UnboundIdentifier(stx.raw, stx.info)
+        ref = gctx.ref
+        return Node(_CHOICE, tuple([ref(raw, c) for c in candidates]))
+    raise UnboundIdentifier(raw, stx.info)
 
 
 # ---------------------------------------------------------------------------

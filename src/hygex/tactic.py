@@ -28,6 +28,7 @@ from .parser import (
 from .syntax import (
     Frozen,
     Ident,
+    KIND_CHOICE,
     Name,
     Node,
     Symbol,
@@ -36,6 +37,9 @@ from .syntax import (
     slot_setters,
     strip_top_level_scopes,
 )
+
+
+_CHOICE = Name.of(KIND_CHOICE)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +247,29 @@ def _eval_intro(stx: Node, ts: TacticState) -> TacticState:
     return ts.set_goal(goal2)
 
 
+def _proof_of(symbol: Symbol, goal: ProofGoal, ts: TacticState) -> Optional[Prop]:
+    """What a hypothesis or a theorem named `symbol` proves, if anything."""
+    prop = goal.lookup(symbol)
+    if prop is None:
+        decl = ts.state.gctx.get(symbol)
+        prop = decl.prop if decl else None
+    return prop
+
+
 def _resolve_reference(term: Syntax, ts: TacticState) -> Symbol:
+    """The symbol `exact` uses: an overloaded reference takes the one
+    candidate that proves something, as the elaborator takes the one with
+    a value signature."""
     goal = ts.goal()
     lctx = frozenset(s for s, _ in goal.hypotheses)
     resolved = ts.expander.expand(term, lctx)
+    if isinstance(resolved, Node) and resolved.kind == _CHOICE:
+        candidates = resolved.children
+        provers = [c for c in candidates if _proof_of(c.name, goal, ts) is not None]
+        if len(provers) != 1:
+            names = ", ".join(str(c.name) for c in candidates)
+            raise TacticError(f"exact: ambiguous reference (candidates: {names})")
+        resolved = provers[0]
     if isinstance(resolved, Ident):
         return resolved.name
     raise TacticError(f"exact: '{render(term)}' is not a plain reference")
@@ -255,10 +278,7 @@ def _resolve_reference(term: Syntax, ts: TacticState) -> Symbol:
 def _eval_exact(stx: Node, ts: TacticState) -> TacticState:
     goal = ts.goal()
     symbol = _resolve_reference(stx.children[1], ts)
-    prop = goal.lookup(symbol)
-    if prop is None:
-        decl = ts.state.gctx.get(symbol)
-        prop = decl.prop if decl else None
+    prop = _proof_of(symbol, goal, ts)
     if prop is None:
         raise TacticError(f"exact: '{symbol}' does not prove anything")
     if prop != goal.target:

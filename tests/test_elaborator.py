@@ -3,6 +3,7 @@
 import pytest
 
 from hygex.context import Decl
+from hygex.driver import RunConfig, run_string
 from hygex.elaborator import (
     App,
     Const,
@@ -21,10 +22,10 @@ from hygex.elaborator import (
     transformer_to_elaborator,
 )
 from hygex.errors import ElabError, ExpansionError
-from hygex.expander import Expander, ExpanderState
+from hygex.expander import Expander, ExpanderState, resolve_identifier
 from hygex.parser import Parser
 from hygex.prelude import bootstrap, run_source
-from hygex.syntax import Name, Node
+from hygex.syntax import Ident, Name, Node, render
 
 
 @pytest.fixture
@@ -129,6 +130,71 @@ class TestElabTerm:
         with pytest.raises(ElabError) as exc:
             elab_term(term(state, "v"), env_of(state), None)
         assert "ambiguous" in exc.value.message
+
+
+class TestOverloadedReferences:
+    """The expander's resolution of a reference is final: the elaborator
+    takes it as it is and never scans the globals for it again."""
+
+    DEF_AND_THEOREM = (
+        "def x := 1\n"
+        "theorem A.x (p : Prop) : p → p := by intro h; exact h\n"
+    )
+
+    def last_line(self, src):
+        code, out = run_string(src, RunConfig(stage="elaborate"))
+        return code, out.splitlines()[-1]
+
+    def test_one_viable_candidate_is_taken(self):
+        code, line = self.last_line(self.DEF_AND_THEOREM + "def y := x\n")
+        assert (code, line) == (0, "def y : nat := const(x)")
+
+    def test_a_macro_made_reference_is_taken_too(self):
+        src = self.DEF_AND_THEOREM + 'macro "m" : term => `(x)\ndef y := m\n'
+        code, line = self.last_line(src)
+        assert (code, line) == (0, "def y : nat := const(x)")
+
+    def test_two_viable_candidates_stay_ambiguous(self):
+        code, line = self.last_line("def x := 1\ndef A.x := 2\ndef y := x\n")
+        assert code == 1
+        assert line == "error: ambiguous reference (candidates: x, A.x)"
+
+    def test_an_equal_hand_built_reference_is_resolved_again(self, state):
+        state.gctx.add(Name.of("x"), Decl("def", type_=TNat()))
+        state.gctx.add(Name.of("A.x"), Decl("theorem"))
+        choice = Expander(state).expand(term(state, "x"))
+        assert render(choice) == "choice(x | A.x)"
+        shared = choice.children[0]
+        assert resolve_identifier(shared, frozenset(), state.gctx) is shared
+        built = Ident("x", Name.of("x"), (), None)
+        assert built == shared
+        again = resolve_identifier(built, frozenset(), state.gctx)
+        assert render(again) == "choice(x | A.x)"
+        assert again.children[0] is shared
+
+
+class TestConstants:
+    def test_one_const_per_symbol_per_run(self, state):
+        state.gctx.add(Name.of("c"), Decl("def", type_=TNat()))
+        env = env_of(state)
+        first, _ = elab_term(Expander(state).expand(term(state, "c")), env)
+        again, _ = elab_term(term(state, "c"), env.child(Name.of("l"), TNat()))
+        assert again is first
+        other, _ = elab_term(term(state, "c"), env_of(state))
+        assert other == first and other is not first
+
+    def test_the_printed_form_is_not_a_field(self):
+        import pickle
+
+        const = Const(Name.of("A.c"))
+        assert str(const) == const.text == "const(A.c)"
+        assert Const._fields == ("name",)
+        assert const == Const(Name.of("A.c"))
+        assert hash(const) == hash(Const(Name.of("A.c")))
+        assert pickle.loads(pickle.dumps(const)).text == "const(A.c)"
+        match const:
+            case Const(name):
+                assert name == Name.of("A.c")
 
 
 class TestRouteEquivalence:

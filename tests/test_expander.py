@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import parse_scoped
+from conftest import CORPUS, parse_scoped
+from corpus_config import CORPUS_RUNS
+from hygex import expander
 from hygex.context import Decl, GlobalContext
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.errors import UnboundIdentifier
@@ -53,6 +55,50 @@ class TestResolveIdentifier:
         assert isinstance(resolved, Node)
         assert render(resolved) == "choice(a.a | b.a)"
 
+    def test_a_resolution_is_the_contexts_shared_reference(self):
+        gctx = gctx_of("x")
+        first = resolve_identifier(parse_scoped("x"), frozenset(), gctx)
+        assert resolve_identifier(parse_scoped("x"), frozenset(), gctx) is first
+        assert resolve_identifier(first, frozenset(), gctx) is first
+        local = resolve_identifier(parse_scoped("y"), frozenset({Name.of("y")}), gctx)
+        assert resolve_identifier(local, frozenset(), gctx) is local
+
+    def test_a_copy_keeps_a_table_of_its_own(self):
+        gctx = gctx_of("x")
+        ref = resolve_identifier(parse_scoped("x"), frozenset(), gctx)
+        copy = gctx.copy()
+        assert copy.refs == {} and gctx.refs
+        copy.add(Name.of("A.x"), Decl("def"))
+        assert render(resolve_identifier(ref, frozenset(), copy)) == "choice(x | A.x)"
+        assert resolve_identifier(ref, frozenset(), gctx) is ref
+
+
+class TestResolvedReferencesAreFinal:
+    def test_resolving_a_corpus_reference_again_returns_it(self, monkeypatch):
+        resolve = expander.resolve_identifier
+        results = []
+
+        def recording(stx, lctx, gctx):
+            results.append(resolve(stx, lctx, gctx))
+            return results[-1]
+
+        def no_scan(self, name):
+            raise AssertionError(f"globals scanned again for '{name}'")
+
+        checked = 0
+        for name, (kw, _code) in CORPUS_RUNS.items():
+            runner = Runner(RunConfig(**kw))
+            with monkeypatch.context() as patched:
+                patched.setattr(expander, "resolve_identifier", recording)
+                runner.run_files([str(CORPUS / f"{name}.hyg")])
+            refs = [r for out in results for r in (out.children if type(out) is Node else (out,))]
+            results.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(GlobalContext, "match_surface", no_scan)
+                for ref in refs:
+                    assert resolve(ref, frozenset(), runner.state.gctx) is ref
+            checked += len(refs)
+        assert checked  # 56 references over the twelve files
 
 def expanded_lines(src, **kw):
     code, out = run_string(src, RunConfig(**kw))

@@ -103,6 +103,29 @@ class TestCoreTactics:
         assert "theorem lemma2 : p → p := proved" in out
 
 
+    def test_exact_takes_the_one_overloaded_candidate_that_proves(self):
+        code, out = run_string(
+            "theorem x (p : Prop) : p → p := by intro h; exact h\n"
+            "def A.x := 2\n"
+            "theorem t (p : Prop) : p → p := by exact x\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "theorem t : p → p := proved"
+
+    def test_exact_on_two_proving_candidates_is_ambiguous(self):
+        code, out = run_string(
+            "theorem h (p : Prop) : p → p := by intro h; exact h\n"
+            "theorem A.h (p : Prop) : p → p := by intro h; exact h\n"
+            "theorem t (p : Prop) : p → p := by exact h\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "error: exact: ambiguous reference (candidates: h, A.h)"
+        )
+
+
 class TestTacticHygiene:
     def test_macro_introduced_hypothesis_is_invisible_outside(self):
         code, out = run_string(
