@@ -84,6 +84,7 @@ from .syntax import (
     Symbol,
     Syntax,
     base_name,
+    info_of,
     is_quotation,
     render,
     strip_top_level_scopes,
@@ -243,13 +244,13 @@ class Expander:
         if alternatives is None:
             raise ExpansionError(
                 f"unexpected syntax kind '{stx.kind}' (no macro registered)",
-                info=_info_of(stx),
+                info=info_of(stx),
             )
         state = self.state
         step = macro_step(stx, alternatives, state.tenv, state.on_macro_step)
         if step is None:
             raise ExpansionError(
-                f"no macro alternative matched '{render(stx)}'", info=_info_of(stx)
+                f"no macro alternative matched '{render(stx)}'", info=info_of(stx)
             )
         return step
 
@@ -294,7 +295,7 @@ class Expander:
                     if is_quotation(stx):
                         raise ExpansionError(
                             "quotations are only supported as macro right-hand sides",
-                            info=_info_of(stx),
+                            info=info_of(stx),
                         )
                     if kind in state.elaborators:
                         # type-directed syntax is left for the elaborator; its term
@@ -463,15 +464,11 @@ class Expander:
         out_alts = []
         for alt in _seq_elements(alts):
             bar, pat, arrow, rhs = alt.children
-            if not (isinstance(pat, Node) and is_quotation(pat)):
-                raise ExpansionError(
-                    f"macro_rules left-hand side must be a quotation, got '{render(pat)}'"
-                )
-            if not (isinstance(rhs, Node) and is_quotation(rhs)):
+            pattern = process_pattern(pat)
+            if not is_quotation(rhs):
                 raise ExpansionError(
                     f"macro_rules right-hand side must be a quotation, got '{render(rhs)}'"
                 )
-            pattern = process_pattern(pat)
             if rhs.kind[0] == "dquot":
                 self.state.make_prechecker().check(rhs.children[0])
             template = process_quotation(rhs, self.state.gctx)
@@ -497,15 +494,3 @@ def _seq_elements(stx: Syntax) -> Tuple[Syntax, ...]:
             c for c in stx.children if not (isinstance(c, Atom) and c.text in (",", ";"))
         )
     return (stx,)
-
-
-def _info_of(stx: Syntax):
-    match stx:
-        case Atom(info=info) | Ident(info=info):
-            return info
-        case Node(children=children):
-            for c in children:
-                info = _info_of(c)
-                if info is not None:
-                    return info
-    return None

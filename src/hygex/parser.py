@@ -22,6 +22,9 @@ slots are direct: a `term` slot is `parse_term` and an `ident` slot
 `expect_ident`; only inside a quotation, where holes may stand for them, do
 they go through `parse_category`.  So a right `→` chain costs two Python
 frames per level, and a nested tuple five.
+
+A quotation body is read once, in the category that its tag or its first
+token decides before it is read (`Parser.parse_quotation`).
 """
 
 from __future__ import annotations
@@ -399,11 +402,10 @@ class ParserTable:
                     todo.append(head.cat)
         return None
 
-    def starts_command(self, tok: Token) -> bool:
-        """Whether `tok` begins a command: the leading literal of a command
-        rule."""
-        return tok.kind == "keyword" and any(
-            rule.head == tok.text for rule in self.categories[CAT_COMMAND].rules
+    def starts(self, cat: Name, tok: Token) -> bool:
+        """Whether `tok` heads a rule of `cat`: is its leading literal."""
+        return tok.kind in ("keyword", "special") and any(
+            rule.head == tok.text for rule in self.categories[cat].rules
         )
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
@@ -708,7 +710,7 @@ class Parser:
             if pos > cmd_start:
                 try:
                     # the first token at or after `pos` starts its own line
-                    if self.table.starts_command(self.lexer.token(pos)):
+                    if self.table.starts(CAT_COMMAND, self.lexer.token(pos)):
                         return pos
                 except LexError:
                     pass  # a line that does not lex starts no command
@@ -965,20 +967,22 @@ class Parser:
         if self.quot_depth and tok.text == "$":
             # an antiquotation explicitly tagged with a non-term category
             # belongs to an enclosing sequence, not to an application
-            name = self.peek(1)
-            colon = self.peek(2)
-            cat = self.peek(3)
-            if (
-                name.kind == "ident"
-                and colon.text == ":"
-                and colon.info.offset == name.end
-                and cat.kind in ("ident", "keyword")
-                and cat.info.offset == colon.end
-                and cat.text not in ("term", "ident", "num")
-            ):
-                return False
-            return True
+            return self._hole_tag() in (None, "term", "ident", "num")
         return False
+
+    def _hole_tag(self) -> Optional[str]:
+        """The tag of the hole `$x:cat` that starts at the current `$`, if
+        it is tagged: written tight, as `parse_antiquot` reads it."""
+        name = self.peek(1)
+        if name.kind != "ident":
+            return None
+        colon = self.peek(2)
+        if colon.text != ":" or colon.info.offset != name.end:
+            return None
+        cat = self.peek(3)
+        if cat.kind in ("ident", "keyword") and cat.info.offset == colon.end:
+            return cat.text
+        return None
 
     def _term_form(self, tok: Token) -> Optional[Syntax]:
         if tok.kind == "ident":
@@ -1087,72 +1091,50 @@ class Parser:
         return Node(Name((KIND_ANTIQUOT,) + suffix), (payload,))
 
     def parse_quotation(self) -> Node:
+        """A quotation.  Its body's category is decided once, before the
+        body is read: an explicit `cat|` tag; else commands, when the first
+        token heads a command rule or is a hole tagged `:command`; else a
+        term.  A first token that heads both a command rule and a term rule
+        is ambiguous.  A command body holds one or more commands."""
         tok = self.bump()
         if tok.kind not in ("quote", "dquote"):
             raise ParseError(f"expected quotation, found {describe(tok)}", tok.info)
-        head = KIND_QUOT if tok.kind == "quote" else KIND_DQUOT
+        head: Tuple = (KIND_QUOT if tok.kind == "quote" else KIND_DQUOT,)
         self.quot_depth += 1
         try:
-            cat_tok = self.peek()
+            first = self.peek()
+            cat = Name.of(first.text)
             if (
-                cat_tok.kind == "ident"
+                first.kind == "ident"
                 and self.peek(1).text == "|"
-                and self.table.has_category(Name.of(cat_tok.text))
+                and self.table.has_category(cat)
             ):
                 self.bump()
                 self.bump()
-                cat = Name.of(cat_tok.text)
-                if cat == CAT_TACTIC:
-                    body: Syntax = self.parse_tactic_seq()
-                else:
-                    body = self.parse_category(cat, 0)
-                self.expect(")")
-                return Node(Name((head,) + cat), (body,))
-            body = self._parse_quotation_body()
+                head += cat
+            elif first.text == "$":
+                cat = CAT_COMMAND if self._hole_tag() == "command" else CAT_TERM
+            elif not self.table.starts(CAT_COMMAND, first):
+                cat = CAT_TERM
+            elif self.table.starts(CAT_TERM, first):
+                raise ParseError(
+                    "ambiguous quotation: parses as both a term and a command", first.info
+                )
+            else:
+                cat = CAT_COMMAND
+            if cat == CAT_COMMAND:
+                cmds = [self.parse_command()]
+                while not self.at(")") and not self.at_eof():
+                    cmds.append(self.parse_command())
+                body = cmds[0] if len(cmds) == 1 else Node(Name.of(KIND_CMDSEQ), tuple(cmds))
+            elif cat == CAT_TACTIC:
+                body = self.parse_tactic_seq()
+            else:
+                body = self.parse_category(cat)
             self.expect(")")
-            return Node(Name((head,)), (body,))
+            return Node(Name(head), (body,))
         finally:
             self.quot_depth -= 1
-
-    def _parse_quotation_body(self) -> Syntax:
-        start = self.pos
-        term_result: Optional[Tuple[Syntax, int]] = None
-        term_err: Optional[ParseError] = None
-        try:
-            body = self.parse_term(0)
-            if self.at(")"):
-                term_result = (body, self.pos)
-        except ParseError as err:
-            term_err = err.with_traceback(None)
-        self.pos = start
-        cmd_result: Optional[Tuple[Syntax, int]] = None
-        cmd_err: Optional[ParseError] = None
-        try:
-            cmds = [self.parse_command()]
-            while not self.at(")") and not self.at_eof():
-                cmds.append(self.parse_command())
-            if self.at(")"):
-                body = cmds[0] if len(cmds) == 1 else Node(Name.of(KIND_CMDSEQ), tuple(cmds))
-                cmd_result = (body, self.pos)
-        except ParseError as err:
-            cmd_err = err.with_traceback(None)
-        if term_result and cmd_result:
-            if term_result[0] == cmd_result[0]:
-                self.pos = term_result[1]
-                return term_result[0]
-            raise ParseError(
-                "ambiguous quotation: parses as both a term and a command",
-                self.lexer._info(start),
-            )
-        if term_result:
-            self.pos = term_result[1]
-            return term_result[0]
-        if cmd_result:
-            self.pos = cmd_result[1]
-            return cmd_result[0]
-        raise term_err or cmd_err or ParseError(
-            "empty quotation", self.lexer._info(start)
-        )
 
     # -- tactics
 

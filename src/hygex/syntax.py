@@ -375,6 +375,19 @@ class NotAnIdentifier(Exception):
     pass
 
 
+def info_of(stx: Syntax) -> Optional[SourceInfo]:
+    """The position of the first token of `stx` that has one, if any."""
+    match stx:
+        case Atom(info=info) | Ident(info=info):
+            return info
+        case Node(children=children):
+            for c in children:
+                info = info_of(c)
+                if info is not None:
+                    return info
+    return None
+
+
 def strip_top_level_scopes(stx: Syntax) -> Name:
     """The full (scoped) name of a binder, its top-level scopes discarded."""
     if not isinstance(stx, Ident):

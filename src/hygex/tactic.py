@@ -33,6 +33,7 @@ from .syntax import (
     Node,
     Symbol,
     Syntax,
+    info_of,
     render,
     slot_setters,
     strip_top_level_scopes,
@@ -233,13 +234,23 @@ def eval_tactic(
     return out
 
 
+def _error(stx: Node, message: str) -> TacticError:
+    """A diagnostic on the built-in tactic `stx`, placed at its term, or at
+    its first token when it has no term with a position.  A tactic made by
+    a macro has no position of its own, so its diagnostics get none."""
+    info = stx.children[0].info
+    if info is not None and len(stx.children) > 1:
+        info = info_of(stx.children[1]) or info
+    return TacticError(message, info)
+
+
 def _eval_intro(stx: Node, ts: TacticState) -> TacticState:
     goal = ts.goal()
     name = stx.children[1]
     if not isinstance(name, Ident):
-        raise TacticError(f"intro: expected a hypothesis name, got '{render(name)}'")
+        raise _error(stx, f"intro: expected a hypothesis name, got '{render(name)}'")
     if not isinstance(goal.target, Implies):
-        raise TacticError(f"intro: target '{goal.target}' is not an implication")
+        raise _error(stx, f"intro: target '{goal.target}' is not an implication")
     symbol = strip_top_level_scopes(name)
     goal2 = ProofGoal(goal.hypotheses, goal.target.consequent).with_hypothesis(
         symbol, goal.target.antecedent
@@ -256,35 +267,34 @@ def _proof_of(symbol: Symbol, goal: ProofGoal, ts: TacticState) -> Optional[Prop
     return prop
 
 
-def _resolve_reference(term: Syntax, ts: TacticState) -> Symbol:
+def _resolve_reference(stx: Node, ts: TacticState) -> Symbol:
     """The symbol `exact` uses: an overloaded reference takes the one
     candidate that proves something, as the elaborator takes the one with
     a value signature."""
     goal = ts.goal()
     lctx = frozenset(s for s, _ in goal.hypotheses)
+    term = stx.children[1]
     resolved = ts.expander.expand(term, lctx)
     if isinstance(resolved, Node) and resolved.kind == _CHOICE:
         candidates = resolved.children
         provers = [c for c in candidates if _proof_of(c.name, goal, ts) is not None]
         if len(provers) != 1:
             names = ", ".join(str(c.name) for c in candidates)
-            raise TacticError(f"exact: ambiguous reference (candidates: {names})")
+            raise _error(stx, f"exact: ambiguous reference (candidates: {names})")
         resolved = provers[0]
     if isinstance(resolved, Ident):
         return resolved.name
-    raise TacticError(f"exact: '{render(term)}' is not a plain reference")
+    raise _error(stx, f"exact: '{render(term)}' is not a plain reference")
 
 
 def _eval_exact(stx: Node, ts: TacticState) -> TacticState:
     goal = ts.goal()
-    symbol = _resolve_reference(stx.children[1], ts)
+    symbol = _resolve_reference(stx, ts)
     prop = _proof_of(symbol, goal, ts)
     if prop is None:
-        raise TacticError(f"exact: '{symbol}' does not prove anything")
+        raise _error(stx, f"exact: '{symbol}' does not prove anything")
     if prop != goal.target:
-        raise TacticError(
-            f"exact: '{symbol} : {prop}' does not match target '{goal.target}'"
-        )
+        raise _error(stx, f"exact: '{symbol} : {prop}' does not match target '{goal.target}'")
     return ts.close_goal()
 
 
@@ -293,7 +303,7 @@ def _eval_assumption(stx: Node, ts: TacticState) -> TacticState:
     for _symbol, prop in goal.hypotheses:
         if prop == goal.target:
             return ts.close_goal()
-    raise TacticError(f"assumption: no hypothesis proves '{goal.target}'")
+    raise _error(stx, f"assumption: no hypothesis proves '{goal.target}'")
 
 
 # ---------------------------------------------------------------------------

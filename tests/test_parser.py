@@ -19,6 +19,7 @@ from hygex.parser import (
     _BLANKS,
     _SPECIALS,
     CAT_COMMAND,
+    CAT_IDENT,
     CAT_TACTIC,
     CAT_TERM,
     CatRef,
@@ -41,6 +42,7 @@ from hygex.syntax import (
     is_quotation,
     render,
 )
+from written_out_parser import AMBIGUOUS, WrittenOutParser, known_difference
 
 
 # the keywords of a new table: those of its built-in rules and `syntax`
@@ -326,6 +328,123 @@ class TestQuotations:
         with pytest.raises(ParseError) as exc:
             parse_term("`(omg)", table)
         assert "ambiguous" in exc.value.message
+
+
+def term_outcome(parser_class, src, table):
+    """What `parser_class` makes of the term `src`: its tree and end
+    position, or its error's type, message and place."""
+    parser = parser_class(src, table)
+    try:
+        return parser.parse_term(), parser.pos
+    except (LexError, ParseError) as err:
+        return type(err).__name__, err.message, err.info
+
+
+class TestOneReadOfAQuotationBody:
+    """An untagged body is read once, as its first token says.  Each case
+    is compared with the reader this one replaced, which read the body as a
+    term and again as commands (`WrittenOutParser`)."""
+
+    def both(self, src, table):
+        return term_outcome(WrittenOutParser, src, table), term_outcome(Parser, src, table)
+
+    @pytest.mark.parametrize("src", ["`(def a := 1 def b := 2)", "`($c:command $d:command)"])
+    def test_commands_parse_to_the_same_sequence(self, src, table):
+        old, new = self.both(src, table)
+        assert new == old
+        assert new[0].children[0].kind == Name.of("cmdseq") and new[1] == len(src)
+
+    def test_a_tagged_command_body_takes_a_sequence(self, table):
+        src = "`(command| def a := 1 def b := 2)"
+        old, new = self.both(src, table)
+        assert old == ("ParseError", "expected ')', found 'def'", SourceInfo(1, 23, 22))
+        untagged, _ = self.both("`(def a := 1 def b := 2)", table)
+        assert strip_info(new[0].children[0]) == strip_info(untagged[0].children[0])
+        assert new[0].kind == Name(("quot", "command")) and new[1] == len(src)
+        assert known_difference(src, table, old, new) == "a tagged command body takes a sequence"
+
+    def test_a_token_that_heads_a_term_and_a_command_is_ambiguous(self, table):
+        table.register_rule(CAT_TERM, ParseRule(Name.of("foo"), (Lit("foo"),)))
+        table.register_rule(CAT_COMMAND, ParseRule(Name.of("foo_2"), (Lit("foo"),)))
+        old, new = self.both("`( foo)", table)
+        # the two-parse reader placed it at the blank after `(`
+        assert old == ("ParseError", AMBIGUOUS, SourceInfo(1, 3, 2))
+        assert new == ("ParseError", AMBIGUOUS, SourceInfo(1, 4, 3))
+        name = "a first token that heads a command and a term rule is ambiguous"
+        assert known_difference("`( foo)", table, old, new) == name
+        # even where only the term parse succeeds
+        old, new = self.both("`(foo 1)", table)
+        assert old[0].children[0].kind == Name.of("app")
+        assert new == ("ParseError", AMBIGUOUS, SourceInfo(1, 3, 2))
+        assert known_difference("`(foo 1)", table, old, new) == name
+
+    def test_a_failing_command_body_reports_the_command_parse_s_error(self, table):
+        old, new = self.both("`(def a := )", table)
+        assert old == ("ParseError", "expected term, found 'def'", SourceInfo(1, 3, 2))
+        assert new == ("ParseError", "expected term, found ')'", SourceInfo(1, 12, 11))
+        assert known_difference("`(def a := )", table, old, new) == (
+            "a failing command body reports the command parse's error"
+        )
+
+    def test_a_failing_term_body_reports_the_term_parse_s_error(self, table):
+        old, new = self.both("`(f x])", table)
+        assert old == ("ParseError", "unknown command, found 'f'", SourceInfo(1, 3, 2))
+        assert new == ("ParseError", "expected ')', found ']'", SourceInfo(1, 6, 5))
+        assert known_difference("`(f x])", table, old, new) == (
+            "a failing term body reports the term parse's error"
+        )
+
+    def test_a_hole_before_commands_must_be_tagged(self, table):
+        old, new = self.both("`($x def a := 1)", table)
+        assert old[0].children[0].kind == Name.of("cmdseq")
+        assert new == ("ParseError", "expected ')', found 'def'", SourceInfo(1, 6, 5))
+        assert known_difference("`($x def a := 1)", table, old, new) == (
+            "an untagged hole before commands"
+        )
+        old, new = self.both("`($x:command def a := 1)", table)
+        assert new == old and new[0].children[0].kind == Name.of("cmdseq")
+
+    @pytest.mark.parametrize(
+        "src, old, new",
+        [
+            # `def` heads no term rule
+            ("`(def a := 1)", "tree", ("ParseError", AMBIGUOUS, SourceInfo(1, 3, 2))),
+            # the new error is no further on than the old one
+            (
+                "`(def a := )",
+                ("ParseError", "expected term, found 'def'", SourceInfo(1, 3, 2)),
+                ("ParseError", "other", SourceInfo(1, 3, 2)),
+            ),
+            # a tactic body, not a command body
+            (
+                "`(tactic| skip def)",
+                ("ParseError", "expected ')', found 'def'", SourceInfo(1, 16, 15)),
+                "tree",
+            ),
+            # the hole is tagged
+            (
+                "`($x:command def a := 1)",
+                "tree",
+                ("ParseError", "expected ')', found 'def'", SourceInfo(1, 14, 13)),
+            ),
+        ],
+        ids=["ambiguous", "failing_body", "tagged_sequence", "hole"],
+    )
+    def test_an_outcome_just_outside_an_entry_is_not_listed(self, src, old, new, table):
+        tree = term_outcome(Parser, "`(x)", table)
+        old, new = (tree if o == "tree" else o for o in (old, new))
+        assert known_difference(src, table, old, new) is None
+
+    def test_a_command_rule_led_by_a_category_needs_a_tag(self, table):
+        table.register_rule(CAT_COMMAND, ParseRule(Name.of("bang"), (CatRef(CAT_IDENT), Lit("!"))))
+        old, new = self.both("`(x !)", table)
+        assert old[0].children[0].kind == Name.of("bang")
+        assert new == ("ParseError", "expected ')', found '!'", SourceInfo(1, 5, 4))
+        assert known_difference("`(x !)", table, old, new) == (
+            "a command rule led by a category needs a tag"
+        )
+        old, new = self.both("`(command| x !)", table)
+        assert new == old and new[0].children[0].kind == Name.of("bang")
 
 
 ROUND_TRIP_SOURCES = [

@@ -122,8 +122,44 @@ class TestCoreTactics:
         )
         assert code == 1
         assert out.splitlines()[-1] == (
-            "error: exact: ambiguous reference (candidates: h, A.h)"
+            "error: exact: ambiguous reference (candidates: h, A.h) @3:42"
         )
+
+
+class TestTacticDiagnosticsArePlaced:
+    """A built-in tactic's diagnostic is placed at its term, or at its first
+    token when it has no term; a macro-made tactic's has no position."""
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            ("intro h", "intro: target 'p' is not an implication @3:38"),
+            ("assumption", "assumption: no hypothesis proves 'p' @3:32"),
+            ("exact x", "exact: 'x' does not prove anything @3:38"),
+            ("exact u", "exact: 'u : p → p' does not match target 'p' @3:38"),
+            ("exact (x, x)", "exact: '(x, x)' is not a plain reference @3:38"),
+        ],
+    )
+    def test_at_the_term_or_the_first_token(self, script, error):
+        code, out = run_string(
+            "def x := 1\n"
+            "theorem u (p : Prop) : p → p := by intro h; exact h\n"
+            f"theorem t (p : Prop) : p := by {script}\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == f"error: {error}"
+
+    def test_a_macro_made_tactic_has_no_position(self):
+        code, out = run_string(
+            'macro "bad" : tactic => `(tactic| assumption)\n'
+            "theorem t (p : Prop) : p := by bad\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "error: assumption: no hypothesis proves 'p'", "  in expansion of bad",
+        ]
 
 
 class TestTacticHygiene:

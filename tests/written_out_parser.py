@@ -6,12 +6,17 @@ and so are `macro` and `notation` once the prelude registers them.
 `WrittenOutParser` parses them the way the parser did before they were: as
 written-out forms that the category dispatch tries before any rule of the
 table, reading their sequences through `_parse_elements`, which takes the
-element reader and the end test as functions.  On the same table it must
-give the same outcome as `Parser`, tree and end position or error, apart
-from the differences that `known_difference` names.
+element reader and the end test as functions.  It also reads an untagged
+quotation body as the parser did before it read each body once: as a term
+and again as commands, keeping the parse that reaches the closing
+parenthesis, and `ambiguous quotation` when both do with different trees.
+On the same table it must give the same outcome as `Parser`, tree and end
+position or error, apart from the differences that `known_difference`
+names.
 """
 
-from typing import Callable, List, Optional
+import re
+from typing import Callable, List, Optional, Tuple
 
 from hygex.errors import LexError, ParseError
 from hygex.parser import (
@@ -36,13 +41,15 @@ from hygex.parser import (
     K_THEOREM,
     K_TPAREN,
     K_TUPLE,
+    Lexer,
     Parser,
     ParserTable,
     Token,
     describe,
 )
 from hygex.syntax import (
-    KIND_SEPSEQ, KIND_SEQ, KIND_SPLICE, KIND_SPLICEGROUP, Atom, Ident, Name, Node, Syntax,
+    KIND_CMDSEQ, KIND_DQUOT, KIND_QUOT, KIND_SEPSEQ, KIND_SEQ, KIND_SPLICE, KIND_SPLICEGROUP,
+    Atom, Ident, Name, Node, Syntax,
 )
 
 # the kinds of the built-in rules: those of a new table and the prelude's
@@ -277,6 +284,76 @@ class WrittenOutParser(Parser):
             return Node(K_TPAREN, (open_, inner, close))
         return None
 
+    # -- quotations: each untagged body read as a term and again as commands
+
+    def parse_quotation(self) -> Node:
+        tok = self.bump()
+        if tok.kind not in ("quote", "dquote"):
+            raise ParseError(f"expected quotation, found {describe(tok)}", tok.info)
+        head = KIND_QUOT if tok.kind == "quote" else KIND_DQUOT
+        self.quot_depth += 1
+        try:
+            cat_tok = self.peek()
+            if (
+                cat_tok.kind == "ident"
+                and self.peek(1).text == "|"
+                and self.table.has_category(Name.of(cat_tok.text))
+            ):
+                self.bump()
+                self.bump()
+                cat = Name.of(cat_tok.text)
+                if cat == CAT_TACTIC:
+                    body: Syntax = self.parse_tactic_seq()
+                else:
+                    body = self.parse_category(cat, 0)
+                self.expect(")")
+                return Node(Name((head,) + cat), (body,))
+            body = self._parse_quotation_body()
+            self.expect(")")
+            return Node(Name((head,)), (body,))
+        finally:
+            self.quot_depth -= 1
+
+    def _parse_quotation_body(self) -> Syntax:
+        start = self.pos
+        term_result: Optional[Tuple[Syntax, int]] = None
+        term_err: Optional[ParseError] = None
+        try:
+            body = self.parse_term(0)
+            if self.at(")"):
+                term_result = (body, self.pos)
+        except ParseError as err:
+            term_err = err.with_traceback(None)
+        self.pos = start
+        cmd_result: Optional[Tuple[Syntax, int]] = None
+        cmd_err: Optional[ParseError] = None
+        try:
+            cmds = [self.parse_command()]
+            while not self.at(")") and not self.at_eof():
+                cmds.append(self.parse_command())
+            if self.at(")"):
+                body = cmds[0] if len(cmds) == 1 else Node(Name.of(KIND_CMDSEQ), tuple(cmds))
+                cmd_result = (body, self.pos)
+        except ParseError as err:
+            cmd_err = err.with_traceback(None)
+        if term_result and cmd_result:
+            if term_result[0] == cmd_result[0]:
+                self.pos = term_result[1]
+                return term_result[0]
+            raise ParseError(
+                "ambiguous quotation: parses as both a term and a command",
+                self.lexer._info(start),
+            )
+        if term_result:
+            self.pos = term_result[1]
+            return term_result[0]
+        if cmd_result:
+            self.pos = cmd_result[1]
+            return cmd_result[0]
+        raise term_err or cmd_err or ParseError(
+            "empty quotation", self.lexer._info(start)
+        )
+
     # -- element sequences with splice support
 
     def _parse_elements(
@@ -376,6 +453,9 @@ def known_difference(text: str, table, written_out, rules) -> Optional[str]:
     ):
         # the written-out forms took their first token before any rule
         return "a newer rule shadows a built-in one"
+    quotation = _quotation_difference(text, table, written_out, rules)
+    if quotation is not None:
+        return quotation
     if len(written_out) != 3 or len(rules) != 3:
         return None
     _, old_message, old_info = written_out
@@ -409,6 +489,84 @@ def known_difference(text: str, table, written_out, rules) -> Optional[str]:
             and (kind, message, info) == ("ParseError", new_prefix + found, old_info)
         ):
             return name
+    return None
+
+
+AMBIGUOUS = "ambiguous quotation: parses as both a term and a command"
+# a tagged quotation opening, the tag in group 1
+_TAGGED = re.compile(r"`\(\s*([\w'.]+)\s*\|")
+# an untagged quotation opening and one hole, `$x` or `$x:cat` with the tag
+# in group 1, at the end of a text
+_HOLE_BODY = re.compile(r"`\(\s*\$[\w'.]+(?::([\w'.]+))?\s*\Z")
+
+
+def _quotation_difference(text: str, table, written_out, rules) -> Optional[str]:
+    """The name of the listed difference between reading an untagged
+    quotation body as a term and again as commands (`WrittenOutParser`)
+    and reading it once in the category its first token decides
+    (`Parser`), or None."""
+    lexer = Lexer(text, table.snapshot_keywords())
+
+    def error(outcome):
+        """The place of an error outcome and the token there, if it lexes."""
+        if len(outcome) != 3:
+            return None, None
+        try:
+            return outcome[2], lexer.token(outcome[2].offset)
+        except LexError:
+            return outcome[2], None
+
+    def starts_body(info) -> bool:
+        """Whether `info` is the first token of an untagged quotation body."""
+        return info is not None and text[: info.offset].rstrip().endswith("`(")
+
+    def tag(info) -> Optional[str]:
+        """The tag of the last quotation opened before `info`, if any."""
+        tagged = _TAGGED.match(text, max(text.rfind("`(", 0, info.offset), 0))
+        return tagged and tagged[1]
+
+    def heads(cat, tok) -> bool:
+        return tok is not None and table.starts(cat, tok)
+
+    old, old_tok = error(written_out)
+    new, new_tok = error(rules)
+    if (
+        rules[1] == AMBIGUOUS
+        and starts_body(new)
+        and heads(CAT_COMMAND, new_tok)
+        and heads(CAT_TERM, new_tok)
+    ):
+        return "a first token that heads a command and a term rule is ambiguous"
+    if (
+        starts_body(old)
+        and old_tok is not None
+        and old_tok.text != "$"
+        and not (heads(CAT_COMMAND, old_tok) and heads(CAT_TERM, old_tok))
+        and new is not None
+        and new.offset > old.offset
+    ):
+        # the old reader raised the other parse's error, at the first token
+        if heads(CAT_COMMAND, old_tok):
+            return "a failing command body reports the command parse's error"
+        return "a failing term body reports the term parse's error"
+    if (
+        old_tok is not None
+        and written_out[1] == f"expected ')', found '{old_tok.text}'"
+        and heads(CAT_COMMAND, old_tok)
+        and tag(old) == "command"
+        and (new is None or new.offset > old.offset)
+    ):
+        return "a tagged command body takes a sequence"
+    if new_tok is not None and rules[1] == f"expected ')', found '{new_tok.text}'":
+        hole = _HOLE_BODY.search(text, 0, new.offset)
+        if heads(CAT_COMMAND, new_tok) and hole is not None and hole[1] != "command":
+            return "an untagged hole before commands"
+        if tag(new) is None and any(
+            rule.head is None and rule.items[1].text == new_tok.text
+            for rule in table.categories[CAT_COMMAND].rules
+        ):
+            # the old reader went on from the body's first form into the rule
+            return "a command rule led by a category needs a tag"
     return None
 
 
