@@ -332,12 +332,14 @@ class Expander:
         return Node(stx.kind, tuple(children))
 
     def _expand_pattern(self, stx: Syntax, bound: set) -> Syntax:
-        """Pattern identifiers that match a global are references; all
+        """Pattern identifiers that resolve to a global are references; all
         others bind."""
         match stx:
-            case Ident(raw=raw, name=name, preresolved=pre):
-                if pre or self.state.gctx.match_surface(name):
+            case Ident(raw=raw):
+                try:
                     return resolve_identifier(stx, EMPTY_LOCALS, self.state.gctx)
+                except UnboundIdentifier:
+                    pass
                 symbol = strip_top_level_scopes(stx)
                 if raw != "_":
                     bound.add(symbol)

@@ -25,6 +25,15 @@ frames per level, and a nested tuple five.
 
 A quotation body is read once, in the category that its tag or its first
 token decides before it is read (`Parser.parse_quotation`).
+
+A token finds its rules by lookup, not by a scan of its category: each
+`Category` keeps, next to its newest-first `rules`, an index of the same
+rules (`leading` by head, `trailing` by the literal after the category,
+and the rules that start with another category), which `_parse_leading`,
+`_trailing_rule` and `ParserTable.starts` read.  So the work per token does
+not grow with the number of rules that other literals select.  A `Parser`
+builds one `Name` per identifier spelling of its file and hands it to every
+identifier so spelled.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from .syntax import (
     KIND_SEQ,
     KIND_SPLICE,
     KIND_SPLICEGROUP,
-    OMITTED,
     Frozen,
     Name,
     Node,
@@ -254,9 +262,38 @@ def _steps_of(items: Tuple[Item, ...], prec: int, right_assoc: bool) -> Tuple[Tu
 
 
 class Category:
-    def __init__(self, name: Name, rules: List[ParseRule] = OMITTED) -> None:
+    """A syntax category: its rules newest first, and the same rules indexed
+    by what selects them, each bucket newest first too: `leading` by the
+    rule's `head`, `trailing` (a rule that starts with this category) by
+    its second item's text, and `cat_led`, the rules that start with
+    another category."""
+
+    def __init__(self, name: Name) -> None:
         self.name = name
-        self.rules: List[ParseRule] = [] if rules is OMITTED else rules  # newest first
+        self.rules: List[ParseRule] = []
+        self.leading: Dict[str, List[ParseRule]] = {}
+        self.trailing: Dict[str, List[ParseRule]] = {}
+        self.cat_led: List[ParseRule] = []
+
+    def add(self, rule: ParseRule) -> None:
+        """Put `rule` ahead of the older rules, in the list and its bucket."""
+        self.rules.insert(0, rule)
+        if rule.head is not None:
+            bucket = self.leading.setdefault(rule.head, [])
+        elif rule.items[0].cat == self.name:
+            bucket = self.trailing.setdefault(rule.items[1].text, [])
+        else:
+            bucket = self.cat_led
+        bucket.insert(0, rule)
+
+    def copy(self) -> "Category":
+        """An independent category with the same rules, which it shares."""
+        new = Category(self.name)
+        new.rules = list(self.rules)
+        new.leading = {text: list(rules) for text, rules in self.leading.items()}
+        new.trailing = {text: list(rules) for text, rules in self.trailing.items()}
+        new.cat_led = list(self.cat_led)
+        return new
 
 
 class ParserTable:
@@ -324,10 +361,10 @@ class ParserTable:
             self._add_rule(CAT_COMMAND, ParseRule(kind, items))
 
     def copy(self) -> "ParserTable":
-        """An independent table with the same categories, rules and
-        keywords; the immutable rules and keyword snapshot are shared."""
+        """An independent table with the same categories, rules, rule index
+        and keywords; the immutable rules and keyword snapshot are shared."""
         new = ParserTable.__new__(ParserTable)
-        new.categories = {n: Category(n, list(c.rules)) for n, c in self.categories.items()}
+        new.categories = {n: c.copy() for n, c in self.categories.items()}
         new.keywords = set(self.keywords)
         new._keyword_snapshot = self._keyword_snapshot
         new.kinds = set(self.kinds)
@@ -374,7 +411,7 @@ class ParserTable:
 
     def _add_rule(self, cat: Name, rule: ParseRule) -> None:
         """Add `rule` to `cat`, newest first, with its kinds and keywords."""
-        self.categories[cat].rules.insert(0, rule)
+        self.categories[cat].add(rule)
         self.kinds.add(rule.kind)
         for item in _nested_items(rule.items):
             if isinstance(item, ParseRule):
@@ -404,9 +441,7 @@ class ParserTable:
 
     def starts(self, cat: Name, tok: Token) -> bool:
         """Whether `tok` heads a rule of `cat`: is its leading literal."""
-        return tok.kind in ("keyword", "special") and any(
-            rule.head == tok.text for rule in self.categories[cat].rules
-        )
+        return tok.kind in ("keyword", "special") and tok.text in self.categories[cat].leading
 
     def gen_kind(self, items: Sequence[Item]) -> Name:
         base = ""
@@ -674,6 +709,14 @@ def tokenize(text: str, keywords: frozenset = frozenset()) -> List[Token]:
 # Parser
 
 
+class _Names(dict):
+    """Spelling -> `Name`, built at the first use of the spelling."""
+
+    def __missing__(self, text: str) -> Name:
+        name = self[text] = Name.of(text)
+        return name
+
+
 class Parser:
     def __init__(self, text: str, table: ParserTable, pos: int = 0):
         self.table = table
@@ -681,6 +724,11 @@ class Parser:
         self._tokens = self.lexer._tokens
         self.pos = pos
         self.quot_depth = 0
+        # the term category, read by every `parse_term`; the table changes
+        # a category in place
+        self._term = table.categories[CAT_TERM]
+        # one `Name` per identifier spelling of the file
+        self._names = _Names()
 
     def start_command(self, pos: int) -> None:
         """Start a top-level command at `pos`, under the table's keywords
@@ -777,7 +825,7 @@ class Parser:
         if tok.kind != "ident":
             raise ParseError(f"expected identifier, found {describe(tok)}", tok.info)
         self.pos = tok.end
-        return Ident(tok.text, Name.of(tok.text), (), tok.info)
+        return Ident(tok.text, self._names[tok.text], (), tok.info)
 
     def _ident_or_antiquot(self) -> Syntax:
         if self.quot_depth and self.at("$"):
@@ -820,18 +868,15 @@ class Parser:
         hole = self.quot_depth and tok.text in ("$", "$[")
         if tok.kind in ("keyword", "special") and not hole:
             text = tok.text
-            for rule in category.rules:
-                if rule.head == text:
-                    # the leading literal is this token: its step is done here
-                    self.pos = tok.end
-                    try:
-                        return self._parse_rule_items(rule, [Atom(text, tok.info)])
-                    except ParseError as err:
-                        best = _furthest(best, err)
-                        self.pos = start
-        for rule in category.rules:
-            if rule.head is not None or rule.items[0].cat == category.name:
-                continue
+            for rule in category.leading.get(text, ()):
+                # the leading literal is this token: its step is done here
+                self.pos = tok.end
+                try:
+                    return self._parse_rule_items(rule, [Atom(text, tok.info)])
+                except ParseError as err:
+                    best = _furthest(best, err)
+                    self.pos = start
+        for rule in category.cat_led:
             try:
                 head = self.parse_category(rule.items[0].cat, rule.items[0].prec)
                 return self._parse_rule_items(rule, [head])
@@ -849,6 +894,8 @@ class Parser:
         )
 
     def _parse_trailing(self, category: Category, left: Syntax, min_prec: int) -> Syntax:
+        if not category.trailing:
+            return left
         while True:
             tok = self._peek_or_none()
             if tok is None or tok.kind not in ("keyword", "special"):
@@ -936,14 +983,15 @@ class Parser:
     def parse_term(self, min_prec: int = 0) -> Syntax:
         """A term: a leading form, then, one peek per turn, a trailing rule
         or else an application argument, for as long as one follows."""
-        category = self.table.categories[CAT_TERM]
+        category = self._term
         left = self._parse_leading(category)
+        trailing = category.trailing
         apps = min_prec <= APP_PREC
         while True:
             tok = self._peek_or_none()
             if tok is None:
                 return left
-            if tok.kind in ("keyword", "special"):
+            if tok.kind in ("keyword", "special") and tok.text in trailing:
                 rule = _trailing_rule(category, tok.text, min_prec)
                 if rule is not None:
                     left = self._parse_rule_items(rule, [left])
@@ -987,7 +1035,7 @@ class Parser:
     def _term_form(self, tok: Token) -> Optional[Syntax]:
         if tok.kind == "ident":
             self.pos = tok.end
-            return Ident(tok.text, Name.of(tok.text), (), tok.info)
+            return Ident(tok.text, self._names[tok.text], (), tok.info)
         if tok.kind == "num":
             self.pos = tok.end
             return Node(K_NUM, (Atom(tok.text, tok.info),))
@@ -1165,7 +1213,7 @@ class Parser:
         if tok.kind != "ident":
             return self._string_item(tok)
         self.pos = tok.end
-        return Ident(tok.text, Name.of(tok.text), (), tok.info)
+        return Ident(tok.text, self._names[tok.text], (), tok.info)
 
     def _syntax_item(self, tok: Token) -> Optional[Syntax]:
         """A string literal or a category name; a tight `cat:N` raises the
@@ -1173,7 +1221,7 @@ class Parser:
         if tok.kind not in ("ident", "keyword"):
             return self._string_item(tok)
         self.pos = tok.end
-        slot = Ident(tok.text, Name.of(tok.text), (), tok.info)
+        slot = Ident(tok.text, self._names[tok.text], (), tok.info)
         colon = self.peek()
         if (
             colon.text == ":"
@@ -1197,17 +1245,9 @@ class Parser:
 
 def _trailing_rule(category: Category, text: str, min_prec: int) -> Optional[ParseRule]:
     """The newest rule of `category` that continues a form of the category
-    with the literal `text`, at `min_prec` or above, if any.
-    `register_rule` makes a rule that does not lead start with a category
-    and go on with a literal."""
-    name = category.name
-    for rule in category.rules:
-        if (
-            rule.head is None
-            and rule.items[1].text == text
-            and rule.items[0].cat == name
-            and rule.prec >= min_prec
-        ):
+    with the literal `text`, at `min_prec` or above, if any."""
+    for rule in category.trailing.get(text, ()):
+        if rule.prec >= min_prec:
             return rule
     return None
 

@@ -199,7 +199,7 @@ def eval_tactic(
     if kind == K_SKIP:
         out = ts
     elif kind == K_FAIL:
-        raise TacticError("fail tactic invoked")
+        raise _error(stx, "fail tactic invoked")
     elif kind == K_TRY:
         try:
             out = eval_tactic(stx.children[1], ts, trace)
@@ -235,11 +235,12 @@ def eval_tactic(
 
 
 def _error(stx: Node, message: str) -> TacticError:
-    """A diagnostic on the built-in tactic `stx`, placed at its term, or at
-    its first token when it has no term with a position.  A tactic made by
-    a macro has no position of its own, so its diagnostics get none."""
+    """A diagnostic on the built-in tactic or `by` proof `stx`, placed at
+    the tactic's term, or at its first token when it has no term with a
+    position; a proof is placed at its `by`.  A tactic made by a macro has
+    no position of its own, so its diagnostics get none."""
     info = stx.children[0].info
-    if info is not None and len(stx.children) > 1:
+    if info is not None and len(stx.children) > 1 and stx.kind != K_BY:
         info = info_of(stx.children[1]) or info
     return TacticError(message, info)
 
@@ -323,4 +324,4 @@ def run_proof(
     ts = TacticState((ProofGoal((), target),), state, [max_steps])
     final = eval_tactic(script, ts, trace)
     if final.goals:
-        raise TacticError(f"unsolved goals: {final}")
+        raise _error(by_node, f"unsolved goals: {final}")

@@ -106,6 +106,12 @@ class TestIsolation:
         for n, cat in state.table.categories.items():
             assert cat is not proto.table.categories[n]
             assert cat.rules is not proto.table.categories[n].rules
+            theirs = proto.table.categories[n]
+            assert cat.cat_led is not theirs.cat_led
+            for index, their_index in ((cat.leading, theirs.leading), (cat.trailing, theirs.trailing)):
+                assert index is not their_index
+                for text, bucket in index.items():
+                    assert bucket is not their_index[text]
         for k, bucket in state.gctx._suffix_index.items():
             assert bucket is not proto.gctx._suffix_index[k]
         for k, alts in state.macros.items():

@@ -14,14 +14,17 @@ differential over the corpus and the prelude sources.  It parses `def`,
 
 Both it and `ItemByItemParser` read a rule item by item, deciding each item
 at each use, where `Parser` runs the steps that each rule worked out once.
-`ItemByItemParser` differs from `Parser` in nothing else, so over generated
-corpus mutations its outcomes must equal the parser's exactly.
+They also find a token's rules by scanning `Category.rules`, where `Parser`
+reads the category's rule index.  `ItemByItemParser` differs from `Parser`
+in nothing else, so over generated corpus mutations and over generated rule
+sets its outcomes must equal the parser's exactly.
 """
 
 from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from corpus_config import CORPUS_RUNS
@@ -65,6 +68,8 @@ from hygex.parser import (
     Parser,
     ParseRule,
     ParserTable,
+    Token,
+    _trailing_rule,
     describe,
     iter_commands,
 )
@@ -73,12 +78,50 @@ from test_generated_inputs import mutated_corpus_files
 from written_out_parser import WrittenOutParser, written_out_heads
 
 
+def scanned_trailing_rule(category: Category, text: str, min_prec: int) -> Optional[ParseRule]:
+    """`parser._trailing_rule` as it was before the rule index, verbatim."""
+    name = category.name
+    for rule in category.rules:
+        if (
+            rule.head is None
+            and rule.items[1].text == text
+            and rule.items[0].cat == name
+            and rule.prec >= min_prec
+        ):
+            return rule
+    return None
+
+
+class ScanningTable(ParserTable):
+    """A table whose `starts` is the scan of `Category.rules` it was before
+    the rule index, verbatim.  `view` shows a table through this class."""
+
+    def starts(self, cat: Name, tok: Token) -> bool:
+        """Whether `tok` heads a rule of `cat`: is its leading literal."""
+        return tok.kind in ("keyword", "special") and any(
+            rule.head == tok.text for rule in self.categories[cat].rules
+        )
+
+    @classmethod
+    def view(cls, table: ParserTable) -> "ScanningTable":
+        """`table` with this class's `starts`; the two share one state, so
+        the view sees every rule the table gets."""
+        view = cls.__new__(cls)
+        view.__dict__ = table.__dict__
+        return view
+
+
 class ItemByItemParser(Parser):
-    """The parser as it was before each rule worked out its steps once: it
-    reads a rule item by item, deciding each item at each use, sends every
-    slot through `parse_category`, keeps its furthest error through a
-    closure, and peeks twice per `parse_term` turn.  The four methods are
+    """The parser as it was before each rule worked out its steps once and
+    before the rule index: it reads a rule item by item, deciding each item
+    at each use, sends every slot through `parse_category`, keeps its
+    furthest error through a closure, peeks twice per `parse_term` turn,
+    and scans `Category.rules` for a token's rules, also through its
+    table's `starts` (`ScanningTable`).  The four methods below are
     verbatim copies of that parser's."""
+
+    def __init__(self, text: str, table: ParserTable, pos: int = 0):
+        super().__init__(text, ScanningTable.view(table), pos)
 
     def _parse_leading(self, category: Category) -> Syntax:
         """One leading form of the category, the same way for every
@@ -454,6 +497,119 @@ class TestSameTreesAsTheItemByItemReader:
         finally:
             driver.iter_commands = raw
         assert seen
+
+
+UCAT = Name.of("ucat")
+# the literals of generated rules: words and symbols, none a prefix of another
+POOL = ("pk", "q", "!", "??", "<+>", "%")
+_SLOTS = {"term": CatRef(CAT_TERM), "ident": CatRef(CAT_IDENT), "ucat": CatRef(UCAT)}
+
+
+@st.composite
+def rule_sets(draw):
+    """A table holding generated rules, registered in a drawn order: rules
+    of `term` that share a leading literal, of which a newer one can fail
+    where an older one parses; one trailing literal of `term` at several
+    precedences; rules of a user category `ucat`, leading, trailing and
+    one or two led by `ident`; one or two `term` rules led by `ucat`; and a
+    `command` rule, whose head may also head a `term` rule."""
+    lit = st.sampled_from(POOL).map(Lit)
+    item = st.one_of(lit, st.sampled_from(sorted(_SLOTS)).map(_SLOTS.get))
+    tail = st.lists(item, max_size=3).map(tuple)
+    prec = st.sampled_from((10, 25, 50, 65, 80))
+    term, ucat = _SLOTS["term"], _SLOTS["ucat"]
+    head = draw(lit)
+    specs = [(CAT_TERM, (head, *draw(tail)), 0, False) for _ in range(draw(st.integers(2, 4)))]
+    between = draw(lit)
+    for p in draw(st.lists(prec, min_size=2, max_size=3, unique=True)):
+        specs.append((CAT_TERM, (term, between, term), p, draw(st.booleans())))
+    for _ in range(draw(st.integers(1, 2))):
+        specs += [
+            (UCAT, (_SLOTS["ident"], draw(lit), *draw(tail)), 0, False),
+            (CAT_TERM, (ucat, draw(lit), *draw(tail)), draw(prec), False),
+        ]
+    specs += [
+        (UCAT, (draw(lit), *draw(tail)), 0, False),
+        (UCAT, (ucat, draw(lit), ucat), draw(prec), draw(st.booleans())),
+        (CAT_COMMAND, (Lit(draw(st.sampled_from((head.text, *POOL)))), *draw(tail)), 0, False),
+    ]
+    order = draw(st.permutations(specs))
+    table = ParserTable()
+    table.add_category(UCAT)
+    for i, (cat, items, p, right) in enumerate(order):
+        try:
+            table.register_rule(cat, ParseRule(Name.of(f"r{i}"), items, p, right))
+        except ParseError:
+            pass  # a rule that would close a left-recursive cycle
+    return table
+
+
+def sentence(data, table: ParserTable, cat: Name, depth: int = 0) -> List[str]:
+    """The words of a form of `cat` under `table`'s rules, drawn from
+    `data`: a rule of the category with each slot filled in turn, or a
+    leaf, always for `ident`, past a depth, and by choice for `term`."""
+    if cat == CAT_IDENT:
+        return ["x"]
+    rules = [
+        rule for rule in table.categories[cat].rules
+        if all(isinstance(i, (Lit, CatRef)) for i in rule.items)
+    ]
+    if not rules or depth > 2 or (cat == CAT_TERM and data.draw(st.booleans())):
+        return [data.draw(st.sampled_from(("x", "1", "(x, 2)")))]
+    words: List[str] = []
+    for item in data.draw(st.sampled_from(rules)).items:
+        words += [item.text] if isinstance(item, Lit) else sentence(data, table, item.cat, depth + 1)
+    return words
+
+
+def outcome(parser_class, text: str, table: ParserTable, method: str, *args):
+    """What `parser_class` makes of `text` with `method`: the tree and where
+    it stopped, or the error."""
+    parser = parser_class(text, table)
+    try:
+        return getattr(parser, method)(*args), parser.pos
+    except (LexError, ParseError) as err:
+        return type(err).__name__, err.message, err.info
+
+
+class TestTheRuleIndexAgreesWithTheScans:
+    """Over generated rule sets, `Parser`, which reads the rule index, and
+    `ItemByItemParser`, which scans `Category.rules`, give equal trees and
+    equal errors; the index lookups equal the scans they replace, also on
+    a copy of the table."""
+
+    @settings(max_examples=40)
+    @given(table=rule_sets(), data=st.data())
+    def test_same_outcomes_and_lookups(self, table, data):
+        for cat, method, args in (
+            (CAT_TERM, "parse_term", (data.draw(st.sampled_from((0, 50, 66, APP_PREC + 1))),)),
+            (UCAT, "parse_category", (UCAT,)),
+            (CAT_COMMAND, "parse_command", ()),
+        ):
+            words = sentence(data, table, cat)
+            if data.draw(st.booleans()):
+                # a word dropped or a literal put in: a parse that fails
+                # somewhere, or backtracks to an older rule
+                at = data.draw(st.integers(0, len(words)))
+                words[at:at + 1] = [] if data.draw(st.booleans()) else [
+                    data.draw(st.sampled_from(POOL)), *words[at:at + 1]
+                ]
+            text = " ".join(words)
+            for src, how in ((text, (method, *args)), (f"`({text})", ("parse_term",))):
+                assert outcome(Parser, src, table, *how) == outcome(
+                    ItemByItemParser, src, table, *how
+                ), src
+        for t in (table, table.copy()):
+            for cat in (CAT_TERM, UCAT, CAT_COMMAND, CAT_TACTIC):
+                category = t.categories[cat]
+                for text in (*POOL, "+", "→", "(", "x"):
+                    for kind in ("keyword", "special", "ident"):
+                        tok = Token(kind, text, None, 0)
+                        assert t.starts(cat, tok) == ScanningTable.starts(t, cat, tok)
+                    for min_prec in (0, 25, 26, 50, 65, 66, 81):
+                        assert _trailing_rule(category, text, min_prec) is (
+                            scanned_trailing_rule(category, text, min_prec)
+                        )
 
 
 def parse(src: str, table: ParserTable, method: str = "parse_term") -> Syntax:

@@ -128,7 +128,8 @@ class TestCoreTactics:
 
 class TestTacticDiagnosticsArePlaced:
     """A built-in tactic's diagnostic is placed at its term, or at its first
-    token when it has no term; a macro-made tactic's has no position."""
+    token when it has no term; `unsolved goals` at the proof's `by`; a
+    macro-made tactic's has no position."""
 
     @pytest.mark.parametrize(
         "script, error",
@@ -138,6 +139,8 @@ class TestTacticDiagnosticsArePlaced:
             ("exact x", "exact: 'x' does not prove anything @3:38"),
             ("exact u", "exact: 'u : p → p' does not match target 'p' @3:38"),
             ("exact (x, x)", "exact: '(x, x)' is not a plain reference @3:38"),
+            ("fail", "fail tactic invoked @3:32"),
+            ("skip", "unsolved goals: ⊢ p @3:29"),
         ],
     )
     def test_at_the_term_or_the_first_token(self, script, error):
@@ -149,6 +152,32 @@ class TestTacticDiagnosticsArePlaced:
         )
         assert code == 1
         assert out.splitlines()[-1] == f"error: {error}"
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            ("skip", "unsolved goals: ⊢ p → p @1:33"),
+            ("intro h; fail", "fail tactic invoked @1:45"),
+        ],
+    )
+    def test_in_a_one_line_proof(self, script, error):
+        code, out = run_string(
+            f"theorem t (p : Prop) : p → p := by {script}\n", RunConfig(stage="elaborate")
+        )
+        assert (code, out) == (1, f"error: {error}\n")
+
+    def test_a_macro_made_fail_and_proof_have_no_position(self):
+        code, out = run_string(
+            'macro "boom" : tactic => `(tactic| fail)\n'
+            "theorem t (p : Prop) : p → p := by intro h; boom\n"
+            'macro "prf" : command => `(theorem u (p : Prop) : p → p := by skip)\n'
+            "prf\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("error")] == [
+            "error: fail tactic invoked", "error: unsolved goals: ⊢ p.1 → p.1",
+        ]
 
     def test_a_macro_made_tactic_has_no_position(self):
         code, out = run_string(
