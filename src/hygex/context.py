@@ -8,11 +8,16 @@ queried), so bookkeeping-only macros leave no trace in the numbering.
 A run has one `TransformerEnv`, built with its `ExpanderState` and shared
 by every macro step of the run; `macro_step` enters each step's fresh
 scope on `ScopeState`'s stack directly.
+
+The macro table indexes a kind's alternatives by the shape of one child of
+the node (`Alternatives`), and the global context records whether any
+global carries macro scopes (`GlobalContext.scoped`): the two facts that
+let a macro step skip lookups that cannot succeed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .parser import ParserTable
 from .syntax import Frozen, Ident, Name, Symbol, Syntax, base_name, macro_scopes, slot_setters
@@ -107,6 +112,10 @@ class GlobalContext:
     returns one of these objects unchanged: identity marks a reference
     whose resolution is final, so no later stage scans the globals for it
     again.  A copy starts a table of its own.
+
+    `scoped` turns true when a global with macro scopes is added, and a
+    copy keeps it.  While it is false, `match_surface` returns [] for every
+    name with scopes, so `resolve_identifier` does not ask it.
     """
 
     def __init__(self) -> None:
@@ -114,6 +123,8 @@ class GlobalContext:
         # (last base component, macro scopes) -> [(base parts, symbol)]
         self._suffix_index: Dict[Tuple[Any, Tuple[int, ...]], List[Tuple[tuple, Symbol]]] = {}
         self.refs: Dict[Tuple[str, Symbol], Ident] = {}
+        # whether some global carries macro scopes
+        self.scoped = False
 
     def __contains__(self, symbol: Symbol) -> bool:
         return symbol in self.decls
@@ -130,6 +141,7 @@ class GlobalContext:
         new = GlobalContext()
         new.decls = dict(self.decls)
         new._suffix_index = {k: list(b) for k, b in self._suffix_index.items()}
+        new.scoped = self.scoped
         return new
 
     def ref(self, raw: str, symbol: Symbol) -> Ident:
@@ -147,6 +159,8 @@ class GlobalContext:
 
     def _index(self, symbol: Symbol) -> None:
         scopes = macro_scopes(symbol)
+        if scopes:
+            self.scoped = True
         base = base_name(symbol)
         if not base:
             return
@@ -186,6 +200,53 @@ Transformer = Callable[[Syntax, "TransformerEnv"], Optional[Syntax]]
 Alternative = Tuple[Any, Any]  # (pattern, template) or (None, transformer)
 
 
+class Alternatives(list):
+    """A kind's alternatives, newest declaration first, with the index of
+    them by shape that `MacroTable` keeps (None when there is none).
+
+    The index is `(at, buckets)`: `at` is the child position whose shape
+    tells the patterns apart, and `buckets[size + 1]` holds, newest first,
+    the alternatives that can match a node whose child there has that size
+    (its number of children, -1 for a leaf); the last bucket serves every
+    larger size.  A bucket leaves out only patterns whose shape at `at`
+    excludes the size, so a procedural transformer is in every bucket.  The
+    index is made of tuples: copies of the list share it."""
+
+    __slots__ = ("by_shape",)
+    by_shape: Optional[tuple]
+
+
+def _shape_index(alternatives: Sequence[Alternative]) -> Optional[tuple]:
+    """The index of a kind's alternatives by the shape of one child (see
+    `Alternatives`), from their patterns' `shape`s; None for fewer than two
+    patterns, or when no child position has two different shapes."""
+    shapes = [p.shape for p, _ in alternatives if p is not None]
+    if len(shapes) < 2:
+        return None
+    at, most = None, 1
+    for i in range(max(map(len, shapes))):
+        seen = len({s[i] if i < len(s) else None for s in shapes})
+        if seen > most:
+            at, most = i, seen
+    if at is None:
+        return None
+    conds = [
+        p.shape[at] if p is not None and at < len(p.shape) else None
+        for p, _ in alternatives
+    ]
+    # every size past the largest bound meets the same conditions
+    top = max(b for c in conds if c is not None for b in c if b is not None) + 1
+    buckets = tuple(
+        tuple(
+            alt
+            for alt, c in zip(alternatives, conds)
+            if c is None or (c[0] <= size and (c[1] is None or size <= c[1]))
+        )
+        for size in range(-1, top + 1)
+    )
+    return at, buckets
+
+
 class MacroTable(dict):
     """Per node kind, one flat list of alternatives, newest declaration
     first.
@@ -193,16 +254,32 @@ class MacroTable(dict):
     A `macro_rules` block adds its (pattern, template) pairs ahead of the
     older alternatives, in written order; a procedural transformer is one
     entry.  `expander.macro_step` walks the list itself, so a step takes no
-    frame per declaration.  A kind with no alternative has no entry."""
+    frame per declaration.  A kind with no alternative has no entry.
+
+    Each list is an `Alternatives` that carries its index by shape, built
+    again whenever the kind gains an alternative; `macro_step` tries only
+    the alternatives of the bucket that the node's shape selects.  A copy
+    shares the indexes, which are immutable, and derives none of them."""
 
     def register(self, kind: Name, transformer: Transformer) -> None:
-        self.setdefault(kind, []).insert(0, (None, transformer))
+        self._add(kind, [(None, transformer)])
 
     def add_rules(self, kind: Name, rules: List[Alternative]) -> None:
-        self.setdefault(kind, [])[:0] = rules
+        self._add(kind, rules)
+
+    def _add(self, kind: Name, new: List[Alternative]) -> None:
+        alternatives = self.get(kind)
+        if alternatives is None:
+            alternatives = self[kind] = Alternatives()
+        alternatives[:0] = new
+        alternatives.by_shape = _shape_index(alternatives)
 
     def copy(self) -> "MacroTable":
-        return MacroTable({k: list(alts) for k, alts in self.items()})
+        new = MacroTable()
+        for kind, alternatives in self.items():
+            mine = new[kind] = Alternatives(alternatives)
+            mine.by_shape = alternatives.by_shape
+        return new
 
 
 class TransformerEnv:

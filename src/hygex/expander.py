@@ -10,11 +10,18 @@ The expander's resolution is final.  A run keeps one shared `Ident` per
 later stages, the elaborator and the tactic engine, still pass each
 reference through `resolve_identifier`, which recognises one of those
 objects by identity and returns it without scanning the globals again.
+An identifier that a macro step introduced carries a macro scope, and
+while no global carries one (`GlobalContext.scoped`) it can name a global
+only through its preresolutions: it is resolved by them alone, with no
+`match_surface` lookup.
 
 `macro_step` is the kernel's one macro-step routine; the elaborator, the
 tactic engine and the prechecker take their steps through it too.  It
 walks a kind's flat, newest-first list of alternatives in the `MacroTable`
-and matches and instantiates a `macro_rules` pair itself.  What is the
+and matches and instantiates a `macro_rules` pair itself.  Of a kind with
+an index by shape (`context.Alternatives`) it walks only the bucket that
+the node's shape selects, which leaves out patterns that cannot match the
+node and keeps the rest in order.  What is the
 same for every step of a run is built once: a run state holds one
 `TransformerEnv` that all its steps share.  The step path tests exact
 types (`type(stx) is Ident`) and matches kinds against module-level sets;
@@ -177,10 +184,16 @@ def resolve_identifier(
         return stx
     if name in lctx:
         return gctx.ref(raw, name)
-    # `match_surface` lists each global once; only a preresolution can repeat one
-    candidates = gctx.match_surface(name)
-    if stx.preresolved:
-        candidates = list(dict.fromkeys((*stx.preresolved, *candidates)))
+    pre = stx.preresolved
+    if gctx.scoped or not name or type(name[-1]) is not int:
+        # `match_surface` lists each global once; only a preresolution can repeat one
+        candidates = gctx.match_surface(name)
+        if pre:
+            candidates = list(dict.fromkeys((*pre, *candidates)))
+    else:
+        # a scoped name while no global carries scopes: `match_surface`
+        # could only return [], so the preresolutions are the candidates
+        candidates = pre if len(pre) < 2 else list(dict.fromkeys(pre))
     if len(candidates) == 1:
         return gctx.ref(raw, candidates[0])
     if candidates:
@@ -204,7 +217,19 @@ def macro_step(
     the pattern matches, and a procedural transformer when it returns
     syntax.  Return the output and the step's scope (None if never
     allocated), or None when none applied.  A `KernelError` raised by an
-    alternative gets this step's frame."""
+    alternative gets this step's frame.
+
+    Of an `Alternatives` list with an index by shape, only the bucket that
+    the node's child at the index's position selects is tried; the others
+    are patterns that cannot match it."""
+    by_shape = getattr(alternatives, "by_shape", None)
+    if by_shape is not None:
+        at, buckets = by_shape
+        children = stx.children
+        if at < len(children):
+            child = children[at]
+            i = len(child.children) + 1 if type(child) is Node else 0
+            alternatives = buckets[i] if i < len(buckets) else buckets[-1]
     # `ScopeState.fresh` without its context-manager calls: a step pushes
     # an unallocated scope and pops it however it ends
     stack = tenv.scopes._stack

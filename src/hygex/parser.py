@@ -297,12 +297,18 @@ class Category:
 
 
 class ParserTable:
-    """Syntax categories, their rules, and the live keyword set."""
+    """Syntax categories, their rules, and the live keyword set.
+
+    `symbols` is the keywords' symbolic part (`_symbolic`), kept as
+    keywords are added: each new `Lexer` of the table gets the same
+    frozenset until a symbolic keyword comes, so no lexer scans the
+    keyword set."""
 
     def __init__(self) -> None:
         self.categories: Dict[Name, Category] = {}
         self.keywords: Set[str] = set()
         self._keyword_snapshot = frozenset()  # stale: the set is never empty
+        self.symbols: frozenset = frozenset()
         self.kinds: Set[Name] = set()
         for cat in (
             CAT_TERM, CAT_COMMAND, CAT_TACTIC, CAT_SYNTAX_ITEM, CAT_MACRO_ITEM,
@@ -362,11 +368,13 @@ class ParserTable:
 
     def copy(self) -> "ParserTable":
         """An independent table with the same categories, rules, rule index
-        and keywords; the immutable rules and keyword snapshot are shared."""
+        and keywords; the immutable rules, keyword snapshot and symbols are
+        shared."""
         new = ParserTable.__new__(ParserTable)
         new.categories = {n: c.copy() for n, c in self.categories.items()}
         new.keywords = set(self.keywords)
         new._keyword_snapshot = self._keyword_snapshot
+        new.symbols = self.symbols
         new.kinds = set(self.kinds)
         return new
 
@@ -410,7 +418,8 @@ class ParserTable:
         self._add_rule(cat, rule)
 
     def _add_rule(self, cat: Name, rule: ParseRule) -> None:
-        """Add `rule` to `cat`, newest first, with its kinds and keywords."""
+        """Add `rule` to `cat`, newest first, with its kinds, keywords and
+        symbols."""
         self.categories[cat].add(rule)
         self.kinds.add(rule.kind)
         for item in _nested_items(rule.items):
@@ -418,7 +427,11 @@ class ParserTable:
                 self.kinds.add(item.kind)
             elif isinstance(item, Lit) and item.text not in _SPECIALS:
                 # a special is lexed as one whatever the keywords
-                self.keywords.add(item.text)
+                text = item.text
+                if text not in self.keywords:
+                    self.keywords.add(text)
+                    if _is_symbolic(text):
+                        self.symbols = self.symbols | {text}
 
     def _left_path(self, start: Name, goal: Name) -> Optional[List[Name]]:
         """The categories from `start` to `goal` along rules that start with
@@ -495,8 +508,10 @@ _new = tuple.__new__
 
 # The lexer matches each token with one scanner, compiled once per set of
 # symbolic keywords: the keywords and specials that do not start like an
-# identifier.  Its pattern is the blanks and `--` comments before a token,
-# then at most one of three groups:
+# identifier.  `ParserTable.symbols` keeps that set as rules add keywords,
+# so a lexer built for a table neither scans the keyword set nor hashes a
+# new frozenset to find its scanner.  Its pattern is the blanks and `--`
+# comments before a token, then at most one of three groups:
 #   1. an ASCII-headed identifier, dotted or not; a word keyword is told
 #      apart from an identifier by set membership, so a new word keyword
 #      never compiles a new scanner;
@@ -538,11 +553,14 @@ def _is_ident_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
+def _is_symbolic(keyword: str) -> bool:
+    """Whether the scanner's symbol group matches `keyword`."""
+    return not (_is_ident_start(keyword[0]) or keyword[0] in '`$"«')
+
+
 def _symbolic(keywords: frozenset) -> frozenset:
     """The keywords that the scanner's symbol group matches."""
-    return frozenset(
-        k for k in keywords if not (_is_ident_start(k[0]) or k[0] in '`$"«')
-    )
+    return frozenset(k for k in keywords if _is_symbolic(k))
 
 
 @functools.lru_cache(maxsize=32)
@@ -564,7 +582,15 @@ def _scanner(symbols: frozenset) -> re.Pattern:
 
 
 class Lexer:
-    def __init__(self, text: str, keywords: frozenset, line_starts: Tuple[int, ...] = ()):
+    def __init__(
+        self,
+        text: str,
+        keywords: frozenset,
+        line_starts: Tuple[int, ...] = (),
+        symbols: Optional[frozenset] = None,
+    ):
+        """A lexer of `text` under `keywords`; `symbols`, their symbolic
+        part, is worked out from them when not given."""
         self.text = text
         self.keywords = keywords
         # the offsets that start a line, handed on from a lexer of the same text
@@ -572,7 +598,7 @@ class Lexer:
         # the number and bounds of the line lexed last: lookahead mostly
         # moves forward within a line
         self._line, self._line_lo, self._line_hi = 0, 0, -1
-        self._scanner = _scanner(_symbolic(keywords))
+        self._scanner = _scanner(_symbolic(keywords) if symbols is None else symbols)
         # position -> the token that starts there once blanks and comments
         # are skipped; the parser trims it at each command start
         self._tokens: Dict[int, Token] = {}
@@ -720,7 +746,7 @@ class _Names(dict):
 class Parser:
     def __init__(self, text: str, table: ParserTable, pos: int = 0):
         self.table = table
-        self.lexer = Lexer(text, table.snapshot_keywords())
+        self.lexer = Lexer(text, table.snapshot_keywords(), (), table.symbols)
         self._tokens = self.lexer._tokens
         self.pos = pos
         self.quot_depth = 0
@@ -740,7 +766,8 @@ class Parser:
         lexer = self.lexer
         keywords = self.table.snapshot_keywords()
         if keywords is not lexer.keywords:
-            lexer = self.lexer = Lexer(lexer.text, keywords, lexer._line_starts)
+            symbols = self.table.symbols
+            lexer = self.lexer = Lexer(lexer.text, keywords, lexer._line_starts, symbols)
         else:
             lexer._tokens = {pos: lexer._tokens[pos]} if pos in lexer._tokens else {}
             lexer._errors = {pos: lexer._errors[pos]} if pos in lexer._errors else {}

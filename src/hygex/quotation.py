@@ -14,6 +14,9 @@ node builder fills a copy of the prebuilt children in its own frame, with
 no comprehension.  A macro step then runs those closures instead of
 walking the quotation.  The closures capture only the quotation, never
 run state, so one compiled rule serves every run that shares it.  A
+pattern also records its children's shapes, what every tree it matches
+has at each position, from which `context.MacroTable` indexes a kind's
+alternatives so that a step does not try a pattern that cannot match.  A
 `macro_rules` block is no closure of its own: `check_rules` validates its
 (pattern, template) pairs, and `expander.macro_step` matches and
 instantiates them in turn.
@@ -140,24 +143,26 @@ _template_body, _template_holes, _template_checked, _template_build = (
 
 
 class QuotationPattern(Frozen):
-    """A macro pattern; `match`, compiled from the body, stays out of
-    equality and repr."""
+    """A macro pattern; `match` and `shape`, both derived from the body,
+    stay out of equality and repr."""
 
-    __slots__ = ("body", "kind", "vars", "match")
+    __slots__ = ("body", "kind", "vars", "match", "shape")
     _fields = ("body", "kind", "vars")
     body: Syntax
     kind: Name
     vars: FrozenSet[Name]
     match: Matcher
+    shape: Tuple["Shape", ...]
 
     def __init__(self, body: Syntax, kind: Name, vars: FrozenSet[Name]) -> None:
         _pattern_body(self, body)
         _pattern_kind(self, kind)
         _pattern_vars(self, vars)
         _pattern_match(self, _compile_matcher(body))
+        _pattern_shape(self, _child_shapes(body))
 
 
-_pattern_body, _pattern_kind, _pattern_vars, _pattern_match = (
+_pattern_body, _pattern_kind, _pattern_vars, _pattern_match, _pattern_shape = (
     slot_setters(QuotationPattern)
 )
 
@@ -286,6 +291,45 @@ def _compile_matcher(pat: Syntax) -> Matcher:
     if type(pat) is Missing:
         return lambda stx, env: type(stx) is Missing
     return _no_match
+
+
+# A shape is a condition that every tree a compiled pattern matches meets:
+# the range (lo, hi) of the tree's size, which is the number of children of
+# a node and -1 for a leaf; hi None is no upper bound, and a shape of None
+# is no condition.  `context.MacroTable` indexes a kind's alternatives by
+# the shapes of their patterns' children.
+Shape = Optional[Tuple[int, Optional[int]]]
+_LEAF: Shape = (-1, -1)
+_ANY_NODE: Shape = (0, None)
+
+
+def _child_shapes(pat: Syntax) -> Tuple[Shape, ...]:
+    """The shape of each child of a node pattern up to its first splice,
+    for the input child at the same position; past a splice no child has a
+    fixed position."""
+    if type(pat) is not Node or is_antiquot(pat):
+        return ()
+    shapes = []
+    for c in pat.children:
+        if is_splice(c):
+            break
+        shapes.append(_shape(c))
+    return tuple(shapes)
+
+
+def _shape(pat: Syntax) -> Shape:
+    """The shape of what `_compile_matcher(pat)` matches."""
+    cls = type(pat)
+    if cls is Node:
+        if is_antiquot(pat):
+            admits = _admits(pat)
+            return _LEAF if admits is _is_ident else _ANY_NODE if admits is _is_num else None
+        n = len(pat.children)
+        # a splice stands for any run of children: the others are the least
+        return (n - 1, None) if any(is_splice(c) for c in pat.children) else (n, n)
+    if cls is Atom or cls is Ident or cls is Missing:
+        return _LEAF
+    return None
 
 
 def _compile_hole_matcher(anti: Node) -> Matcher:

@@ -15,9 +15,10 @@ import pytest
 from conftest import CORPUS, GOLDENS
 from corpus_config import CORPUS_RUNS
 from hygex import prelude
-from hygex.context import ScopeCounter
+from hygex.context import Alternatives, ScopeCounter
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.expander import ExpanderState
+from hygex.parser import _symbolic
 from hygex.prelude import bootstrap
 from hygex.syntax import Name
 
@@ -34,10 +35,11 @@ def contents(state: ExpanderState):
     return (
         {n: tuple(c.rules) for n, c in table.categories.items()},
         frozenset(table.keywords),
+        table.symbols,
         frozenset(table.kinds),
         tuple((s, (d.kind, d.type_, d.prop)) for s, d in state.gctx.decls.items()),
         {k: tuple(b) for k, b in state.gctx._suffix_index.items()},
-        {k: tuple(alts) for k, alts in state.macros.items()},
+        {k: (tuple(alts), alts.by_shape) for k, alts in state.macros.items()},
         dict(state.elaborators),
         dict(state.tactics),
         state.scopes.counter._next,
@@ -47,8 +49,14 @@ def contents(state: ExpanderState):
 
 ELAB = dict(stage="elaborate")
 
+# what a run may share with the prototype: values nothing can change in place
+IMMUTABLE = (frozenset, tuple, str, int, type(None))
+
 MUTATIONS = {
     "syntax_rule_and_keyword": ('syntax "zz" term : term\n', {}),
+    "syntax_rule_and_symbol": ('syntax "<+>" term : term\n', {}),
+    # a new tuple rule: the kind's index by shape is built again
+    "macro_rules_on_tuples": ("macro_rules | `(($a, $b)) => `($a)\n", {}),
     "macro_rules_on_a_prelude_kind": ("macro_rules | `(dup $e) => `($e)\n", {}),
     "notation": ('notation "trip" e => Prod.mk e (Prod.mk e e)\n', {}),
     "macro": ('macro "mm" e:term : term => `($e + 1)\n', {}),
@@ -101,8 +109,11 @@ class TestIsolation:
             assert mine is not theirs
             assert vars(mine).keys() == vars(theirs).keys()
             for attr, value in vars(mine).items():
-                if isinstance(value, (list, dict, set)):
-                    assert value is not vars(theirs)[attr], attr
+                if value is vars(theirs)[attr]:
+                    assert isinstance(value, IMMUTABLE), attr
+        # the table's symbols: shared, immutable, and what its keywords give
+        assert type(state.table.symbols) is frozenset
+        assert state.table.symbols == _symbolic(state.table.snapshot_keywords())
         for n, cat in state.table.categories.items():
             assert cat is not proto.table.categories[n]
             assert cat.rules is not proto.table.categories[n].rules
@@ -115,7 +126,17 @@ class TestIsolation:
         for k, bucket in state.gctx._suffix_index.items():
             assert bucket is not proto.gctx._suffix_index[k]
         for k, alts in state.macros.items():
-            assert alts is not proto.macros[k]
+            theirs = proto.macros[k]
+            assert alts is not theirs and type(alts) is Alternatives
+            # the index by shape is copied, not derived again, and holds
+            # nothing mutable
+            assert alts.by_shape is theirs.by_shape
+            if alts.by_shape is not None:
+                at, buckets = alts.by_shape
+                assert type(at) is int and type(buckets) is tuple
+                for bucket in buckets:
+                    assert type(bucket) is tuple and all(alt in alts for alt in bucket)
+        assert any(alts.by_shape is not None for alts in state.macros.values())
         assert state.elaborators is not proto.elaborators
         assert state.tactics is not proto.tactics
         assert state.scopes is not proto.scopes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
 from hygex import driver
+from hygex import parser as parser_module
 from hygex.driver import RunConfig, Runner
 from hygex.errors import LexError, ParseError
 from hygex.parser import MACRO_RULE, NOTATION_RULE
@@ -30,6 +31,7 @@ from hygex.parser import (
     ParserTable,
     Token,
     _scanner,
+    _symbolic,
     tokenize,
 )
 from hygex.syntax import (
@@ -1000,3 +1002,72 @@ class TestScannerCache:
         # a lexer per keyword set: the file's first, then one after each of
         # the 9 notations and 4 macros, all on the scanner the first compiled
         assert (info.misses, info.hits) == (1, 9 + 4)
+
+
+def lex_all(lexer: Lexer):
+    """Every token of a lexer's text, or the first `LexError`."""
+    out, pos = [], 0
+    try:
+        while True:
+            tok = lexer.token(pos)
+            if tok.kind == "eof":
+                return out
+            out.append(tok)
+            pos = tok.end
+    except LexError as err:
+        return ("LexError", err.message, err.info)
+
+
+# literals led by a word character, a symbol, a digit, `$`, a backquote,
+# `«` and `"`, and specials, which are no keywords
+_LITERALS = ["zz", "k2", "x.y", "_w", "é", "<+>", "+", "::", "→", "1+", "42x", "$$", "$x",
+             "`x", "``", "«<", '"!', "(", ","]
+
+
+class TestTableSymbols:
+    """`ParserTable.symbols` is the symbolic part of the keywords, kept as
+    rules add them, so a new lexer scans no keyword set."""
+
+    @staticmethod
+    def add(table: ParserTable, texts) -> None:
+        items = tuple(Lit(t) for t in texts)
+        table.register_rule(CAT_TERM, ParseRule(table.gen_kind(items), items))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        before=st.lists(st.lists(st.sampled_from(_LITERALS), min_size=1, max_size=3), max_size=5),
+        after=st.lists(st.lists(st.sampled_from(_LITERALS), min_size=1, max_size=3), max_size=5),
+        pieces=st.lists(st.sampled_from(_LITERALS + _PIECES), max_size=12),
+    )
+    def test_the_kept_symbols_are_the_keywords_symbolic_part(self, before, after, pieces):
+        table = ParserTable()
+        for texts in before:
+            self.add(table, texts)
+        kept = table.symbols
+        copy = table.copy()
+        for texts in after:
+            self.add(copy, texts)
+        assert table.symbols is kept
+        for t in (table, copy):
+            keywords = t.snapshot_keywords()
+            assert t.symbols == _symbolic(keywords)
+            text = " ".join(pieces)
+            assert lex_all(Lexer(text, keywords, (), t.symbols)) == lex_all(Lexer(text, keywords))
+
+    def test_a_new_word_keyword_is_classified_once(self, monkeypatch):
+        table = ParserTable()
+        parser = Parser("def x := 1\ndef y := zz 2\n", table)
+        calls = []
+        real = parser_module._is_ident_start
+        monkeypatch.setattr(parser_module, "_is_ident_start", lambda c: calls.append(c) or real(c))
+        symbols = table.symbols
+        self.add(table, ["zz"])
+        lexer = parser.lexer
+        parser.start_command(11)
+        assert parser.lexer is not lexer
+        assert calls == ["z"]
+        assert table.symbols is symbols
+        # a keyword the table has is not classified again; a new symbol grows the set
+        self.add(table, ["zz", "<+>"])
+        assert calls == ["z", "<"]
+        assert table.symbols == symbols | {"<+>"}

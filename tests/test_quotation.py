@@ -18,9 +18,9 @@ from hygex.context import (
     ScopeState,
     TransformerEnv,
 )
-from hygex.errors import ExpansionError
+from hygex.errors import ExpansionError, KernelError
 from hygex.expander import macro_step
-from hygex.parser import CAT_COMMAND, Parser, ParserTable
+from hygex.parser import CAT_COMMAND, K_TUPLE, Parser, ParserTable
 from hygex.parser import MACRO_RULE
 from hygex.quotation import (
     Capture,
@@ -938,10 +938,222 @@ class TestCompiledRulesCaptureNoRunState:
         assert not runner.diagnostics
         names = set()
         for kind, alternatives in runner.state.macros.items():
-            for alternative in alternatives:
+            for alternative in (*alternatives, alternatives.by_shape):
                 for obj in reachable(alternative):
                     assert not isinstance(obj, RUN_STATE), (kind, obj)
                     if isinstance(obj, types.FunctionType):
                         names.add(obj.__name__)
         # the walk reached the compiled closures themselves
         assert {"match_node", "match_group", "build_node", "build_group"} <= names
+
+
+# ---------------------------------------------------------------------------
+# Alternatives indexed by shape, checked against the plain scan they replace
+
+
+def scan_macro_step(stx, alternatives, tenv, on_step=None):
+    """`expander.macro_step` as it was before the index by shape: every
+    alternative of the list, newest first."""
+    stack = tenv.scopes._stack
+    stack.append(None)
+    try:
+        for pattern, body in alternatives:
+            if pattern is None:
+                out = body(stx, tenv)
+                if out is None:
+                    continue
+            else:
+                env = match_quotation(pattern, stx)
+                if env is None:
+                    continue
+                out = instantiate(body, env, tenv)
+            scope = stack[-1]
+            if on_step is not None:
+                on_step(stx.kind, stx, out)
+            return out, scope
+    except KernelError as err:
+        err.frames.insert(0, (stx.kind, stack[-1]))
+        raise
+    finally:
+        stack.pop()
+    return None
+
+
+STEP_KIND = Name.of("k1")
+STEP_OUT = Name.of("out")
+
+
+def _procedural(j: int):
+    """A transformer that allocates its step's scope when `j` is odd, and
+    applies to a node whose number of children is `j` modulo 3, refusing
+    an empty node when `j` is 4 modulo 5."""
+
+    def transformer(stx, env_t):
+        if j % 2:
+            env_t.scopes.current()
+        if j % 5 == 4 and not stx.children:
+            raise ExpansionError(f"p{j} refuses an empty node")
+        if len(stx.children) % 3 == j % 3:
+            return Atom(f"p{j}")
+        return None
+
+    return transformer
+
+
+def _draw_rule(draw, fresh: List[int], i: int):
+    """A pattern of kind `STEP_KIND` and a template that names the rule,
+    may take a scope, and may fill one of the pattern's holes."""
+    body = _draw_pattern(draw, fresh, 0, top=True)
+    pattern = Node(STEP_KIND, body.children)
+    parts: List[Syntax] = [Atom(f"r{i}")]
+    if draw(FLIP):
+        parts.append(Ident("x", Name.of("x"), (), None))
+    holes = collect_holes(pattern)
+    if holes and draw(FLIP):
+        parts.append(antiquot(draw(st.sampled_from(holes))))
+    body = Node(STEP_OUT, tuple(parts))
+    return (
+        QuotationPattern(pattern, STEP_KIND, frozenset(holes)),
+        QuotationTemplate(body, frozenset(collect_holes(body))),
+    )
+
+
+@st.composite
+def alternatives_and_input(draw):
+    """A `MacroTable` entry built by `macro_rules` blocks and procedural
+    registrations in turn, and a node of its kind: one that some pattern
+    was made to match, now and then changed, or any tree."""
+    macros = MacroTable()
+    fresh, rules = [0], []
+    for j in range(draw(st.integers(1, 5))):
+        if draw(ONE_IN_5) == 0:
+            macros.register(STEP_KIND, _procedural(j))
+            continue
+        block = [_draw_rule(draw, fresh, len(rules) + i) for i in range(draw(st.integers(1, 3)))]
+        rules += block
+        macros.add_rules(STEP_KIND, block)
+    if rules and draw(ONE_IN_5):
+        stx = _draw_input(draw, draw(st.sampled_from(rules))[0].body)
+        if draw(FLIP):
+            stx = _draw_mutation(draw, stx)
+    else:
+        stx = _draw_tree(draw)
+    if not isinstance(stx, Node):
+        stx = Node(STEP_KIND, (stx,))
+    return macros[STEP_KIND], stx
+
+
+def step_outcome(step, stx, alternatives):
+    """What one macro step gives: its output and scope, None, or the error
+    with its frames; and where the scope counter ends."""
+    scopes = ScopeState(ScopeCounter(7))
+    try:
+        result = ("step", step(stx, alternatives, TransformerEnv(GlobalContext(), scopes)))
+    except ExpansionError as err:
+        result = ("error", err.message, err.frames)
+    return result, scopes.counter._next
+
+
+def run_lines(src: str):
+    runner = Runner(RunConfig())
+    runner.run_source(src)
+    return runner.output.splitlines(), runner.state.macros
+
+
+class TestShapeIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(alternatives_and_input())
+    def test_the_indexed_step_agrees_with_the_scan(self, case):
+        alternatives, stx = case
+        assert step_outcome(macro_step, stx, alternatives) == (
+            step_outcome(scan_macro_step, stx, list(alternatives))
+        )
+
+    def test_tagged_holes_are_indexed_by_what_they_admit(self):
+        # a numeral is a node, an identifier a leaf
+        macros = MacroTable()
+        rules = []
+        children = (
+            antiquot(Name.of("n"), ("num",)),
+            antiquot(Name.of("i"), ("ident",)),
+            Node(Name.of("k2"), ()),
+        )
+        for i, child in enumerate(children):
+            pattern = Node(STEP_KIND, (Atom("k"), child))
+            rules.append(
+                (
+                    QuotationPattern(pattern, STEP_KIND, frozenset(collect_holes(pattern))),
+                    QuotationTemplate(Atom(f"r{i}"), frozenset()),
+                )
+            )
+        macros.add_rules(STEP_KIND, rules)
+        assert macros[STEP_KIND].by_shape[0] == 1
+        for child, applied in (
+            (num(3), "r0"),
+            (Ident("x", Name.of("x"), (), None), "r1"),
+            (Node(Name.of("k2"), ()), "r2"),
+            (Atom("k"), None),
+        ):
+            stx = Node(STEP_KIND, (Atom("k"), child))
+            outcome = step_outcome(macro_step, stx, macros[STEP_KIND])
+            assert outcome == step_outcome(scan_macro_step, stx, list(macros[STEP_KIND]))
+            step = outcome[0][1]
+            assert (step and step[0].text) == applied
+
+    def test_a_newer_pair_rule_takes_pairs_only(self):
+        out, macros = run_lines(
+            "macro_rules | `(($a, $b)) => `($a + $b)\n"
+            "def x := (1, 2)\ndef y := (1, 2, 3)\ndef z := (7)\ndef u := ()\n"
+        )
+        assert out[1:] == [
+            "def x := 1 + 2",
+            "def y := Prod.mk 1 (2 + 3)",
+            "def z := 7",
+            "def u := Unit.unit",
+        ]
+        alternatives = macros[K_TUPLE]
+        at, buckets = alternatives.by_shape
+        pair = alternatives[0]
+        # the child that tells the patterns apart is the element list; a
+        # bucket is found by its number of children plus one
+        assert at == 1
+        assert buckets[0] == ()
+        assert [b.index(pair) if pair in b else None for b in buckets] == [
+            None, None, None, None, 0, None
+        ]
+        assert len(buckets[1]) == len(buckets[2]) == len(buckets[-1]) == 1
+
+    def test_a_bare_splice_takes_the_empty_tuple_and_every_tuple(self):
+        out, macros = run_lines(
+            "macro_rules | `(($as,*)) => `(0)\n"
+            "def a := ()\ndef b := (1)\ndef c := (1, 2)\ndef d := (1, 2, 3)\n"
+        )
+        assert out[1:] == ["def a := 0", "def b := 0", "def c := 0", "def d := 0"]
+        alternatives = macros[K_TUPLE]
+        _, buckets = alternatives.by_shape
+        assert all(b[0] is alternatives[0] for b in buckets[1:])
+
+    def test_rules_told_apart_by_atoms_only_are_not_indexed(self):
+        out, macros = run_lines(
+            'syntax "sel" term : term\n'
+            "macro_rules\n  | `(sel 1) => `(10)\n  | `(sel 2) => `(20)\n"
+            "def a := sel 1\ndef b := sel 2\ndef c := sel 3\n"
+        )
+        assert out[2:] == [
+            "def a := 10",
+            "def b := 20",
+            "error: no macro alternative matched 'sel 3' @7:10",
+        ]
+        assert macros[Name.of("sel")].by_shape is None
+
+    def test_a_copy_shares_the_index_and_a_new_rule_replaces_its_own(self, table):
+        macros = Runner(RunConfig()).state.macros
+        copy = macros.copy()
+        assert copy[K_TUPLE].by_shape is macros[K_TUPLE].by_shape
+        rule = (
+            process_pattern(quot("`(($a, $b))", table)),
+            process_quotation(quot("`($a)", table), gctx_of()),
+        )
+        copy.add_rules(K_TUPLE, [rule])
+        assert copy[K_TUPLE].by_shape != macros[K_TUPLE].by_shape
+        assert all(rule not in b for b in macros[K_TUPLE].by_shape[1])
