@@ -1,13 +1,13 @@
-"""Global context, scope allocation, and the transformer environment.
+"""Global context, scope allocation, the macro table and run settings.
 
 Scope numbers are handed out by a single per-run counter.  A transformer
 invocation gets a *lazy* current-scope cell: the counter only advances when
 the scope is actually observed (a quotation is instantiated or the scope is
 queried), so bookkeeping-only macros leave no trace in the numbering.
 
-A run has one `TransformerEnv`, built with its `ExpanderState` and shared
-by every macro step of the run; `macro_step` enters each step's fresh
-scope on `ScopeState`'s stack directly.
+A transformer is handed the run's one `expander.RunState`, which holds
+these tables, the scope state and the `RunConfig`; `macro_step` enters
+each step's fresh scope on `ScopeState`'s stack directly.
 
 The macro table indexes a kind's alternatives by the shape of one child of
 the node (`Alternatives`), and the global context records whether any
@@ -17,14 +17,58 @@ let a macro step skip lookups that cannot succeed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .parser import ParserTable
 from .syntax import Frozen, Ident, Name, Symbol, Syntax, base_name, macro_scopes, slot_setters
+
+if TYPE_CHECKING:
+    from .expander import RunState
 
 # Scope value reserved for kernel-synthesized constant references; the
 # run counter starts above it, so no user binder can ever carry it.
 RESERVED_SCOPE = 0
+
+
+class RunConfig:
+    """The settings of a run; it compares and prints by value."""
+
+    __match_args__ = (
+        "stage", "trace_expansion", "trace_tactics", "notation_precheck",
+        "prelude", "max_expansion_depth", "max_repeat", "recover",
+    )
+
+    def __init__(
+        self,
+        stage: str = "expand",  # expand | elaborate
+        trace_expansion: bool = False,
+        trace_tactics: bool = False,
+        notation_precheck: bool = True,
+        prelude: bool = True,
+        max_expansion_depth: int = 512,
+        max_repeat: int = 1024,
+        recover: bool = False,
+    ) -> None:
+        if stage not in ("expand", "elaborate"):
+            raise ValueError(f"unknown stage '{stage}'")
+        if max_expansion_depth <= 0 or max_repeat <= 0:
+            raise ValueError("limits must be positive")
+        self.stage = stage
+        self.trace_expansion = trace_expansion
+        self.trace_tactics = trace_tactics
+        self.notation_precheck = notation_precheck
+        self.prelude = prelude
+        self.max_expansion_depth = max_expansion_depth
+        self.max_repeat = max_repeat
+        self.recover = recover
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"RunConfig({args})"
 
 
 class ScopeCounter:
@@ -195,8 +239,10 @@ class GlobalContext:
 
 
 # A procedural transformer rewrites one syntax node.  It returns None when
-# it does not apply (a normal outcome) and raises on a real diagnostic.
-Transformer = Callable[[Syntax, "TransformerEnv"], Optional[Syntax]]
+# it does not apply (a normal outcome) and raises on a real diagnostic.  It
+# reads the run's state from its argument and captures none, so one
+# transformer object serves every run that shares it.
+Transformer = Callable[[Syntax, "RunState"], Optional[Syntax]]
 Alternative = Tuple[Any, Any]  # (pattern, template) or (None, transformer)
 
 
@@ -280,27 +326,3 @@ class MacroTable(dict):
             mine = new[kind] = Alternatives(alternatives)
             mine.by_shape = alternatives.by_shape
         return new
-
-
-class TransformerEnv:
-    """What a transformer invocation sees: globals, its macro scope, and
-    the run's parser table and notation setting.
-
-    Transformers read run state from here and capture none of it, so one
-    transformer object serves every run that shares it."""
-
-    def __init__(
-        self,
-        gctx: GlobalContext,
-        scopes: ScopeState,
-        single_scope: bool = False,
-        table: Optional[ParserTable] = None,
-        notation_precheck: bool = True,
-    ) -> None:
-        self.gctx = gctx
-        self.scopes = scopes
-        # test-only mode: keep just the newest scope instead of the full
-        # stack, to demonstrate why the stack is needed
-        self.single_scope = single_scope
-        self.table = table
-        self.notation_precheck = notation_precheck

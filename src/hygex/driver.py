@@ -5,67 +5,26 @@ context thread through the whole run.  A diagnostic aborts only its own
 command, and the scope counter starts fresh per run, so identical inputs
 give byte-identical output.
 
-A run owns all of its mutable state: its parser table, global context,
-macro table, elaborator and tactic registries, scope counter and
-prechecker.  The prelude is built once per process; each run starts from
-its own copy of it (see `prelude.bootstrap`), so runs in one process
-cannot see each other, whatever their configuration.
+A run owns all of its mutable state, in one `RunState`: its parser table,
+global context, macro table, elaborator and tactic registries, scope
+counters, trace hook and `RunConfig`.  Every stage reads the run's
+settings from that config.  The prelude is built once per process; each
+run starts from its own copy of it (see `prelude.bootstrap`), so runs in
+one process cannot see each other, whatever their configuration.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .context import Decl
+from .context import Decl, RunConfig
 from .elaborator import ElabEnv, elab_term, interp_type
 from .errors import ExpansionDepthError, KernelError, PrecheckLimitError, TacticBudgetError
-from .expander import Expander, ExpanderState, TraceFn
+from .expander import Expander, RunState, TraceFn
 from .parser import K_DEF, K_DEF_TYPED, K_THEOREM, ParserTable, iter_commands
 from .prelude import bootstrap
 from .syntax import Ident, Missing, Name, Node, SourceInfo, Syntax, render
 from .tactic import TacticState, interp_prop, run_proof
-
-
-class RunConfig:
-    """The settings of a run; it compares and prints by value."""
-
-    __match_args__ = (
-        "stage", "trace_expansion", "trace_tactics", "notation_precheck",
-        "prelude", "max_expansion_depth", "max_repeat", "recover",
-    )
-
-    def __init__(
-        self,
-        stage: str = "expand",  # expand | elaborate
-        trace_expansion: bool = False,
-        trace_tactics: bool = False,
-        notation_precheck: bool = True,
-        prelude: bool = True,
-        max_expansion_depth: int = 512,
-        max_repeat: int = 1024,
-        recover: bool = False,
-    ) -> None:
-        if stage not in ("expand", "elaborate"):
-            raise ValueError(f"unknown stage '{stage}'")
-        if max_expansion_depth <= 0 or max_repeat <= 0:
-            raise ValueError("limits must be positive")
-        self.stage = stage
-        self.trace_expansion = trace_expansion
-        self.trace_tactics = trace_tactics
-        self.notation_precheck = notation_precheck
-        self.prelude = prelude
-        self.max_expansion_depth = max_expansion_depth
-        self.max_repeat = max_repeat
-        self.recover = recover
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"RunConfig({args})"
 
 
 # a rendered backtrace shows this many frames at each end, and one line
@@ -122,19 +81,15 @@ class Runner:
     """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
-        self.cfg = cfg or RunConfig()
+        cfg = cfg or RunConfig()
         # bootstrap gives a prelude run a copy of the prelude's parser
         # table, so only a run without the prelude builds a fresh one
-        self.state = ExpanderState(
-            table=None if self.cfg.prelude else ParserTable(),
-            max_expansion_depth=self.cfg.max_expansion_depth,
-            notation_precheck=self.cfg.notation_precheck,
-        )
+        self.state = RunState(table=None if cfg.prelude else ParserTable(), cfg=cfg)
         self.lines: List[str] = []
         self.diagnostics: List[Diagnostic] = []
-        bootstrap(self.state, prelude=self.cfg.prelude)
+        bootstrap(self.state)
         # the prelude loaded untraced, when the prototype was built
-        if self.cfg.trace_expansion:
+        if cfg.trace_expansion:
             self.state.on_macro_step = _macro_step_tracer(self.lines)
         self.expander = Expander(self.state)
         self.elab_env = ElabEnv(self.state)
@@ -173,7 +128,7 @@ class Runner:
     def run_source(self, text: str) -> None:
         def recover(err: KernelError, cmd_start: int) -> None:
             self._diagnose(err)
-            if self.cfg.recover:
+            if self.state.cfg.recover:
                 self._emit(render(Missing()))
 
         for start, cmd in iter_commands(text, self.state.table, recover):
@@ -194,7 +149,7 @@ class Runner:
                     self._diagnose(_too_deep(start))
 
     def _emit_command(self, out: Syntax) -> None:
-        if self.cfg.stage == "expand":
+        if self.state.cfg.stage == "expand":
             self._emit(render(out))
             return
         if isinstance(out, Node) and out.kind in (K_DEF, K_DEF_TYPED):
@@ -224,8 +179,8 @@ class Runner:
         _kw, name, _binders, _colon, target, _assign, by = out.children
         assert isinstance(name, Ident)
         prop = interp_prop(target)
-        trace = self._trace_tactic if self.cfg.trace_tactics else None
-        run_proof(by, prop, self.state, self.cfg.max_repeat, trace)
+        trace = self._trace_tactic if self.state.cfg.trace_tactics else None
+        run_proof(by, prop, self.state, trace)
         gctx = self.state.gctx
         decl = gctx.get(name.name)
         if decl is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ElabError, KernelError
-from .expander import ExpanderState, _seq_elements, macro_step, resolve_identifier
+from .expander import RunState, _seq_elements, macro_step, resolve_identifier
 from .parser import K_APP, K_ARROW, K_FUN, K_NUM, K_PLUS
 from .quotation import mk_c_ident
 from .syntax import (
@@ -238,7 +238,7 @@ class ElabEnv:
 
     def __init__(
         self,
-        state: ExpanderState,
+        state: RunState,
         locals: Dict[Symbol, CoreType] = OMITTED,
         constructors: Dict[type, Tuple[Name, int]] = OMITTED,
         consts: Dict[Symbol, Const] = OMITTED,
@@ -252,10 +252,6 @@ class ElabEnv:
             else constructors
         )
         self.consts = {} if consts is OMITTED else consts
-
-    @property
-    def scopes(self):
-        return self.state.scopes
 
     def signature(self, symbol: Symbol) -> Optional[CoreType]:
         decl = self.state.gctx.get(symbol)
@@ -309,7 +305,7 @@ def elab_term(
         return _elab_app(stx, env, expected)
     elaborator = env.state.elaborators.get(kind)
     if elaborator is not None:
-        with env.scopes.fresh():
+        with env.state.scopes.fresh():
             return elaborator(stx, env, expected)
     if kind in env.state.macros:
         return transformer_to_elaborator(stx, env, expected)
@@ -322,7 +318,7 @@ def transformer_to_elaborator(
     """Take one macro step on the run's scopes, then elaborate the output;
     an error in either carries the step's frame."""
     state = env.state
-    step = macro_step(stx, state.macros.get(stx.kind, ()), state.tenv, state.on_macro_step)
+    step = macro_step(stx, state.macros.get(stx.kind, ()), state, state.on_macro_step)
     if step is None:
         raise ElabError(
             f"no macro alternative matched '{render(stx)}' "

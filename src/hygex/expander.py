@@ -21,11 +21,12 @@ walks a kind's flat, newest-first list of alternatives in the `MacroTable`
 and matches and instantiates a `macro_rules` pair itself.  Of a kind with
 an index by shape (`context.Alternatives`) it walks only the bucket that
 the node's shape selects, which leaves out patterns that cannot match the
-node and keeps the rest in order.  What is the
-same for every step of a run is built once: a run state holds one
-`TransformerEnv` that all its steps share.  The step path tests exact
-types (`type(stx) is Ident`) and matches kinds against module-level sets;
-`Expander.expand` looks up a kind's alternatives once per loop turn.
+node and keeps the rest in order.  Every step of a run is handed the
+run's one `RunState` itself, and reads the globals, scopes, table and
+settings there; a transformer captures none of them.  The step path
+tests exact types (`type(stx) is Ident`) and matches kinds against
+module-level sets; `Expander.expand` looks up a kind's alternatives once
+per loop turn.
 
 `Expander.expand` takes one Python frame per tree level: a chain of macro
 steps at one position unfolds in its loop, and an in-place node (`+`,
@@ -45,8 +46,9 @@ from .context import (
     Decl,
     GlobalContext,
     MacroTable,
+    RunConfig,
+    ScopeCounter,
     ScopeState,
-    TransformerEnv,
 )
 from .errors import ExpansionDepthError, ExpansionError, KernelError, UnboundIdentifier
 from .parser import (
@@ -105,63 +107,40 @@ _SEQ_KINDS = frozenset((Name.of(KIND_SEQ), Name.of(KIND_SEPSEQ)))
 _DEF_KINDS = frozenset((K_DEF, K_DEF_TYPED))
 _CMDSEQ = Name.of(KIND_CMDSEQ)
 _CHOICE = Name.of(KIND_CHOICE)
-# the fields an `ExpanderState` shares with its `TransformerEnv`
-_TENV_FIELDS = frozenset(("gctx", "scopes", "single_scope", "table", "notation_precheck"))
 
 # (kind, before, after) per macro step
 TraceFn = Callable[[Name, Syntax, Syntax], None]
 
 
-class ExpanderState:
-    """Everything one run threads through: contexts, tables, the counter.
+class RunState:
+    """Everything one run threads through, and all that a macro step sees:
+    the parser table, the global context, the macro table, the elaborator
+    and tactic registries, the run's scope state, the scratch scope state
+    of its prechecks, the trace hook and the run's `RunConfig`.
 
-    A table, context or registry that is not given is built fresh.  `tenv`,
-    the one `TransformerEnv` of every macro step of the state, is built
-    here; assigning a field it shares, as `prelude.bootstrap` does, sets
-    the field on `tenv` too."""
+    A table, context, scope state or config that is not given is built
+    fresh.  The scratch scopes are the run's own: they count down from -1
+    across the run's checked quotations, away from its visible numbering."""
 
     def __init__(
         self,
         table: ParserTable = OMITTED,
         gctx: GlobalContext = OMITTED,
-        macros: MacroTable = OMITTED,
-        elaborators: Dict[Name, Callable] = OMITTED,
-        tactics: Dict[Name, Callable] = OMITTED,
         scopes: ScopeState = OMITTED,
-        max_expansion_depth: int = 512,
-        single_scope: bool = False,
-        notation_precheck: bool = True,
-        on_macro_step: Optional[TraceFn] = None,
-        prechecker: Optional[Prechecker] = None,
+        cfg: RunConfig = OMITTED,
     ) -> None:
-        self.tenv = TransformerEnv(None, None)  # filled in by the assignments below
         self.table = ParserTable() if table is OMITTED else table
         self.gctx = GlobalContext() if gctx is OMITTED else gctx
-        self.macros = MacroTable() if macros is OMITTED else macros
-        self.elaborators = {} if elaborators is OMITTED else elaborators
-        self.tactics = {} if tactics is OMITTED else tactics
+        self.macros = MacroTable()
+        self.elaborators: Dict[Name, Callable] = {}
+        self.tactics: Dict[Name, Callable] = {}
         self.scopes = ScopeState() if scopes is OMITTED else scopes
-        self.max_expansion_depth = max_expansion_depth
-        self.single_scope = single_scope
-        self.notation_precheck = notation_precheck
-        self.on_macro_step = on_macro_step
-        self.prechecker = prechecker
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in _TENV_FIELDS:
-            setattr(self.tenv, name, value)
-
-    def make_prechecker(self) -> Prechecker:
-        if self.prechecker is None:
-            self.prechecker = Prechecker(
-                self.gctx,
-                self.macros,
-                self.elaborators,
-                table=self.table,
-                notation_precheck=self.notation_precheck,
-            )
-        return self.prechecker
+        self.scratch = ScopeState(ScopeCounter(start=-1, step=-1))
+        self.cfg = RunConfig() if cfg is OMITTED else cfg
+        # test-only mode: keep just the newest scope instead of the full
+        # stack, to demonstrate why the stack is needed
+        self.single_scope = False
+        self.on_macro_step: Optional[TraceFn] = None
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +188,11 @@ def resolve_identifier(
 def macro_step(
     stx: Node,
     alternatives: Sequence[Alternative],
-    tenv: TransformerEnv,
+    state: RunState,
     on_step: Optional[TraceFn] = None,
 ) -> Optional[Tuple[Syntax, Optional[int]]]:
     """Apply the first alternative of a kind's list that applies, under a
-    fresh scope of `tenv.scopes`: a (pattern, template) pair applies when
+    fresh scope of `state.scopes`: a (pattern, template) pair applies when
     the pattern matches, and a procedural transformer when it returns
     syntax.  Return the output and the step's scope (None if never
     allocated), or None when none applied.  A `KernelError` raised by an
@@ -232,19 +211,19 @@ def macro_step(
             alternatives = buckets[i] if i < len(buckets) else buckets[-1]
     # `ScopeState.fresh` without its context-manager calls: a step pushes
     # an unallocated scope and pops it however it ends
-    stack = tenv.scopes._stack
+    stack = state.scopes._stack
     stack.append(None)
     try:
         for pattern, body in alternatives:
             if pattern is None:
-                out = body(stx, tenv)
+                out = body(stx, state)
                 if out is None:
                     continue
             else:
                 env = match_quotation(pattern, stx)
                 if env is None:
                     continue
-                out = instantiate(body, env, tenv)
+                out = instantiate(body, env, state)
             scope = stack[-1]
             if on_step is not None:
                 on_step(stx.kind, stx, out)
@@ -258,7 +237,7 @@ def macro_step(
 
 
 class Expander:
-    def __init__(self, state: ExpanderState):
+    def __init__(self, state: RunState):
         self.state = state
 
     # -- macro steps
@@ -272,7 +251,7 @@ class Expander:
                 info=info_of(stx),
             )
         state = self.state
-        step = macro_step(stx, alternatives, state.tenv, state.on_macro_step)
+        step = macro_step(stx, alternatives, state, state.on_macro_step)
         if step is None:
             raise ExpansionError(
                 f"no macro alternative matched '{render(stx)}'", info=info_of(stx)
@@ -331,7 +310,7 @@ class Expander:
                 frames = frames or []
                 frames.append((kind, scope))
                 depth += 1
-                if depth > state.max_expansion_depth:
+                if depth > state.cfg.max_expansion_depth:
                     raise ExpansionDepthError("macro expansion depth exceeded")
         except KernelError as err:
             err.frames[:0] = frames or ()
@@ -413,7 +392,7 @@ class Expander:
                 frames = frames or []
                 frames.append((kind, scope))
                 depth += 1
-                if depth > self.state.max_expansion_depth:
+                if depth > self.state.cfg.max_expansion_depth:
                     raise ExpansionDepthError("macro expansion depth exceeded")
         except KernelError as err:
             err.frames[:0] = frames or ()
@@ -497,7 +476,7 @@ class Expander:
                     f"macro_rules right-hand side must be a quotation, got '{render(rhs)}'"
                 )
             if rhs.kind[0] == "dquot":
-                self.state.make_prechecker().check(rhs.children[0])
+                Prechecker(self.state).check(rhs.children[0])
             template = process_quotation(rhs, self.state.gctx)
             rules.append((pattern, template))
             shown = Node(Name(("quot",) + rhs.kind[1:]), (template.body,))

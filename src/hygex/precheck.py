@@ -4,18 +4,19 @@ The check runs at macro declaration time, before the quotation is processed
 into a template.  It never alters semantics: a quotation that passes
 behaves exactly like its unchecked form.  Binding forms scope their
 children as `parser.BINDING_KINDS` says, the table the expander reads too.
-Macro kinds unfold through the kernel's one macro-step routine,
-`expander.macro_step`, on scratch scopes.
+A `Prechecker` is built on the run's `RunState` for each checked quotation
+and reads the run's globals, macros, elaborators, table and settings
+there.  Macro kinds unfold through the kernel's one macro-step routine,
+`expander.macro_step`, on the state's scratch scopes.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Set
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 from . import expander  # a module import: the expander imports this module
-from .context import GlobalContext, MacroTable, ScopeCounter, ScopeState, TransformerEnv
 from .errors import PrecheckError, PrecheckLimitError, UnboundIdentifier
-from .parser import BINDING_KINDS, IN_PLACE_KINDS, K_FUN_MATCH, K_TUPLE, ParserTable
+from .parser import BINDING_KINDS, IN_PLACE_KINDS, K_FUN_MATCH, K_TUPLE
 from .syntax import (
     KIND_ANTIQUOT,
     KIND_SPLICE,
@@ -23,12 +24,14 @@ from .syntax import (
     Atom,
     Ident,
     Missing,
-    Name,
     Node,
     Syntax,
     is_antiquot,
     is_splice,
 )
+
+if TYPE_CHECKING:
+    from .expander import RunState
 
 QuotationContext = frozenset  # surface names assumed bound inside the fragment
 
@@ -44,28 +47,15 @@ class Prechecker:
     every identifier in binder position bound; in-place kinds, tuples,
     `fun | …` and the kinds left to an elaborator are checked child by
     child; fragments without captured identifiers pass outright; macro
-    kinds are unfolded one step with scratch scopes that never touch the
-    run's visible numbering.  `depth` counts the unfolds along the path
+    kinds are unfolded one step with the run's scratch scopes, which never
+    touch its visible numbering.  `depth` counts the unfolds along the path
     from the fragment's root, through binders and children, so a macro
     that unfolds to a binder around its own use meets `max_unfold`.
     """
 
-    def __init__(
-        self,
-        gctx: GlobalContext,
-        macros: MacroTable,
-        elaborators: Collection[Name] = frozenset(),
-        max_unfold: int = 32,
-        table: Optional[ParserTable] = None,
-        notation_precheck: bool = True,
-    ):
-        self.gctx = gctx
-        self.macros = macros
-        self.elaborators = elaborators
+    def __init__(self, state: RunState, max_unfold: int = 32):
+        self.state = state
         self.max_unfold = max_unfold
-        # unfolds count scopes down from -1, away from the run's numbering
-        scratch = ScopeState(ScopeCounter(start=-1, step=-1))
-        self._tenv = TransformerEnv(gctx, scratch, table=table, notation_precheck=notation_precheck)
 
     def check(self, stx: Syntax, qctx: QuotationContext = frozenset(), depth: int = 0) -> None:
         if isinstance(stx, (Atom, Missing)):
@@ -85,19 +75,20 @@ class Prechecker:
             if bound is not None:  # an unknown binder accepts the body
                 self.check(stx.children[body], qctx | bound, depth)
             return
-        if kind in _WALKED_KINDS or (kind in self.elaborators and kind not in self.macros):
+        state = self.state
+        if kind in _WALKED_KINDS or (kind in state.elaborators and kind not in state.macros):
             for c in stx.children:
                 self.check(c, qctx, depth)
             return
         if not _has_captured_ident(stx):
             return
-        alternatives = self.macros.get(kind)
+        alternatives = state.macros.get(kind)
         if alternatives is not None:
             if depth >= self.max_unfold:
                 raise PrecheckLimitError(
                     f"cannot analyze '{kind}': macro unfolding limit reached"
                 )
-            step = expander.macro_step(stx, alternatives, self._tenv)
+            step = self._unfold(stx, alternatives)
             if step is not None:
                 self.check(step[0], qctx, depth + 1)
                 return
@@ -105,12 +96,23 @@ class Prechecker:
             f"cannot analyze quoted syntax of kind '{kind}'; use a plain quotation"
         )
 
+    def _unfold(self, stx: Node, alternatives) -> Optional[Tuple[Syntax, Optional[int]]]:
+        """One macro step of the run, untraced, with the scratch scopes in
+        place of the run's own and `single_scope` off."""
+        state = self.state
+        scopes, single_scope = state.scopes, state.single_scope
+        state.scopes, state.single_scope = state.scratch, False
+        try:
+            return expander.macro_step(stx, alternatives, state)
+        finally:
+            state.scopes, state.single_scope = scopes, single_scope
+
     def check_ident(self, stx: Ident, qctx: QuotationContext) -> None:
         if stx.name in qctx or stx.raw in qctx:
             return
         if stx.preresolved:
             return
-        if self.gctx.match_surface(stx.name):
+        if self.state.gctx.match_surface(stx.name):
             return
         raise UnboundIdentifier(stx.raw, stx.info)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .context import Decl, TransformerEnv
+from .context import Decl
 from .elaborator import (
     NAT,
     NAT_ADD,
@@ -23,7 +23,7 @@ from .elaborator import (
     elab_anonymous_ctor,
 )
 from .errors import ExpansionError, KernelError
-from .expander import Expander, ExpanderState, _seq_elements
+from .expander import Expander, RunState, _seq_elements
 from .parser import (
     CAT_COMMAND,
     K_ANON_CTOR,
@@ -86,7 +86,7 @@ notation "twice" f x => f (f x)
 """
 
 
-def run_source(state: ExpanderState, src: str) -> List[Syntax]:
+def run_source(state: RunState, src: str) -> List[Syntax]:
     """Feed commands through the pipeline; any error propagates."""
     expander = Expander(state)
     outputs: List[Syntax] = []
@@ -96,21 +96,20 @@ def run_source(state: ExpanderState, src: str) -> List[Syntax]:
 
 
 # the prelude as built by `_build_prelude`; only ever copied from
-_prototype: Optional[ExpanderState] = None
+_prototype: Optional[RunState] = None
 
 
-def bootstrap(state: ExpanderState, prelude: bool = True) -> None:
-    """Install the prelude into a fresh state; any diagnostic in the prelude
-    is a hard error.
+def bootstrap(state: RunState) -> None:
+    """Install the prelude into a fresh state, unless its config says
+    `prelude=False`; any diagnostic in the prelude is a hard error.
 
     The prelude is built once per process, into a private prototype state.
-    Each call gives `state` its own copies of the prototype's tables and
-    context and drops its prechecker, so nothing a run does reaches the
-    prototype or another run.  The state keeps its own scope state and
-    settings (expansion depth, notation precheck, trace hook): prelude
-    transformers read those from their `TransformerEnv`.
+    Each call gives `state` its own copies of the prototype's tables,
+    context and registries, so nothing a run does reaches the prototype or
+    another run.  The state keeps its own scope states, config and trace
+    hook: prelude transformers are handed the state and read them there.
     """
-    if not prelude:
+    if not state.cfg.prelude:
         return
     global _prototype
     if _prototype is None:
@@ -121,13 +120,12 @@ def bootstrap(state: ExpanderState, prelude: bool = True) -> None:
     state.macros = proto.macros.copy()
     state.elaborators = dict(proto.elaborators)
     state.tactics = dict(proto.tactics)
-    state.prechecker = None
 
 
-def _build_prelude() -> ExpanderState:
+def _build_prelude() -> RunState:
     """Run the prelude in a new state: the install sequence behind the
     prototype."""
-    state = ExpanderState()
+    state = RunState()
     try:
         _install_signatures(state)
         _install_macro_command(state)
@@ -141,7 +139,7 @@ def _build_prelude() -> ExpanderState:
     return state
 
 
-def _install_signatures(state: ExpanderState) -> None:
+def _install_signatures(state: RunState) -> None:
     gctx = state.gctx
     gctx.add(NAT, Decl("type"))
     gctx.add(UNIT, Decl("type"))
@@ -156,7 +154,7 @@ def _install_signatures(state: ExpanderState) -> None:
 # fun: currying and the combined fun-match form
 
 
-def _fun_multi_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+def _fun_multi_transformer(stx: Syntax, state: RunState) -> Optional[Syntax]:
     kw, binders, arrow, body = stx.children
     elems = _seq_elements(binders)
     if not elems:
@@ -167,7 +165,7 @@ def _fun_multi_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax
     return out
 
 
-def _install_fun_macros(state: ExpanderState) -> None:
+def _install_fun_macros(state: RunState) -> None:
     state.macros.register(K_FUN_MULTI, _fun_multi_transformer)
 
     def parse_term(src: str) -> Node:
@@ -183,7 +181,7 @@ def _install_fun_macros(state: ExpanderState) -> None:
     discr_template = process_quotation(parse_term("`(x)"), state.gctx)
     discrs_var = Name.of("discrs")
 
-    def fun_match_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+    def fun_match_transformer(stx: Syntax, state: RunState) -> Optional[Syntax]:
         env = match_quotation(pattern, stx)
         if env is None:
             return None
@@ -193,11 +191,11 @@ def _install_fun_macros(state: ExpanderState) -> None:
         # one fresh variable per discriminant, each under its own scope
         discrs = []
         for _ in ps1.elems:
-            with tenv.scopes.fresh():
-                discrs.append(instantiate(discr_template, {}, tenv))
+            with state.scopes.fresh():
+                discrs.append(instantiate(discr_template, {}, state))
         env2 = dict(env)
         env2[discrs_var] = Seq(tuple(discrs))
-        return instantiate(template, env2, tenv)
+        return instantiate(template, env2, state)
 
     state.macros.register(K_FUN_MATCH, fun_match_transformer)
 
@@ -206,7 +204,7 @@ def _install_fun_macros(state: ExpanderState) -> None:
 # The `macro` command
 
 
-def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+def _macro_transformer(stx: Syntax, state: RunState) -> Optional[Syntax]:
     kw, items, _colon, cat_ident, _arrow, rhs = stx.children
     elems = _seq_elements(items)
     if not elems:
@@ -239,7 +237,7 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
             )
         else:
             raise ExpansionError(f"bad macro item '{render(item)}'")
-    kind = tenv.table.gen_kind(rule_items)
+    kind = state.table.gen_kind(rule_items)
     syntax_cmd = Node(
         K_SYNTAX,
         (
@@ -267,7 +265,7 @@ def _macro_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
 _DEFAULT_QUOT_CATS = {Name.of("term"), Name.of("command")}
 
 
-def _install_macro_command(state: ExpanderState) -> None:
+def _install_macro_command(state: RunState) -> None:
     state.table.register_rule(CAT_COMMAND, MACRO_RULE)
     state.macros.register(K_MACRO, _macro_transformer)
 
@@ -286,7 +284,7 @@ def _substitute_params(stx: Syntax, params: Dict[Name, Ident]) -> Syntax:
             return stx
 
 
-def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]:
+def _notation_transformer(stx: Syntax, state: RunState) -> Optional[Syntax]:
     kw, items, arrow, rhs = stx.children
     elems = _seq_elements(items)
     if not elems:
@@ -307,7 +305,7 @@ def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]
         else:
             raise ExpansionError(f"bad notation item '{render(item)}'")
     body = _substitute_params(rhs, params)
-    quot_kind = KIND_DQUOT if tenv.notation_precheck else KIND_QUOT
+    quot_kind = KIND_DQUOT if state.cfg.notation_precheck else KIND_QUOT
     wrapped = Node(Name((quot_kind,)), (body,))
     return Node(
         K_MACRO,
@@ -322,6 +320,6 @@ def _notation_transformer(stx: Syntax, tenv: TransformerEnv) -> Optional[Syntax]
     )
 
 
-def _install_notation_command(state: ExpanderState) -> None:
+def _install_notation_command(state: RunState) -> None:
     state.table.register_rule(CAT_COMMAND, NOTATION_RULE)
     state.macros.register(K_NOTATION, _notation_transformer)

@@ -24,9 +24,11 @@ instantiates them in turn.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+)
 
-from .context import RESERVED_SCOPE, GlobalContext, TransformerEnv
+from .context import RESERVED_SCOPE, GlobalContext
 from .errors import ExpansionError
 from .parser import K_NUM
 from .syntax import (
@@ -48,6 +50,9 @@ from .syntax import (
     slot_setters,
     splice_separator,
 )
+
+if TYPE_CHECKING:
+    from .expander import RunState
 
 # ---------------------------------------------------------------------------
 # Match environments
@@ -103,7 +108,7 @@ _SEQ_CAPTURES = (SepSeq, Seq, Rep)
 # A compiled pattern writes its captures into the environment it is given
 # and says whether the tree matched; a compiled template builds a tree.
 Matcher = Callable[[Syntax, MatchEnv], bool]
-Builder = Callable[[MatchEnv, TransformerEnv], Syntax]
+Builder = Callable[[MatchEnv, "RunState"], Syntax]
 
 
 def _elems_of(capture: Capture) -> Tuple[Syntax, ...]:
@@ -481,20 +486,18 @@ def _compile_splice_matcher(splice: Node) -> Callable[[Sequence[Syntax], MatchEn
 # Instantiation
 
 
-def instantiate(
-    template: QuotationTemplate, env: MatchEnv, tenv: TransformerEnv
-) -> Syntax:
+def instantiate(template: QuotationTemplate, env: MatchEnv, state: RunState) -> Syntax:
     if not env.keys() >= template.holes:
         missing = template.holes.difference(env)
         names = ", ".join(sorted(str(m) for m in missing))
         raise ExpansionError(f"unbound antiquotation variable: {names}")
-    return template.build(env, tenv)
+    return template.build(env, state)
 
 
 def _compile_builder(stx: Syntax) -> Builder:
     build, tree = _compile_part(stx)
     if build is None:
-        return lambda env, tenv: tree
+        return lambda env, state: tree
     return build
 
 
@@ -506,13 +509,13 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
     if type(stx) is Ident:
         raw, name, pre = stx.raw, stx.name, stx.preresolved
 
-        def build_ident(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+        def build_ident(env: MatchEnv, state: RunState) -> Syntax:
             # `ScopeState.current` inline: the step's scope, allocated on first use
-            scopes = tenv.scopes
+            scopes = state.scopes
             scope = scopes._stack[-1]
             if scope is None:
                 scope = scopes._stack[-1] = scopes.counter.alloc()
-            base = base_name(name) if tenv.single_scope else name
+            base = base_name(name) if state.single_scope else name
             return Ident(raw, Name(base + (scope,)), pre, None)
 
         return build_ident, None
@@ -532,15 +535,15 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
         return None, Node(kind, tuple(tree for _, tree in parts))
     if any(spliced):
 
-        def build_spliced_node(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+        def build_spliced_node(env: MatchEnv, state: RunState) -> Syntax:
             out: List[Syntax] = []
             for (build, tree), s in zip(parts, spliced):
                 if build is None:
                     out.append(tree)
                 elif s:
-                    out.extend(build(env, tenv))
+                    out.extend(build(env, state))
                 else:
-                    out.append(build(env, tenv))
+                    out.append(build(env, state))
             return Node(kind, tuple(out))
 
         return build_spliced_node, None
@@ -548,10 +551,10 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
     builds = [(i, build) for i, (build, _) in enumerate(parts) if build is not None]
     prebuilt = [tree for _, tree in parts]
 
-    def build_node(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+    def build_node(env: MatchEnv, state: RunState) -> Syntax:
         children = prebuilt.copy()
         for i, build in builds:
-            children[i] = build(env, tenv)
+            children[i] = build(env, state)
         return Node(kind, tuple(children))
 
     return build_node, None
@@ -560,7 +563,7 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
 def _compile_hole_builder(anti: Node) -> Builder:
     var = _hole_var(anti)
 
-    def build_hole(env: MatchEnv, tenv: TransformerEnv) -> Syntax:
+    def build_hole(env: MatchEnv, state: RunState) -> Syntax:
         capture = env[var]
         if type(capture) in _SEQ_CAPTURES:
             raise ExpansionError(
@@ -585,14 +588,14 @@ def _with_separators(elems: List[Syntax], sep: str) -> List[Syntax]:
 
 def _compile_splice_builder(
     splice: Node,
-) -> Callable[[MatchEnv, TransformerEnv], List[Syntax]]:
+) -> Callable[[MatchEnv, RunState], List[Syntax]]:
     """A builder of the run of children a splice stands for; separators are
     inserted, removed or replaced to fit this position."""
     sep = splice_separator(splice)
     if splice.kind[0] == KIND_SPLICE:
         var = _hole_var(splice.children[0])
 
-        def build_splice(env: MatchEnv, tenv: TransformerEnv) -> List[Syntax]:
+        def build_splice(env: MatchEnv, state: RunState) -> List[Syntax]:
             return _with_separators(list(_elems_of(env[var])), sep)
 
         return build_splice
@@ -601,7 +604,7 @@ def _compile_splice_builder(
     build_inner = _compile_builder(inner)
     vars_ = tuple(dict.fromkeys(collect_holes(inner)))
 
-    def build_group(env: MatchEnv, tenv: TransformerEnv) -> List[Syntax]:
+    def build_group(env: MatchEnv, state: RunState) -> List[Syntax]:
         lengths = set()
         per_var: Dict[Name, Tuple] = {}
         for v in vars_:
@@ -622,7 +625,7 @@ def _compile_splice_builder(
             sub = dict(env)
             for v in vars_:
                 sub[v] = per_var[v][i]
-            elems.append(build_inner(sub, tenv))
+            elems.append(build_inner(sub, state))
         return _with_separators(elems, sep)
 
     return build_group
@@ -652,7 +655,7 @@ def check_rules(rules: Sequence[Tuple[QuotationPattern, QuotationTemplate]]) -> 
     return kinds.pop()
 
 
-def mk_c_ident(name: Name, tenv: Optional[TransformerEnv] = None) -> Ident:
+def mk_c_ident(name: Name) -> Ident:
     """A hygienic reference to a known global: a reserved scope keeps it
     clear of every user binder, and the top-level scope pins the target."""
     raw = ".".join(str(p) for p in name if isinstance(p, str))

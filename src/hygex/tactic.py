@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from .errors import KernelError, TacticBudgetError, TacticError
-from .expander import Expander, ExpanderState
+from .expander import Expander, RunState
 from .parser import (
     K_ARROW,
     K_ASSUMPTION,
@@ -131,25 +131,25 @@ _goal_hypotheses, _goal_target = slot_setters(ProofGoal)
 
 
 class TacticState(Frozen):
-    """Remaining goals plus the run-wide context handles.
+    """Remaining goals plus the run's own `RunState`.
 
-    The expander state provides the global context and the fresh-scope
-    capability, so quotations instantiated by procedural tactics behave
-    exactly as they do in macros.  `expander`, built on that state once per
-    proof, takes the unfolds and resolves references; it stays out of
-    equality and repr."""
+    The state provides the global context, the fresh-scope capability and
+    the run's settings, so quotations instantiated by procedural tactics
+    behave exactly as they do in macros.  `expander`, built on that state
+    once per proof, takes the unfolds and resolves references; it stays
+    out of equality and repr."""
 
     __slots__ = ("goals", "state", "steps_left", "expander")
     _fields = ("goals", "state", "steps_left")
     goals: Tuple[ProofGoal, ...]
-    state: ExpanderState
+    state: RunState
     steps_left: List[int]  # single mutable cell: tactic-macro budget
     expander: Expander
 
     def __init__(
         self,
         goals: Tuple[ProofGoal, ...],
-        state: ExpanderState,
+        state: RunState,
         steps_left: List[int],
         expander: Optional[Expander] = None,
     ) -> None:
@@ -312,16 +312,14 @@ def _eval_assumption(stx: Node, ts: TacticState) -> TacticState:
 
 
 def run_proof(
-    by_node: Node,
-    target: Prop,
-    state: ExpanderState,
-    max_steps: int = 1024,
-    trace: Optional[TraceTacticFn] = None,
+    by_node: Node, target: Prop, state: RunState, trace: Optional[TraceTacticFn] = None
 ) -> None:
+    """Prove `target` by the `by` proof, with the run's `max_repeat` as the
+    budget of tactic-macro unfolds."""
     if not (isinstance(by_node, Node) and by_node.kind == K_BY):
         raise TacticError("expected a 'by' proof")
     script = by_node.children[1]
-    ts = TacticState((ProofGoal((), target),), state, [max_steps])
+    ts = TacticState((ProofGoal((), target),), state, [state.cfg.max_repeat])
     final = eval_tactic(script, ts, trace)
     if final.goals:
         raise _error(by_node, f"unsolved goals: {final}")

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import CORPUS, GOLDENS
 from corpus_config import CORPUS_RUNS
-from hygex.context import TransformerEnv
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.elaborator import (
     ElabEnv,
@@ -21,7 +20,7 @@ from hygex.elaborator import (
     elab_term,
 )
 from hygex.errors import ElabError
-from hygex.expander import Expander, ExpanderState
+from hygex.expander import Expander, RunState
 from hygex.parser import Parser
 from hygex.prelude import NOTATIONS_SRC, bootstrap, run_source
 from hygex.quotation import instantiate, process_quotation
@@ -80,7 +79,7 @@ def test_02_macro_tower():
 
 def test_03_quotation_processing():
     with criterion(3, "top-level scope capture"):
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
         run_source(state, "def a.a := 1\ndef b.a := 2\n")
         quoted = Parser("`(a + $b)", state.table).parse_term()
@@ -89,10 +88,9 @@ def test_03_quotation_processing():
         assert isinstance(captured, Ident)
         assert captured.preresolved == (Name.of("a.a"), Name.of("b.a"))
 
-        tenv = TransformerEnv(state.gctx, state.scopes)
         with state.scopes.fresh():
             out = instantiate(
-                template, {Name.of("b"): Ident("q", Name.of("q"), ())}, tenv
+                template, {Name.of("b"): Ident("q", Name.of("q"), ())}, state
             )
         instantiated = out.children[0]
         assert format_scoped(instantiated) == "a.1{a.a, b.a}"
@@ -114,7 +112,7 @@ def test_05_tuple_macros():
     with criterion(5, "tuple expansion"):
         # oracle: compose hand-applied single steps, then compare the
         # driver's full expansion against it
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
         expander = Expander(state)
 
@@ -159,9 +157,9 @@ def test_06_precheck():
         assert "unknown identifier 'Exits.intro'" in out
 
         # every prelude notation passes the check
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)  # loads NOTATIONS_SRC with checked quotations
-        assert state.notation_precheck
+        assert state.cfg.notation_precheck
         assert NOTATIONS_SRC.count("notation") >= 2
 
 
@@ -215,7 +213,7 @@ def test_09_route_equivalence():
             want = TProd(TNat(), TUnit()) if src == "⟨1 + 1, ⟨⟩⟩" else expected
             results = []
             for route in ("expand", "adapter"):
-                state = ExpanderState()
+                state = RunState()
                 bootstrap(state)
                 stx = Parser(src, state.table).parse_term()
                 if route == "expand":
@@ -223,7 +221,7 @@ def test_09_route_equivalence():
                 results.append(elab_term(stx, ElabEnv(state), want))
             assert results[0] == results[1], src
 
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
         expr, ty = elab_term(
             Parser("⟨1, 2⟩", state.table).parse_term(),

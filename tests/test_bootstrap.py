@@ -17,18 +17,18 @@ from corpus_config import CORPUS_RUNS
 from hygex import prelude
 from hygex.context import Alternatives, ScopeCounter
 from hygex.driver import RunConfig, Runner, run_string
-from hygex.expander import ExpanderState
+from hygex.expander import RunState
 from hygex.parser import _symbolic
 from hygex.prelude import bootstrap
 from hygex.syntax import Name
 
 
-def _prototype() -> ExpanderState:
-    bootstrap(ExpanderState())
+def _prototype() -> RunState:
+    bootstrap(RunState())
     return prelude._prototype
 
 
-def contents(state: ExpanderState):
+def contents(state: RunState):
     """Everything a run can add to or change in the prelude's tables and
     context, as plain values (a `Decl` by its fields)."""
     table = state.table
@@ -43,7 +43,7 @@ def contents(state: ExpanderState):
         dict(state.elaborators),
         dict(state.tactics),
         state.scopes.counter._next,
-        state.prechecker,
+        state.scratch.counter._next,
     )
 
 
@@ -98,12 +98,20 @@ class TestIsolation:
 
     def test_no_mutable_container_is_shared_with_the_prototype(self):
         proto = _prototype()
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
+        # every field of the state is its own, or a value nothing can change
+        assert vars(state).keys() == vars(proto).keys()
+        for attr, value in vars(state).items():
+            if value is vars(proto)[attr]:
+                assert isinstance(value, IMMUTABLE), attr
         pairs = [
             (state.table, proto.table),
             (state.gctx, proto.gctx),
             (state.macros, proto.macros),
+            (state.scopes, proto.scopes),
+            (state.scratch, proto.scratch),
+            (state.cfg, proto.cfg),
         ]
         for mine, theirs in pairs:
             assert mine is not theirs
@@ -137,10 +145,7 @@ class TestIsolation:
                 for bucket in buckets:
                     assert type(bucket) is tuple and all(alt in alts for alt in bucket)
         assert any(alts.by_shape is not None for alts in state.macros.values())
-        assert state.elaborators is not proto.elaborators
-        assert state.tactics is not proto.tactics
-        assert state.scopes is not proto.scopes
-        assert state.prechecker is None
+        assert state.elaborators == proto.elaborators and state.tactics == proto.tactics
 
     def test_the_depth_limit_is_the_run_s_own(self):
         # the prelude loads under the prototype's settings, so even a depth
@@ -180,7 +185,9 @@ class TestBuiltOnce:
         for kw in self.CONFIGS * 2:
             code, _ = run_string("def x := dup (dup 1)\n", RunConfig(**kw))
             assert code == 0
-        bootstrap(ExpanderState(notation_precheck=False, single_scope=True))
+        state = RunState(cfg=RunConfig(notation_precheck=False))
+        state.single_scope = True
+        bootstrap(state)
         assert calls == [1]
 
     def test_a_prelude_that_fails_keeps_no_prototype(self, monkeypatch):
@@ -243,6 +250,42 @@ class TestInterleavedRuns:
                     want = seen.setdefault(key, got)
                 assert got == want, (name, kw)
         assert any(allocs.values())
+
+
+class TestScratchNumbering:
+    """The precheck's scratch scopes: one counter per run, counting down
+    from -1 across the run's checked quotations, apart from the run's own
+    counter."""
+
+    SRC = (
+        "def y := 1\n"
+        'syntax "bind" term : term\n'
+        "macro_rules | `(bind $e) => `(fun x => $e)\n"
+        'syntax "k1" : term\n'
+        "macro_rules | `(k1) => ``(bind y)\n"
+        'syntax "k2" : term\n'
+        "macro_rules | `(k2) => ``(bind y)\n"
+    )
+
+    def test_one_count_down_per_run(self, monkeypatch):
+        allocs = []
+        alloc = ScopeCounter.alloc
+
+        def recorded(counter):
+            value = alloc(counter)
+            allocs.append((counter, value))
+            return value
+
+        monkeypatch.setattr(ScopeCounter, "alloc", recorded)
+        for _ in range(2):
+            allocs.clear()
+            runner = Runner()
+            runner.run_source(self.SRC)
+            assert not runner.diagnostics, runner.output
+            # each checked quotation unfolds `bind` once, under its own scope
+            scratch = runner.state.scratch.counter
+            assert allocs == [(scratch, -1), (scratch, -2)]
+            assert runner.state.scopes.counter._next == 1
 
 
 class TestCheckedMacroDeclaration:

@@ -22,7 +22,7 @@ from hygex.elaborator import (
     transformer_to_elaborator,
 )
 from hygex.errors import ElabError, ExpansionError
-from hygex.expander import Expander, ExpanderState, resolve_identifier
+from hygex.expander import Expander, RunState, resolve_identifier
 from hygex.parser import Parser
 from hygex.prelude import bootstrap, run_source
 from hygex.syntax import Ident, Name, Node, render
@@ -30,7 +30,7 @@ from hygex.syntax import Ident, Name, Node, render
 
 @pytest.fixture
 def state():
-    s = ExpanderState()
+    s = RunState()
     bootstrap(s)
     return s
 
@@ -211,7 +211,7 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("src,expected", TERMS)
     def test_expand_then_elaborate_equals_adapter(self, src, expected):
         def run(route):
-            state = ExpanderState()
+            state = RunState()
             bootstrap(state)
             stx = term(state, src)
             if route == "expand":
@@ -261,8 +261,8 @@ class TestAdapterFrames:
     BOOM = Name.of("boom")
 
     @staticmethod
-    def _boom(stx, tenv):
-        tenv.scopes.current()
+    def _boom(stx, state):
+        state.scopes.current()
         raise ExpansionError("boom")
 
     @pytest.mark.parametrize("route", ["expander", "adapter"])

@@ -8,7 +8,7 @@ from hygex import expander
 from hygex.context import Decl, GlobalContext
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.errors import UnboundIdentifier
-from hygex.expander import Expander, ExpanderState, resolve_identifier
+from hygex.expander import Expander, RunState, resolve_identifier
 from hygex.parser import Parser
 from hygex.prelude import bootstrap
 from hygex.syntax import Ident, Name, Node, render
@@ -325,7 +325,7 @@ class TestDeterminism:
 
 
 def _fresh_state():
-    state = ExpanderState()
+    state = RunState()
     bootstrap(state)
     return state
 

@@ -19,7 +19,7 @@ from conftest import CORPUS, strip_info
 from corpus_config import CORPUS_RUNS
 from hygex import expander
 from hygex.driver import RunConfig, Runner
-from hygex.expander import Expander, ExpanderState
+from hygex.expander import Expander, RunState
 from hygex.parser import BINDING_KINDS, K_ALT, K_FUN, K_FUN_MULTI, Parser, iter_commands
 from hygex.prelude import bootstrap, run_source
 from hygex.syntax import Ident, Name, Node, render
@@ -68,7 +68,7 @@ class TestCaptureFreedom:
             binder = rng.choice(["x", "y", "v", "tmp"])
             kinds = set()
             template = _gen_template(rng, binder, "$e", kinds)
-            state = ExpanderState()
+            state = RunState()
             bootstrap(state)
             # a pattern identifier that names a global is a reference, so
             # a template with an alternative declares the global after it
@@ -98,7 +98,7 @@ class TestCaptureFreedom:
         for i in range(100):
             g = rng.choice(["g", "w"])
             declare_global = i % 2 == 0
-            state = ExpanderState()
+            state = RunState()
             bootstrap(state)
             run_source(
                 state,
@@ -124,7 +124,7 @@ class TestCaptureFreedom:
 class TestCorpusProperties:
     @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
     def test_parser_round_trip_over_the_corpus(self, name):
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
         expander = Expander(state)
         text = (CORPUS / f"{name}.hyg").read_text(encoding="utf-8")

@@ -495,11 +495,11 @@ class TestAntiquotSuffixValidation:
 
 class TestSlotPrecedence:
     def test_annotated_slot_limits_what_it_swallows(self, table):
-        from hygex.expander import Expander, ExpanderState
+        from hygex.expander import Expander, RunState
         from hygex.prelude import bootstrap
 
         def last_def_rhs(src):
-            state = ExpanderState()
+            state = RunState()
             bootstrap(state)
             expander = Expander(state)
             pos = 0
@@ -697,9 +697,9 @@ class TestLexerTables:
         builds = []
         raw = Lexer.__init__
 
-        def counted(lexer, *args):
-            builds.append(args[0])  # the text
-            raw(lexer, *args)
+        def counted(lexer, text, *args, **kwargs):
+            builds.append(text)
+            raw(lexer, text, *args, **kwargs)
 
         monkeypatch.setattr(Lexer, "__init__", counted)
         src = "".join(f"def a{i} := {i}\ndef b{i} := )\n" for i in range(50))

@@ -4,7 +4,7 @@ import pytest
 
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.errors import ExpansionError, PrecheckError, UnboundIdentifier
-from hygex.expander import ExpanderState
+from hygex.expander import RunState
 from hygex.parser import K_NOTATION, Parser
 from hygex.precheck import Prechecker
 from hygex.prelude import bootstrap
@@ -12,7 +12,7 @@ from hygex.syntax import Name
 
 
 def fresh_state():
-    state = ExpanderState()
+    state = RunState()
     bootstrap(state)
     return state
 
@@ -25,7 +25,7 @@ def quoted_body(state, src):
 
 
 def check(state, src, **kw):
-    Prechecker(state.gctx, state.macros, **kw).check(quoted_body(state, src))
+    Prechecker(state, **kw).check(quoted_body(state, src))
 
 
 class TestHeuristics:

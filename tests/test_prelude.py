@@ -7,7 +7,7 @@ from corpus_config import CORPUS_RUNS
 from hygex.context import ScopeCounter, ScopeState
 from hygex.driver import RunConfig, Runner, run_string
 from hygex.prelude import bootstrap
-from hygex.expander import _SEQ_KINDS, ExpanderState
+from hygex.expander import _SEQ_KINDS, RunState
 from hygex.syntax import Node
 
 
@@ -98,7 +98,7 @@ class TestPreludeLoads:
     def test_prelude_must_load_clean(self):
         from hygex.syntax import Name
 
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)  # raises on any diagnostic
         assert Name.of("Unit.unit") in state.gctx
         assert Name.of("Prod.mk") in state.gctx
@@ -108,7 +108,7 @@ class TestPreludeLoads:
         from hygex.prelude import run_source
         from hygex.errors import KernelError
 
-        state = ExpanderState()
+        state = RunState()
         bootstrap(state)
         with pytest.raises(KernelError):
             run_source(state, "def broken := nosuchglobal\n")

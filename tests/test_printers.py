@@ -31,7 +31,7 @@ from hygex.elaborator import (
     TPropAtom,
     TUnit,
 )
-from hygex.expander import Expander, ExpanderState
+from hygex.expander import Expander, RunState
 from hygex.syntax import (
     KIND_CHOICE,
     KIND_DQUOT,
@@ -407,7 +407,7 @@ GOALS = st.builds(
     st.lists(st.tuples(NAMES, st.one_of(PROPS, LEFT_NESTED)), max_size=3),
     st.one_of(PROPS, LEFT_NESTED),
 )
-_STATE = ExpanderState()
+_STATE = RunState()
 _EXPANDER = Expander(_STATE)
 
 

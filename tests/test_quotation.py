@@ -16,10 +16,9 @@ from hygex.context import (
     RESERVED_SCOPE,
     ScopeCounter,
     ScopeState,
-    TransformerEnv,
 )
 from hygex.errors import ExpansionError, KernelError
-from hygex.expander import macro_step
+from hygex.expander import RunState, macro_step
 from hygex.parser import CAT_COMMAND, K_TUPLE, Parser, ParserTable
 from hygex.parser import MACRO_RULE
 from hygex.quotation import (
@@ -81,8 +80,8 @@ def gctx_of(*names):
     return g
 
 
-def tenv(gctx=None, start=1):
-    return TransformerEnv(gctx or GlobalContext(), ScopeState(ScopeCounter(start)))
+def run_state(gctx=None, start=1):
+    return RunState(gctx=gctx or GlobalContext(), scopes=ScopeState(ScopeCounter(start)))
 
 
 def find_idents(stx, raw):
@@ -126,7 +125,7 @@ class TestInstantiate:
     def test_const_template_applies_the_scope(self, table):
         template = process_quotation(quot("`(fun x => $e)", table), gctx_of("x", "e"))
         env = {Name.of("e"): Ident("x", Name.of("x"), ())}
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         binder, body = out.children[1], out.children[3]
         assert format_scoped(binder) == "x.1{x}"
         assert format_scoped(body) == "x"
@@ -140,7 +139,7 @@ class TestInstantiate:
             Name.of("e"): num(1),
             Name.of("es"): SepSeq((num(2), num(3)), ","),
         }
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         assert render(out) == "Prod.mk.1{Prod.mk} 1 (2, 3)"
 
     def test_nested_splice_instantiates_per_element(self, table):
@@ -148,13 +147,13 @@ class TestInstantiate:
         x1 = Ident("x", Name(("x", 1)), ())
         x2 = Ident("x", Name(("x", 2)), ())
         env = {Name.of("discrs"): Seq((x1, x2))}
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         discrs = out.children[1]
         assert render(discrs) == "x.1, x.2"
 
     def test_instantiated_atoms_lose_source_info(self, table):
         template = process_quotation(quot("`(fun x => x)", table), gctx_of())
-        out = instantiate(template, {}, tenv())
+        out = instantiate(template, {}, run_state())
         assert all(
             c.info is None for c in out.children if isinstance(c, (Atom, Ident))
         )
@@ -162,19 +161,19 @@ class TestInstantiate:
     def test_missing_hole_payload(self, table):
         template = process_quotation(quot("`($e + 1)", table), gctx_of())
         with pytest.raises(ExpansionError) as exc:
-            instantiate(template, {}, tenv())
+            instantiate(template, {}, run_state())
         assert "unbound antiquotation" in exc.value.message
 
     def test_sequence_capture_cannot_fill_a_plain_hole(self, table):
         template = process_quotation(quot("`($e + 1)", table), gctx_of())
         with pytest.raises(ExpansionError):
-            instantiate(template, {Name.of("e"): Seq((num(1), num(2)))}, tenv())
+            instantiate(template, {Name.of("e"): Seq((num(1), num(2)))}, run_state())
 
     def test_shape_coercion_between_separators(self, table):
         # a comma capture re-separates to fit the target splice
         template = process_quotation(quot("`(($es,*))", table), gctx_of())
         env = {Name.of("es"): Seq((num(1), num(2)))}
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         assert render(out) == "(1, 2)"
 
     def test_separated_capture_coerces_to_plain_sequence(self, table):
@@ -183,13 +182,13 @@ class TestInstantiate:
         x = Ident("x", Name.of("x"), ())
         y = Ident("y", Name.of("y"), ())
         env = {Name.of("bs"): SepSeq((x, y), ",")}
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         assert render(out) == "fun x y => 1"
         assert out.children[1].children == (x, y)
 
     def test_scope_shared_within_one_invocation(self, table):
         template = process_quotation(quot("`(fun x => x)", table), gctx_of())
-        env_ = tenv()
+        env_ = run_state()
         first = instantiate(template, {}, env_)
         second = instantiate(template, {}, env_)
         assert strip_info(first) == strip_info(second)  # same scope both times
@@ -201,7 +200,7 @@ class TestInstantiate:
         outs = []
         for _ in range(2):
             with scopes.fresh():
-                outs.append(instantiate(template, {}, TransformerEnv(gctx, scopes)))
+                outs.append(instantiate(template, {}, RunState(gctx=gctx, scopes=scopes)))
         assert outs[0].children[1].name == Name(("x", 1))
         assert outs[1].children[1].name == Name(("x", 2))
 
@@ -256,7 +255,7 @@ class TestMatchQuotation:
         template = process_quotation(quot("`(($a, $b))", table), gctx_of())
         stx = quot("`((1, 2))", table).children[0]
         env = match_quotation(pattern, stx)
-        out = instantiate(template, env, tenv())
+        out = instantiate(template, env, run_state())
         assert strip_info(out) == strip_info(stx)
 
     def test_a_splice_between_fixed_children_needs_an_input_for_each(self, table):
@@ -298,9 +297,9 @@ class TestRuleAlternatives:
         assert check_rules(rules) == Name.of("tuple")
         unit = quot("`(())", table).children[0]
         one = quot("`((1))", table).children[0]
-        out, scope = macro_step(unit, rules, tenv())
+        out, scope = macro_step(unit, rules, run_state())
         assert render(out) == "Unit.unit.1{Unit.unit}" and scope == 1
-        out, scope = macro_step(one, rules, tenv())
+        out, scope = macro_step(one, rules, run_state())
         assert render(out) == "1" and scope is None
 
     def test_no_alternative_is_none(self, table):
@@ -311,7 +310,7 @@ class TestRuleAlternatives:
             )
         ]
         check_rules(rules)
-        assert macro_step(quot("`((1))", table).children[0], rules, tenv()) is None
+        assert macro_step(quot("`((1))", table).children[0], rules, run_state()) is None
 
     def test_mixed_kinds_rejected(self, table):
         rules = [
@@ -352,8 +351,8 @@ class TestRuleAlternatives:
             return num(7)
 
         alternatives = [(None, transformer)]
-        assert macro_step(quot("`(())", table).children[0], alternatives, tenv()) is None
-        out, scope = macro_step(quot("`((3))", table).children[0], alternatives, tenv())
+        assert macro_step(quot("`(())", table).children[0], alternatives, run_state()) is None
+        out, scope = macro_step(quot("`((3))", table).children[0], alternatives, run_state())
         assert render(out) == "7" and scope is None
         assert render(seen[Name.of("e")]) == "3"
 
@@ -378,7 +377,7 @@ class TestRuleAlternatives:
         assert macros[kind] == [*new, (None, probe), *old]
         macros.copy().add_rules(kind, old)
         assert len(macros[kind]) == 5
-        out, _ = macro_step(quot("`(())", table).children[0], macros[kind], tenv())
+        out, _ = macro_step(quot("`(())", table).children[0], macros[kind], run_state())
         assert render(out) == "2"
 
 
@@ -505,7 +504,7 @@ def _ref_match_splice(splice: Node, middle: Sequence[Syntax], env: MatchEnv) -> 
     return True
 
 
-def ref_instantiate(template: QuotationTemplate, env: MatchEnv, env_t: TransformerEnv):
+def ref_instantiate(template: QuotationTemplate, env: MatchEnv, env_t: RunState):
     missing = template.holes - set(env)
     if missing:
         names = ", ".join(sorted(str(m) for m in missing))
@@ -513,7 +512,7 @@ def ref_instantiate(template: QuotationTemplate, env: MatchEnv, env_t: Transform
     return _ref_instantiate(template.body, env, env_t)
 
 
-def _ref_instantiate(stx: Syntax, env: MatchEnv, env_t: TransformerEnv) -> Syntax:
+def _ref_instantiate(stx: Syntax, env: MatchEnv, env_t: RunState) -> Syntax:
     match stx:
         case Ident(raw=raw, name=name, preresolved=pre):
             scope = env_t.scopes.current()
@@ -553,7 +552,7 @@ def _ref_with_separators(elems: List[Syntax], sep: str) -> List[Syntax]:
 
 
 def _ref_instantiate_splice(
-    splice: Node, env: MatchEnv, env_t: TransformerEnv
+    splice: Node, env: MatchEnv, env_t: RunState
 ) -> List[Syntax]:
     sep = splice_separator(splice)
     if splice.kind.parts[0] == KIND_SPLICE:
@@ -807,7 +806,8 @@ def instantiate_outcome(fn, template, env, single_scope):
     """What instantiating gives: the tree or the error message, and the
     scope the invocation allocated, if any."""
     scopes = ScopeState(ScopeCounter(7))
-    env_t = TransformerEnv(GlobalContext(), scopes, single_scope)
+    env_t = RunState(scopes=scopes)
+    env_t.single_scope = single_scope
     with scopes.fresh():
         try:
             result = ("tree", fn(template, env, env_t))
@@ -862,14 +862,14 @@ class TestCompiledAgreesWithTheInterpreter:
 class TestLazyScopesAndSharing:
     def test_a_template_without_identifiers_allocates_no_scope(self, table):
         template = process_quotation(quot("`(($e, 1))", table), gctx_of())
-        env_t = tenv()
+        env_t = run_state()
         out = instantiate(template, {Name.of("e"): num(2)}, env_t)
         assert render(out) == "(2, 1)"
         assert env_t.scopes.peek() is None
 
     def test_identifiers_under_an_empty_nested_splice_allocate_no_scope(self, table):
         template = process_quotation(quot("`(($[$xs + y],*))", table), gctx_of())
-        env_t = tenv()
+        env_t = run_state()
         out = instantiate(template, {Name.of("xs"): Seq(())}, env_t)
         assert not out.children[1].children
         assert env_t.scopes.peek() is None
@@ -882,8 +882,8 @@ class TestLazyScopesAndSharing:
         assert any(
             isinstance(s, Atom) and s.info is not None for _, s in _subtrees(ground)
         )
-        first = instantiate(template, {}, tenv())
-        second = instantiate(template, {}, tenv(start=5))
+        first = instantiate(template, {}, run_state())
+        second = instantiate(template, {}, run_state(start=5))
         assert first.children[3] is second.children[3]
         assert first.children[3] == strip_info(ground)
         assert all(
@@ -892,7 +892,7 @@ class TestLazyScopesAndSharing:
         assert first.children[1].name != second.children[1].name
 
 
-RUN_STATE = (GlobalContext, ScopeState, ParserTable, TransformerEnv)
+RUN_STATE = (GlobalContext, ScopeState, ParserTable, RunState)
 
 
 def reachable(root):
@@ -951,22 +951,22 @@ class TestCompiledRulesCaptureNoRunState:
 # Alternatives indexed by shape, checked against the plain scan they replace
 
 
-def scan_macro_step(stx, alternatives, tenv, on_step=None):
+def scan_macro_step(stx, alternatives, state, on_step=None):
     """`expander.macro_step` as it was before the index by shape: every
     alternative of the list, newest first."""
-    stack = tenv.scopes._stack
+    stack = state.scopes._stack
     stack.append(None)
     try:
         for pattern, body in alternatives:
             if pattern is None:
-                out = body(stx, tenv)
+                out = body(stx, state)
                 if out is None:
                     continue
             else:
                 env = match_quotation(pattern, stx)
                 if env is None:
                     continue
-                out = instantiate(body, env, tenv)
+                out = instantiate(body, env, state)
             scope = stack[-1]
             if on_step is not None:
                 on_step(stx.kind, stx, out)
@@ -1048,7 +1048,7 @@ def step_outcome(step, stx, alternatives):
     with its frames; and where the scope counter ends."""
     scopes = ScopeState(ScopeCounter(7))
     try:
-        result = ("step", step(stx, alternatives, TransformerEnv(GlobalContext(), scopes)))
+        result = ("step", step(stx, alternatives, RunState(scopes=scopes)))
     except ExpansionError as err:
         result = ("error", err.message, err.frames)
     return result, scopes.counter._next

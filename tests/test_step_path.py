@@ -4,7 +4,7 @@
 were rewritten to test exact types, to loop instead of recursing, to split a
 name in one scan and to skip building candidates for the common single
 match.  The versions they replaced are kept here as the references of
-differentials on generated trees and names.  Each `ExpanderState` builds
+differentials on generated trees and names.  Each `RunState` builds
 its `TransformerEnv` once; the tests below pin down what that env sees.
 So is the checker that CI runs on the recorded traced counts.
 """
@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bench_counts
-from hygex.context import Decl, GlobalContext, ScopeCounter, ScopeState, TransformerEnv
+from hygex.context import Decl, GlobalContext
 from hygex.driver import RunConfig, Runner
 from hygex.errors import ExpansionError, UnboundIdentifier
-from hygex.expander import ExpanderState, macro_step, resolve_identifier
-from hygex.parser import K_NUM, Parser, ParserTable
+from hygex.expander import RunState, macro_step, resolve_identifier
+from hygex.elaborator import NatLit, TNat, elab_term
+from hygex.parser import K_NUM, K_SKIP, Parser, ParserTable
 from hygex.precheck import _has_captured_ident
-from hygex.prelude import bootstrap
 from hygex.quotation import (
     instantiate,
     match_quotation,
@@ -196,57 +196,86 @@ class TestTheRewrittenWalkersAgree:
 
 
 # ---------------------------------------------------------------------------
-# One TransformerEnv per run state
+# One run state: every step of a run is handed the run's `RunState` itself
 
-PROBE_SRC = 'syntax "probe" : term\n'
+PROBE_SRC = (
+    'syntax "probe" : term\n'
+    'syntax "probeArg" term : term\n'
+    'syntax "ptac" : tactic\n'
+    'syntax "pel" : term\n'
+    'syntax "phost" : tactic\n'
+)
 
 
 def probing(runner: Runner, seen: list) -> Runner:
-    """Give `runner` a `probe` term whose transformer records the env of
-    every step and expands to `1`."""
+    """Give `runner` terms `probe` and `probeArg t` and a tactic `ptac`
+    whose transformers record the state of every step and its scopes and
+    `single_scope` at the time; the terms expand to `1`, the tactic to
+    `skip`.  A host elaborator for `pel` and a host tactic `phost` record
+    the state they reach."""
     runner.run_source(PROBE_SRC)
 
-    def transformer(stx, tenv):
-        seen.append(tenv)
+    def term(stx, state):
+        seen.append((state, state.scopes, state.single_scope))
         return Node(K_NUM, (Atom("1", None),))
 
-    runner.state.macros.register(Name.of("probe"), transformer)
+    def tactic(stx, state):
+        seen.append((state, state.scopes, state.single_scope))
+        return Node(K_SKIP, (Atom("skip", None),))
+
+    def elaborator(stx, env, expected):
+        seen.append((env.state, env.state.scopes, env.state.single_scope))
+        return NatLit(1), TNat()
+
+    def host_tactic(stx, ts):
+        seen.append((ts.state, ts.state.scopes, ts.state.single_scope))
+        return ts
+
+    state = runner.state
+    state.macros.register(Name.of("probe"), term)
+    state.macros.register(Name.of("probeArg"), term)
+    state.macros.register(Name.of("ptac"), tactic)
+    state.elaborators[Name.of("pel")] = elaborator
+    state.tactics[Name.of("phost")] = host_tactic
     return runner
 
 
-class TestOneTransformerEnvPerState:
-    def test_every_step_of_a_run_gets_the_same_env(self):
+class TestOneRunState:
+    def test_every_step_of_a_run_gets_the_run_s_state(self):
+        seen = []
+        runner = probing(Runner(RunConfig(stage="elaborate")), seen)
+        runner.run_source(
+            "def a := probe\n"
+            "def b := probe + pel\n"
+            "theorem t (p : Prop) : p → p := by intro h; ptac; phost; exact h\n"
+        )
+        assert not runner.diagnostics, runner.output
+        # the elaborator's adapter takes its macro step on the run's state
+        elab_term(Node(Name.of("probe"), (Atom("probe", None),)), runner.elab_env)
+        state = runner.state
+        assert seen == [(state, state.scopes, False)] * 6
+
+    def test_a_precheck_step_gets_the_run_s_state_with_its_scratch_scopes(self):
         seen = []
         runner = probing(Runner(), seen)
-        runner.run_source("def a := probe\ndef b := probe + probe\n")
+        runner.state.single_scope = True
+        runner.run_source(
+            'syntax "k" : term\nmacro_rules | `(k) => ``(probeArg y)\ndef z := probe\n'
+        )
         assert not runner.diagnostics, runner.output
-        assert len(seen) == 3
-        assert all(env is runner.state.tenv for env in seen)
+        state = runner.state
+        # the precheck unfolds `probeArg y` with the scratch scopes and the
+        # full scope stack; the run's own step reads its own settings again
+        assert seen == [(state, state.scratch, False), (state, state.scopes, True)]
+        assert state.scopes is not state.scratch
 
-    def test_two_runners_get_different_envs(self):
+    def test_two_runners_get_distinct_states(self):
         one, two = Runner(), Runner()
-        assert one.state.tenv is not two.state.tenv
-        assert one.state.tenv.gctx is not two.state.tenv.gctx
-        assert one.state.tenv.scopes is not two.state.tenv.scopes
-
-    def test_the_env_sees_what_bootstrap_puts_on_the_state(self):
-        state = ExpanderState()
-        env, old_table, old_gctx = state.tenv, state.table, state.gctx
-        bootstrap(state)
-        assert state.tenv is env
-        assert state.table is not old_table and state.gctx is not old_gctx
-        assert env.table is state.table
-        assert env.gctx is state.gctx
-        assert env.scopes is state.scopes
-
-    def test_the_env_follows_every_shared_setting(self):
-        state = ExpanderState(single_scope=True, notation_precheck=False)
-        assert state.tenv.single_scope is True
-        assert state.tenv.notation_precheck is False
-        state.single_scope = False
-        state.scopes = scopes = ScopeState(ScopeCounter(7))
-        assert state.tenv.single_scope is False
-        assert state.tenv.scopes is scopes
+        assert one.state is not two.state
+        assert one.state.gctx is not two.state.gctx
+        assert one.state.scopes is not two.state.scopes
+        assert one.state.scratch is not two.state.scratch
+        assert one.elab_env.state is one.state and one.expander.state is one.state
 
     def test_a_transformer_never_sees_another_run_s_globals(self):
         seen = []
@@ -257,12 +286,64 @@ class TestOneTransformerEnvPerState:
         first.run_source("def b := probe\n")
         assert not first.diagnostics and not second.diagnostics
         first_only, second_only = Name.of("onlyFirst"), Name.of("onlySecond")
-        envs = [(env, first_only in env.gctx, second_only in env.gctx) for env in seen]
-        assert envs == [
-            (first.state.tenv, True, False),
-            (second.state.tenv, False, True),
-            (first.state.tenv, True, False),
+        states = [(s, first_only in s.gctx, second_only in s.gctx) for s, _, _ in seen]
+        assert states == [
+            (first.state, True, False),
+            (second.state, False, True),
+            (first.state, True, False),
         ]
+
+
+KEEP_LAST_SCOPE_SRC = (
+    'macro "m" y:ident : command => `(\n'
+    "  def f := 1\n"
+    '  macro "mm" : command => `(\n'
+    "    def $y := f + 1\n"
+    "    def f := $y + 1))\n"
+    "m f\n"
+    "mm\n"
+)
+
+# (how the state is changed, source, a line of the output only then)
+SETTINGS = {
+    "single_scope": (
+        lambda state: setattr(state, "single_scope", True),
+        KEEP_LAST_SCOPE_SRC,
+        "error: 'f.2' has already been declared",
+    ),
+    "max_expansion_depth": (
+        lambda state: setattr(state, "cfg", RunConfig(max_expansion_depth=1)),
+        "def x := dup (dup 1)\n",
+        "error: macro expansion depth exceeded @1:1",
+    ),
+    "notation_precheck": (
+        lambda state: setattr(state, "cfg", RunConfig(notation_precheck=False)),
+        'notation "bad" => nosuch\n',
+        "macro_rules | `(bad) => `(nosuch)",
+    ),
+    "max_repeat": (
+        lambda state: setattr(state, "cfg", RunConfig(stage="elaborate", max_repeat=3)),
+        "theorem t (p : Prop) : p → p := by intro h; repeat skip; exact h\n",
+        "error: tactic macro expansion budget exceeded (see --max-repeat) @1:1",
+    ),
+    "stage": (
+        lambda state: setattr(state, "cfg", RunConfig(stage="elaborate")),
+        "def x := 1\n",
+        "def x : nat := natLit(1)",
+    ),
+}
+
+
+class TestSettingsAreReadFromTheState:
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_a_setting_assigned_on_the_state_is_what_the_next_step_reads(self, name):
+        change, src, line = SETTINGS[name]
+        plain, changed = Runner(), Runner()
+        change(changed.state)
+        plain.run_source(src)
+        changed.run_source(src)
+        assert line not in plain.output.splitlines()
+        assert line in changed.output.splitlines(), changed.output
 
 
 class TestInstantiateStillChecksItsHoles:
@@ -276,13 +357,12 @@ class TestInstantiateStillChecksItsHoles:
 
         pattern = process_pattern(term("`(($x))"))
 
-        def transformer(stx, tenv):
+        def transformer(stx, state):
             env = match_quotation(pattern, stx)
-            return instantiate(template, {Name.of("e"): env[Name.of("x")]}, tenv)
+            return instantiate(template, {Name.of("e"): env[Name.of("x")]}, state)
 
-        tenv = TransformerEnv(GlobalContext(), ScopeState())
         with pytest.raises(ExpansionError) as exc:
-            macro_step(term("(1)"), [(None, transformer)], tenv)
+            macro_step(term("(1)"), [(None, transformer)], RunState())
         assert exc.value.message == "unbound antiquotation variable: f"
 
 

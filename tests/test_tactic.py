@@ -2,10 +2,9 @@
 
 import pytest
 
-from hygex.context import TransformerEnv
 from hygex.driver import RunConfig, run_string
 from hygex.errors import TacticError
-from hygex.expander import ExpanderState
+from hygex.expander import RunState
 from hygex.parser import Parser
 from hygex.prelude import bootstrap, run_source
 from hygex.quotation import instantiate, process_quotation
@@ -21,7 +20,7 @@ from hygex.tactic import (
 
 
 def fresh_state(extra_src=""):
-    state = ExpanderState()
+    state = RunState()
     bootstrap(state)
     if extra_src:
         run_source(state, extra_src)
@@ -278,8 +277,7 @@ class TestHostTactics:
 
         def auto(stx, ts):
             with ts.state.scopes.fresh():
-                tenv = TransformerEnv(ts.state.gctx, ts.state.scopes)
-                script = instantiate(template, {}, tenv)
+                script = instantiate(template, {}, ts.state)
             return eval_tactic(script, ts)
 
         state.tactics[kind] = auto
