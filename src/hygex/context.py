@@ -30,7 +30,9 @@ RESERVED_SCOPE = 0
 
 
 class RunConfig:
-    """The settings of a run; it compares and prints by value."""
+    """The settings of a run; it compares and prints by value.  Each is read
+    from `RunState.cfg` where it is used, so a config assigned there holds
+    from the next step on; only `prelude` is read once, when the run is built."""
 
     __match_args__ = (
         "stage", "trace_expansion", "trace_tactics", "notation_precheck",

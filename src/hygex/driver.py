@@ -88,9 +88,8 @@ class Runner:
         self.lines: List[str] = []
         self.diagnostics: List[Diagnostic] = []
         bootstrap(self.state)
-        # the prelude loaded untraced, when the prototype was built
-        if cfg.trace_expansion:
-            self.state.on_macro_step = _macro_step_tracer(self.lines)
+        # steps trace while the run's config says so; the prelude loaded untraced
+        self.state.on_macro_step = _macro_step_tracer(self.lines)
         self.expander = Expander(self.state)
         self.elab_env = ElabEnv(self.state)
 

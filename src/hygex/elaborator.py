@@ -318,7 +318,8 @@ def transformer_to_elaborator(
     """Take one macro step on the run's scopes, then elaborate the output;
     an error in either carries the step's frame."""
     state = env.state
-    step = macro_step(stx, state.macros.get(stx.kind, ()), state, state.on_macro_step)
+    trace = state.on_macro_step if state.cfg.trace_expansion else None
+    step = macro_step(stx, state.macros.get(stx.kind, ()), state, trace)
     if step is None:
         raise ElabError(
             f"no macro alternative matched '{render(stx)}' "

@@ -137,9 +137,6 @@ class RunState:
         self.scopes = ScopeState() if scopes is OMITTED else scopes
         self.scratch = ScopeState(ScopeCounter(start=-1, step=-1))
         self.cfg = RunConfig() if cfg is OMITTED else cfg
-        # test-only mode: keep just the newest scope instead of the full
-        # stack, to demonstrate why the stack is needed
-        self.single_scope = False
         self.on_macro_step: Optional[TraceFn] = None
 
 
@@ -251,7 +248,8 @@ class Expander:
                 info=info_of(stx),
             )
         state = self.state
-        step = macro_step(stx, alternatives, state, state.on_macro_step)
+        trace = state.on_macro_step if state.cfg.trace_expansion else None
+        step = macro_step(stx, alternatives, state, trace)
         if step is None:
             raise ExpansionError(
                 f"no macro alternative matched '{render(stx)}'", info=info_of(stx)

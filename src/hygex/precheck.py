@@ -39,6 +39,9 @@ QuotationContext = frozenset  # surface names assumed bound inside the fragment
 # expands in place, tuples and `fun | …`, whose alternatives bind
 _WALKED_KINDS = IN_PLACE_KINDS | {K_TUPLE, K_FUN_MATCH}
 
+# unfolds along one path of a checked fragment before the check gives up
+MAX_UNFOLD = 32
+
 
 class Prechecker:
     """Heuristic walker over a quoted fragment.
@@ -50,12 +53,11 @@ class Prechecker:
     kinds are unfolded one step with the run's scratch scopes, which never
     touch its visible numbering.  `depth` counts the unfolds along the path
     from the fragment's root, through binders and children, so a macro
-    that unfolds to a binder around its own use meets `max_unfold`.
+    that unfolds to a binder around its own use meets `MAX_UNFOLD`.
     """
 
-    def __init__(self, state: RunState, max_unfold: int = 32):
+    def __init__(self, state: RunState):
         self.state = state
-        self.max_unfold = max_unfold
 
     def check(self, stx: Syntax, qctx: QuotationContext = frozenset(), depth: int = 0) -> None:
         if isinstance(stx, (Atom, Missing)):
@@ -84,7 +86,7 @@ class Prechecker:
             return
         alternatives = state.macros.get(kind)
         if alternatives is not None:
-            if depth >= self.max_unfold:
+            if depth >= MAX_UNFOLD:
                 raise PrecheckLimitError(
                     f"cannot analyze '{kind}': macro unfolding limit reached"
                 )
@@ -97,15 +99,13 @@ class Prechecker:
         )
 
     def _unfold(self, stx: Node, alternatives) -> Optional[Tuple[Syntax, Optional[int]]]:
-        """One macro step of the run, untraced, with the scratch scopes in
-        place of the run's own and `single_scope` off."""
+        """One macro step of the run, untraced, on the scratch scopes."""
         state = self.state
-        scopes, single_scope = state.scopes, state.single_scope
-        state.scopes, state.single_scope = state.scratch, False
+        scopes, state.scopes = state.scopes, state.scratch
         try:
             return expander.macro_step(stx, alternatives, state)
         finally:
-            state.scopes, state.single_scope = scopes, single_scope
+            state.scopes = scopes
 
     def check_ident(self, stx: Ident, qctx: QuotationContext) -> None:
         if stx.name in qctx or stx.raw in qctx:

@@ -42,7 +42,6 @@ from .syntax import (
     Syntax,
     add_macro_scope,
     antiquot_payload,
-    base_name,
     is_antiquot,
     is_quotation,
     is_splice,
@@ -515,8 +514,7 @@ def _compile_part(stx: Syntax) -> Tuple[Optional[Builder], Optional[Syntax]]:
             scope = scopes._stack[-1]
             if scope is None:
                 scope = scopes._stack[-1] = scopes.counter.alloc()
-            base = base_name(name) if state.single_scope else name
-            return Ident(raw, Name(base + (scope,)), pre, None)
+            return Ident(raw, Name(name + (scope,)), pre, None)
 
         return build_ident, None
     if type(stx) is Atom:

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import hygiene_ablations
 from conftest import CORPUS, GOLDENS
 from corpus_config import CORPUS_RUNS
 from hygex.driver import RunConfig, Runner, run_string
@@ -70,11 +71,13 @@ def test_02_macro_tower():
         assert symbols <= set(gctx)
         assert len(symbols) == 3
 
-        # with only the newest scope kept, the same program collides
-        flat = Runner(RunConfig())
-        flat.state.single_scope = True
-        flat.run_files([str(CORPUS / "macro_tower.hyg")])
-        assert any("already been declared" in d.message for d in flat.diagnostics)
+        # with only the newest scope kept (the kill matrix's M3, run on a
+        # mutated copy of the kernel), the same program redeclares `f.2`
+        flat = hygiene_ablations.run_file("M3", CORPUS / "macro_tower.hyg")
+        assert "error: 'f.2' has already been declared" in flat["output"].splitlines()
+        [clash] = [d for d in flat["diagnostics"] if "already been declared" in d[0]]
+        # the clashing name was built by the macro: it has no position
+        assert clash == ["'f.2' has already been declared", None]
 
 
 def test_03_quotation_processing():

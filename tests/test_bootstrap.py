@@ -185,9 +185,7 @@ class TestBuiltOnce:
         for kw in self.CONFIGS * 2:
             code, _ = run_string("def x := dup (dup 1)\n", RunConfig(**kw))
             assert code == 0
-        state = RunState(cfg=RunConfig(notation_precheck=False))
-        state.single_scope = True
-        bootstrap(state)
+        bootstrap(RunState(cfg=RunConfig(notation_precheck=False)))
         assert calls == [1]
 
     def test_a_prelude_that_fails_keeps_no_prototype(self, monkeypatch):

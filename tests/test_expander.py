@@ -150,16 +150,6 @@ class TestMacroTower:
         assert "`(def f := f.1{f.1} + 1 def f.1{f.1} := f + 1)" in joined
         assert "mm: mm ==> def f.2 := f.1.2{f.1} + 1 def f.1.2{f.1} := f.2 + 1" in joined
 
-    def test_keep_last_scope_mode_collides(self):
-        # with the scope *stack* flattened to its newest element, the same
-        # program redeclares one symbol
-        runner = Runner(RunConfig())
-        runner.state.single_scope = True
-        runner.run_source(self.SRC)
-        [clash] = [d for d in runner.diagnostics if "already been declared" in d.message]
-        # the clashing name was built by the macro: it has no position
-        assert clash.info is None
-
 
 class TestExpandMacroStep:
     def test_tuple_single_step(self, ):

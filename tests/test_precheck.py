@@ -24,8 +24,8 @@ def quoted_body(state, src):
     return out.children[0]
 
 
-def check(state, src, **kw):
-    Prechecker(state, **kw).check(quoted_body(state, src))
+def check(state, src):
+    Prechecker(state).check(quoted_body(state, src))
 
 
 class TestHeuristics:
@@ -78,7 +78,7 @@ class TestHeuristics:
             "macro_rules | `(spin $e) => `(spin $e)\n"
         )
         with pytest.raises(PrecheckError) as exc:
-            check(run.state, "``(spin x)", max_unfold=8)
+            check(run.state, "``(spin x)")
         assert "unfolding limit" in exc.value.message
 
     def test_unfolds_count_through_binders_and_the_limit_is_placed(self):

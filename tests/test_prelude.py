@@ -121,7 +121,8 @@ class TestSequenceElements:
 
     @pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
     def test_head_and_whole_kind_agree(self, name):
-        runner = Runner(RunConfig(**CORPUS_RUNS[name][0]))
+        # the hook is called only while the run traces its steps
+        runner = Runner(RunConfig(**{**CORPUS_RUNS[name][0], "trace_expansion": True}))
         seen = []
         runner.state.on_macro_step = lambda kind, before, after: seen.extend((before, after))
         process = runner.expander.process_command

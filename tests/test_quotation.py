@@ -52,7 +52,6 @@ from hygex.syntax import (
     Node,
     SourceInfo,
     Syntax,
-    base_name,
     format_scoped,
     is_antiquot,
     is_splice,
@@ -516,8 +515,7 @@ def _ref_instantiate(stx: Syntax, env: MatchEnv, env_t: RunState) -> Syntax:
     match stx:
         case Ident(raw=raw, name=name, preresolved=pre):
             scope = env_t.scopes.current()
-            base = base_name(name) if env_t.single_scope else name
-            return Ident(raw, Name(base + (scope,)), pre, None)
+            return Ident(raw, Name(name + (scope,)), pre, None)
         case Atom(text=text):
             return Atom(text, None)
         case Node() if is_antiquot(stx):
@@ -799,15 +797,14 @@ def template_and_env(draw):
     body = _draw_template(draw, 0, top=True)
     # now and then a variable stays unbound
     env = {v: _draw_capture(draw) for v in VARS if draw(ONE_IN_8)}
-    return QuotationTemplate(body, frozenset(collect_holes(body))), env, draw(FLIP)
+    return QuotationTemplate(body, frozenset(collect_holes(body))), env
 
 
-def instantiate_outcome(fn, template, env, single_scope):
+def instantiate_outcome(fn, template, env):
     """What instantiating gives: the tree or the error message, and the
     scope the invocation allocated, if any."""
     scopes = ScopeState(ScopeCounter(7))
     env_t = RunState(scopes=scopes)
-    env_t.single_scope = single_scope
     with scopes.fresh():
         try:
             result = ("tree", fn(template, env, env_t))
@@ -826,9 +823,9 @@ class TestCompiledAgreesWithTheInterpreter:
     @settings(max_examples=200, deadline=None)
     @given(template_and_env())
     def test_instantiate(self, case):
-        template, env, single_scope = case
-        assert instantiate_outcome(instantiate, template, env, single_scope) == (
-            instantiate_outcome(ref_instantiate, template, env, single_scope)
+        template, env = case
+        assert instantiate_outcome(instantiate, template, env) == (
+            instantiate_outcome(ref_instantiate, template, env)
         )
 
     @pytest.mark.parametrize(
@@ -848,9 +845,9 @@ class TestCompiledAgreesWithTheInterpreter:
     def test_the_same_errors(self, table, src, env, message):
         template = process_quotation(quot(src, table), gctx_of())
         env = {Name.of(k): v for k, v in env.items()}
-        compiled = instantiate_outcome(instantiate, template, env, False)
+        compiled = instantiate_outcome(instantiate, template, env)
         assert compiled[0][0] == "error" and message in compiled[0][1]
-        assert compiled == instantiate_outcome(ref_instantiate, template, env, False)
+        assert compiled == instantiate_outcome(ref_instantiate, template, env)
 
     def test_a_tagged_splice_element_that_does_not_fit(self, table):
         pattern = process_pattern(quot("`(($xs:ident,*))", table))

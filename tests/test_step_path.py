@@ -4,8 +4,9 @@
 were rewritten to test exact types, to loop instead of recursing, to split a
 name in one scan and to skip building candidates for the common single
 match.  The versions they replaced are kept here as the references of
-differentials on generated trees and names.  Each `RunState` builds
-its `TransformerEnv` once; the tests below pin down what that env sees.
+differentials on generated trees and names.  Every step of a run is
+handed the run's own `RunState` and reads the run's settings from the
+`RunConfig` there; the tests below pin down what a step sees and reads.
 So is the checker that CI runs on the recorded traced counts.
 """
 
@@ -209,26 +210,26 @@ PROBE_SRC = (
 
 def probing(runner: Runner, seen: list) -> Runner:
     """Give `runner` terms `probe` and `probeArg t` and a tactic `ptac`
-    whose transformers record the state of every step and its scopes and
-    `single_scope` at the time; the terms expand to `1`, the tactic to
+    whose transformers record the state of every step and its scopes at
+    the time; the terms expand to `1`, the tactic to
     `skip`.  A host elaborator for `pel` and a host tactic `phost` record
     the state they reach."""
     runner.run_source(PROBE_SRC)
 
     def term(stx, state):
-        seen.append((state, state.scopes, state.single_scope))
+        seen.append((state, state.scopes))
         return Node(K_NUM, (Atom("1", None),))
 
     def tactic(stx, state):
-        seen.append((state, state.scopes, state.single_scope))
+        seen.append((state, state.scopes))
         return Node(K_SKIP, (Atom("skip", None),))
 
     def elaborator(stx, env, expected):
-        seen.append((env.state, env.state.scopes, env.state.single_scope))
+        seen.append((env.state, env.state.scopes))
         return NatLit(1), TNat()
 
     def host_tactic(stx, ts):
-        seen.append((ts.state, ts.state.scopes, ts.state.single_scope))
+        seen.append((ts.state, ts.state.scopes))
         return ts
 
     state = runner.state
@@ -253,20 +254,19 @@ class TestOneRunState:
         # the elaborator's adapter takes its macro step on the run's state
         elab_term(Node(Name.of("probe"), (Atom("probe", None),)), runner.elab_env)
         state = runner.state
-        assert seen == [(state, state.scopes, False)] * 6
+        assert seen == [(state, state.scopes)] * 6
 
     def test_a_precheck_step_gets_the_run_s_state_with_its_scratch_scopes(self):
         seen = []
         runner = probing(Runner(), seen)
-        runner.state.single_scope = True
         runner.run_source(
             'syntax "k" : term\nmacro_rules | `(k) => ``(probeArg y)\ndef z := probe\n'
         )
         assert not runner.diagnostics, runner.output
         state = runner.state
-        # the precheck unfolds `probeArg y` with the scratch scopes and the
-        # full scope stack; the run's own step reads its own settings again
-        assert seen == [(state, state.scratch, False), (state, state.scopes, True)]
+        # the precheck unfolds `probeArg y` with the scratch scopes; the
+        # run's own step has the run's scopes back
+        assert seen == [(state, state.scratch), (state, state.scopes)]
         assert state.scopes is not state.scratch
 
     def test_two_runners_get_distinct_states(self):
@@ -286,7 +286,7 @@ class TestOneRunState:
         first.run_source("def b := probe\n")
         assert not first.diagnostics and not second.diagnostics
         first_only, second_only = Name.of("onlyFirst"), Name.of("onlySecond")
-        states = [(s, first_only in s.gctx, second_only in s.gctx) for s, _, _ in seen]
+        states = [(s, first_only in s.gctx, second_only in s.gctx) for s, _ in seen]
         assert states == [
             (first.state, True, False),
             (second.state, False, True),
@@ -294,23 +294,10 @@ class TestOneRunState:
         ]
 
 
-KEEP_LAST_SCOPE_SRC = (
-    'macro "m" y:ident : command => `(\n'
-    "  def f := 1\n"
-    '  macro "mm" : command => `(\n'
-    "    def $y := f + 1\n"
-    "    def f := $y + 1))\n"
-    "m f\n"
-    "mm\n"
-)
-
-# (how the state is changed, source, a line of the output only then)
+# one row per setting that a run reads where it is used (all but
+# `prelude`, read when the run is built): (how the state is changed,
+# source, a line of the output only then)
 SETTINGS = {
-    "single_scope": (
-        lambda state: setattr(state, "single_scope", True),
-        KEEP_LAST_SCOPE_SRC,
-        "error: 'f.2' has already been declared",
-    ),
     "max_expansion_depth": (
         lambda state: setattr(state, "cfg", RunConfig(max_expansion_depth=1)),
         "def x := dup (dup 1)\n",
@@ -331,6 +318,21 @@ SETTINGS = {
         "def x := 1\n",
         "def x : nat := natLit(1)",
     ),
+    "trace_expansion": (
+        lambda state: setattr(state, "cfg", RunConfig(trace_expansion=True)),
+        "def x := dup 1\n",
+        "dup: dup 1 ==> Prod.mk.1{Prod.mk} 1 1",
+    ),
+    "trace_tactics": (
+        lambda state: setattr(state, "cfg", RunConfig(stage="elaborate", trace_tactics=True)),
+        "theorem t (p : Prop) : p → p := by intro h; exact h\n",
+        "tac: intro h ==> h : p ⊢ p",
+    ),
+    "recover": (
+        lambda state: setattr(state, "cfg", RunConfig(recover=True)),
+        "def := 1\ndef y := 2\n",
+        "<missing>",
+    ),
 }
 
 
@@ -344,6 +346,9 @@ class TestSettingsAreReadFromTheState:
         changed.run_source(src)
         assert line not in plain.output.splitlines()
         assert line in changed.output.splitlines(), changed.output
+
+    def test_every_setting_but_prelude_has_a_row(self):
+        assert set(SETTINGS) == set(RunConfig.__match_args__) - {"prelude"}
 
 
 class TestInstantiateStillChecksItsHoles:
