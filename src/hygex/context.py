@@ -153,11 +153,11 @@ class GlobalContext:
     namespaces thus add nothing to the index.  Buckets keep declaration
     order, so candidates come back in it.
 
-    `refs` holds the context's resolved references, one shared `Ident`
-    per (spelling, symbol), handed out by `ref`.  `resolve_identifier`
-    returns one of these objects unchanged: identity marks a reference
-    whose resolution is final, so no later stage scans the globals for it
-    again.  A copy starts a table of its own.
+    `refs` holds the context's resolved references to globals only, one
+    shared `Ident` per (spelling, symbol), handed out by `ref`.
+    `resolve_identifier` returns one of these objects unchanged: identity
+    (`is_ref`) marks a reference resolved to a global for good, so no later
+    stage scans the globals or its locals for it.  A copy starts its own.
 
     `scoped` turns true when a global with macro scopes is added, and a
     copy keeps it.  While it is false, `match_surface` returns [] for every
@@ -197,6 +197,10 @@ class GlobalContext:
         if ident is None:
             ident = self.refs[key] = Ident(raw, symbol, (), None)
         return ident
+
+    def is_ref(self, ident: Ident) -> bool:
+        """Whether the expander resolved `ident` to a global of this context."""
+        return self.refs.get((ident.raw, ident.name)) is ident
 
     def add(self, symbol: Symbol, decl: Decl) -> None:
         if symbol not in self.decls:

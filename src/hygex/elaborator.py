@@ -230,8 +230,13 @@ def core_str(x: object) -> str:
 # Environment
 
 
+# expected-type head -> (constructor, arity), for `⟨…⟩`
+_CONSTRUCTORS: Dict[type, Tuple[Name, int]] = {TProd: (PROD_MK, 2), TUnit: (UNIT_UNIT, 0)}
+
+
 class ElabEnv:
-    """Locals, signatures, and the shared quotation-scope capability.
+    """The locals' types, beside the run's state, which holds the
+    signatures, the scopes and the macro and elaborator tables.
 
     `consts` holds the one `Const` per global symbol that `_elab_ident`
     hands out; a child environment shares its parent's."""
@@ -240,17 +245,10 @@ class ElabEnv:
         self,
         state: RunState,
         locals: Dict[Symbol, CoreType] = OMITTED,
-        constructors: Dict[type, Tuple[Name, int]] = OMITTED,
         consts: Dict[Symbol, Const] = OMITTED,
     ) -> None:
         self.state = state
         self.locals = {} if locals is OMITTED else locals
-        # expected-type head -> (constructor, arity)
-        self.constructors = (
-            {TProd: (PROD_MK, 2), TUnit: (UNIT_UNIT, 0)}
-            if constructors is OMITTED
-            else constructors
-        )
         self.consts = {} if consts is OMITTED else consts
 
     def signature(self, symbol: Symbol) -> Optional[CoreType]:
@@ -260,7 +258,7 @@ class ElabEnv:
     def child(self, symbol: Symbol, ty: CoreType) -> "ElabEnv":
         locals2 = dict(self.locals)
         locals2[symbol] = ty
-        return ElabEnv(self.state, locals2, self.constructors, self.consts)
+        return ElabEnv(self.state, locals2, self.consts)
 
 
 def _mismatch(expected: CoreType, actual: CoreType, stx: Syntax) -> ElabError:
@@ -336,11 +334,12 @@ def transformer_to_elaborator(
 def _elab_ident(
     stx: Ident, env: ElabEnv, expected: Optional[CoreType]
 ) -> Tuple[CoreExpr, CoreType]:
-    resolved = resolve_identifier(stx, env.locals, env.state.gctx)
+    gctx = env.state.gctx
+    resolved = resolve_identifier(stx, env.locals, gctx)
     if isinstance(resolved, Node):  # overloaded
         return _elab_choice(resolved, env, expected)
     symbol = resolved.name
-    if symbol in env.locals:
+    if not gctx.is_ref(resolved):
         return Local(symbol), _ensure(expected, env.locals[symbol], stx)
     sig = env.signature(symbol)
     if sig is None:
@@ -354,9 +353,8 @@ def _elab_ident(
 def _elab_choice(
     stx: Node, env: ElabEnv, expected: Optional[CoreType]
 ) -> Tuple[CoreExpr, CoreType]:
-    viable = []
+    viable = []  # of the candidates, all references to globals
     for cand in stx.children:
-        assert isinstance(cand, Ident)
         if env.signature(cand.name) is not None:
             viable.append(cand)
     if len(viable) != 1:
@@ -397,8 +395,10 @@ def _elab_app(
     head, args = _app_spine(stx)
     # saturated pair constructor: the builtin polymorphic case
     if isinstance(head, Ident):
-        resolved = resolve_identifier(head, env.locals, env.state.gctx)
-        if isinstance(resolved, Ident) and resolved.name == PROD_MK and len(args) == 2:
+        gctx = env.state.gctx
+        resolved = resolve_identifier(head, env.locals, gctx)
+        ctor = type(resolved) is Ident and resolved.name == PROD_MK and gctx.is_ref(resolved)
+        if ctor and len(args) == 2:
             want = expected if isinstance(expected, TProd) else None
             fst, t1 = elab_term(args[0], env, want.left if want else None)
             snd, t2 = elab_term(args[1], env, want.right if want else None)
@@ -419,7 +419,7 @@ def elab_anonymous_ctor(
     components; the constructor reference is synthesized hygienically."""
     if expected is None:
         raise ElabError("expected type required to elaborate '⟨…⟩'")
-    entry = env.constructors.get(type(expected))
+    entry = _CONSTRUCTORS.get(type(expected))
     if entry is None:
         raise ElabError(f"no constructor known for expected type {expected}")
     ctor, arity = entry

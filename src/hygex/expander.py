@@ -5,11 +5,12 @@ against the local and global contexts.  The expander never invents macro
 scopes itself: scopes enter trees only when a quotation is instantiated
 inside some transformer.
 
-The expander's resolution is final.  A run keeps one shared `Ident` per
-(spelling, symbol) that a reference resolves to, in its `GlobalContext`;
-later stages, the elaborator and the tactic engine, still pass each
-reference through `resolve_identifier`, which recognises one of those
-objects by identity and returns it without scanning the globals again.
+The expander's resolution is final, and `resolve_identifier` alone decides
+whether a reference names a local or a global.  A run keeps one shared
+`Ident` per (spelling, symbol) of a global, in its `GlobalContext`; the
+elaborator and the tactic engine pass each reference through it again,
+get such an object back unchanged with no scan, and act on its answer
+(`GlobalContext.is_ref`), so no user binder captures a macro's global.
 An identifier that a macro step introduced carries a macro scope, and
 while no global carries one (`GlobalContext.scoped`) it can name a global
 only through its preresolutions: it is resolved by them alone, with no
@@ -150,16 +151,17 @@ def resolve_identifier(
     """Resolve a reference: local match wins, then top-level scopes plus
     matching globals, otherwise the identifier is unbound.
 
-    A resolved reference is the context's shared `Ident` for its spelling
-    and symbol (`GlobalContext.ref`), and that object comes back unchanged,
-    before any scan: its resolution is final.  An equal `Ident` built
-    elsewhere is resolved as any other."""
+    A global is the context's shared `Ident` for its spelling and symbol
+    (`GlobalContext.ref`), which comes back unchanged, before any scan: its
+    resolution is final.  An overloaded name is a choice node of such
+    references; a local is a plain `Ident`, never shared.  An equal `Ident`
+    built elsewhere is resolved as any other."""
+    if gctx.is_ref(stx):
+        return stx
     name = stx.name
     raw = stx.raw
-    if gctx.refs.get((raw, name)) is stx:
-        return stx
     if name in lctx:
-        return gctx.ref(raw, name)
+        return Ident(raw, name, (), None)
     pre = stx.preresolved
     if gctx.scoped or not name or type(name[-1]) is not int:
         # `match_surface` lists each global once; only a preresolution can repeat one

@@ -209,8 +209,10 @@ def process_quotation(quot: Node, gctx: GlobalContext) -> QuotationTemplate:
 
 def _process(stx: Syntax, gctx: GlobalContext) -> Syntax:
     match stx:
-        case Ident(raw=raw, name=name):
-            return Ident(raw, name, tuple(gctx.match_surface(name)), None)
+        case Ident(raw=raw, name=name, preresolved=pre):
+            # a quotation that a macro built keeps its preresolutions first
+            found = gctx.match_surface(name)
+            return Ident(raw, name, tuple(dict.fromkeys((*pre, *found)) if pre else found), None)
         case Node() if is_antiquot(stx):
             _hole_var(stx)  # validate early
             return stx

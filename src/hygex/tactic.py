@@ -135,28 +135,17 @@ class TacticState(Frozen):
 
     The state provides the global context, the fresh-scope capability and
     the run's settings, so quotations instantiated by procedural tactics
-    behave exactly as they do in macros.  `expander`, built on that state
-    once per proof, takes the unfolds and resolves references; it stays
-    out of equality and repr."""
+    behave exactly as they do in macros."""
 
-    __slots__ = ("goals", "state", "steps_left", "expander")
-    _fields = ("goals", "state", "steps_left")
+    __slots__ = ("goals", "state", "steps_left")
     goals: Tuple[ProofGoal, ...]
     state: RunState
     steps_left: List[int]  # single mutable cell: tactic-macro budget
-    expander: Expander
 
-    def __init__(
-        self,
-        goals: Tuple[ProofGoal, ...],
-        state: RunState,
-        steps_left: List[int],
-        expander: Optional[Expander] = None,
-    ) -> None:
+    def __init__(self, goals: Tuple[ProofGoal, ...], state: RunState, steps_left: List[int]) -> None:
         _tstate_goals(self, goals)
         _tstate_state(self, state)
         _tstate_steps_left(self, steps_left)
-        _tstate_expander(self, Expander(state) if expander is None else expander)
 
     def goal(self) -> ProofGoal:
         if not self.goals:
@@ -164,10 +153,10 @@ class TacticState(Frozen):
         return self.goals[0]
 
     def close_goal(self) -> "TacticState":
-        return TacticState(self.goals[1:], self.state, self.steps_left, self.expander)
+        return TacticState(self.goals[1:], self.state, self.steps_left)
 
     def set_goal(self, goal: ProofGoal) -> "TacticState":
-        return TacticState((goal,) + self.goals[1:], self.state, self.steps_left, self.expander)
+        return TacticState((goal,) + self.goals[1:], self.state, self.steps_left)
 
     def __str__(self) -> str:
         if not self.goals:
@@ -175,7 +164,7 @@ class TacticState(Frozen):
         return "; ".join(map(str, self.goals))
 
 
-_tstate_goals, _tstate_state, _tstate_steps_left, _tstate_expander = slot_setters(TacticState)
+_tstate_goals, _tstate_state, _tstate_steps_left = slot_setters(TacticState)
 
 
 TraceTacticFn = Callable[[Syntax, TacticState], None]
@@ -221,7 +210,7 @@ def eval_tactic(
                 "tactic macro expansion budget exceeded (see --max-repeat)"
             )
         ts.steps_left[0] -= 1
-        unfolded, scope = ts.expander.expand_macro_step(stx, ts.state.macros[kind])
+        unfolded, scope = Expander(ts.state).expand_macro_step(stx, ts.state.macros[kind])
         try:
             return eval_tactic(unfolded, ts, trace)
         except KernelError as err:
@@ -259,39 +248,41 @@ def _eval_intro(stx: Node, ts: TacticState) -> TacticState:
     return ts.set_goal(goal2)
 
 
-def _proof_of(symbol: Symbol, goal: ProofGoal, ts: TacticState) -> Optional[Prop]:
-    """What a hypothesis or a theorem named `symbol` proves, if anything."""
-    prop = goal.lookup(symbol)
-    if prop is None:
-        decl = ts.state.gctx.get(symbol)
-        prop = decl.prop if decl else None
-    return prop
+def _proof_of(ref: Ident, goal: ProofGoal, ts: TacticState) -> Optional[Prop]:
+    """What the resolved reference `ref` proves, if anything: a global's
+    theorem or, when it was resolved to a local, a hypothesis."""
+    gctx = ts.state.gctx
+    if gctx.is_ref(ref):
+        decl = gctx.get(ref.name)
+        return decl.prop if decl else None
+    return goal.lookup(ref.name)
 
 
-def _resolve_reference(stx: Node, ts: TacticState) -> Symbol:
-    """The symbol `exact` uses: an overloaded reference takes the one
-    candidate that proves something, as the elaborator takes the one with
-    a value signature."""
+def _resolve_reference(stx: Node, ts: TacticState) -> Ident:
+    """The resolved reference `exact` uses: an overloaded reference takes
+    the one candidate, a global, that proves something, as the elaborator
+    takes the one with a value signature."""
     goal = ts.goal()
     lctx = frozenset(s for s, _ in goal.hypotheses)
     term = stx.children[1]
-    resolved = ts.expander.expand(term, lctx)
+    resolved = Expander(ts.state).expand(term, lctx)
     if isinstance(resolved, Node) and resolved.kind == _CHOICE:
         candidates = resolved.children
-        provers = [c for c in candidates if _proof_of(c.name, goal, ts) is not None]
+        provers = [c for c in candidates if _proof_of(c, goal, ts) is not None]
         if len(provers) != 1:
             names = ", ".join(str(c.name) for c in candidates)
             raise _error(stx, f"exact: ambiguous reference (candidates: {names})")
         resolved = provers[0]
     if isinstance(resolved, Ident):
-        return resolved.name
+        return resolved
     raise _error(stx, f"exact: '{render(term)}' is not a plain reference")
 
 
 def _eval_exact(stx: Node, ts: TacticState) -> TacticState:
     goal = ts.goal()
-    symbol = _resolve_reference(stx, ts)
-    prop = _proof_of(symbol, goal, ts)
+    ref = _resolve_reference(stx, ts)
+    symbol = ref.name
+    prop = _proof_of(ref, goal, ts)
     if prop is None:
         raise _error(stx, f"exact: '{symbol}' does not prove anything")
     if prop != goal.target:

@@ -115,7 +115,7 @@ def scan_resolve_identifier(stx, lctx, gctx):
     if gctx.refs.get((raw, name)) is stx:
         return stx
     if name in lctx:
-        return gctx.ref(raw, name)
+        return Ident(raw, name, (), None)
     candidates = gctx.match_surface(name)
     if stx.preresolved:
         candidates = list(dict.fromkeys((*stx.preresolved, *candidates)))
@@ -168,8 +168,12 @@ def test_the_shortcut_agrees_with_match_surface(
     got = resolution(stx, lctx, gctx, resolve_identifier)
     want = resolution(stx, lctx, gctx, scan_resolve_identifier)
     assert type(got) is type(want) and got == want
-    if type(got) is Ident:
+    if type(got) is Ident and name not in lctx:
         assert got is want  # the context's one shared reference
+    elif type(got) is Ident:
+        # a local: never the shared reference, equal again under its binders
+        assert not gctx.is_ref(got)
+        assert resolve_identifier(got, lctx, gctx) == got
 
 
 def test_a_scoped_reference_is_resolved_without_match_surface():

@@ -154,6 +154,15 @@ class TestOverloadedReferences:
         code, line = self.last_line(src)
         assert (code, line) == (0, "def y : nat := const(x)")
 
+    def test_a_notations_global_is_not_captured_by_a_binder(self):
+        src = 'def g := 1\nnotation "gg" => g\ndef f : Nat → Nat := fun g => gg\n'
+        code, line = self.last_line(src)
+        assert (code, line) == (0, "def f : arrow(nat, nat) := lam(g : nat. const(g))")
+
+    def test_a_user_written_local_shadows_the_global(self):
+        code, line = self.last_line("def g := 1\ndef f : Nat → Nat := fun g => g\n")
+        assert (code, line) == (0, "def f : arrow(nat, nat) := lam(g : nat. local(g))")
+
     def test_two_viable_candidates_stay_ambiguous(self):
         code, line = self.last_line("def x := 1\ndef A.x := 2\ndef y := x\n")
         assert code == 1

@@ -60,8 +60,20 @@ class TestResolveIdentifier:
         first = resolve_identifier(parse_scoped("x"), frozenset(), gctx)
         assert resolve_identifier(parse_scoped("x"), frozenset(), gctx) is first
         assert resolve_identifier(first, frozenset(), gctx) is first
-        local = resolve_identifier(parse_scoped("y"), frozenset({Name.of("y")}), gctx)
-        assert resolve_identifier(local, frozenset(), gctx) is local
+        assert gctx.is_ref(first)
+        # a local is equal again under its binders, and never shared
+        binders = frozenset({Name.of("y")})
+        local = resolve_identifier(parse_scoped("y"), binders, gctx)
+        assert resolve_identifier(local, binders, gctx) == local
+        assert not gctx.is_ref(local) and list(gctx.refs) == [("x", Name.of("x"))]
+
+    def test_a_global_reference_stays_global_under_a_binder_of_its_symbol(self):
+        gctx = gctx_of("x")
+        ref = resolve_identifier(parse_scoped("x.1{x}"), frozenset({Name.of("x")}), gctx)
+        assert ref is gctx.ref("x", Name.of("x"))
+        assert resolve_identifier(ref, frozenset({Name.of("x")}), gctx) is ref
+        local = resolve_identifier(parse_scoped("x"), frozenset({Name.of("x")}), gctx)
+        assert local == ref and local is not ref and not gctx.is_ref(local)
 
     def test_a_copy_keeps_a_table_of_its_own(self):
         gctx = gctx_of("x")
@@ -79,8 +91,9 @@ class TestResolvedReferencesAreFinal:
         results = []
 
         def recording(stx, lctx, gctx):
-            results.append(resolve(stx, lctx, gctx))
-            return results[-1]
+            out = resolve(stx, lctx, gctx)
+            results.append((out, lctx))
+            return out
 
         def no_scan(self, name):
             raise AssertionError(f"globals scanned again for '{name}'")
@@ -91,12 +104,21 @@ class TestResolvedReferencesAreFinal:
             with monkeypatch.context() as patched:
                 patched.setattr(expander, "resolve_identifier", recording)
                 runner.run_files([str(CORPUS / f"{name}.hyg")])
-            refs = [r for out in results for r in (out.children if type(out) is Node else (out,))]
+            refs = [
+                (r, lctx)
+                for out, lctx in results
+                for r in (out.children if type(out) is Node else (out,))
+            ]
             results.clear()
+            gctx = runner.state.gctx
             with monkeypatch.context() as patched:
                 patched.setattr(GlobalContext, "match_surface", no_scan)
-                for ref in refs:
-                    assert resolve(ref, frozenset(), runner.state.gctx) is ref
+                for ref, lctx in refs:
+                    if gctx.is_ref(ref):
+                        assert resolve(ref, frozenset(), gctx) is ref
+                    else:
+                        # a local: equal again under its binders
+                        assert resolve(ref, lctx, gctx) == ref
             checked += len(refs)
         assert checked  # 56 references over the twelve files
 

@@ -31,7 +31,7 @@ from hygex.elaborator import (
     TPropAtom,
     TUnit,
 )
-from hygex.expander import Expander, RunState
+from hygex.expander import RunState
 from hygex.syntax import (
     KIND_CHOICE,
     KIND_DQUOT,
@@ -408,7 +408,6 @@ GOALS = st.builds(
     st.one_of(PROPS, LEFT_NESTED),
 )
 _STATE = RunState()
-_EXPANDER = Expander(_STATE)
 
 
 class TestThePrintersAgree:
@@ -434,7 +433,7 @@ class TestThePrintersAgree:
         for g in goals:
             assert str(g.target) == ref_prop(g.target)
             assert str(g) == ref_goal(g)
-        ts = TacticState(tuple(goals), _STATE, [1], _EXPANDER)
+        ts = TacticState(tuple(goals), _STATE, [1])
         assert str(ts) == ref_tactic_state(ts)
 
     def test_every_form(self):

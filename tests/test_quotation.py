@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strip_info
-from hygex.driver import RunConfig, Runner
+from hygex.driver import RunConfig, Runner, run_string
 from hygex.context import (
     Decl,
     GlobalContext,
@@ -110,6 +110,32 @@ class TestProcessQuotation:
         template = process_quotation(quot("`(fun x => $e)", table), gctx_of("x", "e"))
         (x,) = find_idents(template.body, "x")
         assert format_scoped(x) == "x{x}"
+
+    def test_existing_preresolutions_go_first_each_once(self, table):
+        q = quot("`(a + 1)", table)
+        plus = q.children[0]
+        marked = Ident("a", Name.of("a"), (Name.of("b.a"), Name.of("c.a")), None)
+        q = Node(q.kind, (Node(plus.kind, (marked,) + plus.children[1:]),))
+        template = process_quotation(q, gctx_of("a.a", "b.a"))
+        (a,) = find_idents(template.body, "a")
+        assert a.preresolved == (Name.of("b.a"), Name.of("c.a"), Name.of("a.a"))
+
+    # a quotation built by a macro, whose identifier carries the outer
+    # quotation's preresolution and the step's scope, which no global has
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            'macro "k" : term => `(foo)',
+            'notation "k" => foo',
+            'macro "k" : term => ``(foo)',
+        ],
+    )
+    def test_a_quotation_a_macro_built_keeps_its_preresolutions(self, inner):
+        src = f"def foo := 1\nmacro \"mk\" : command => `({inner})\nmk\ndef y := k\n"
+        code, out = run_string(src)
+        assert (code, out.splitlines()[-1]) == (0, "def y := foo")
+        code, out = run_string(src, RunConfig(stage="elaborate"))
+        assert (code, out.splitlines()[-1]) == (0, "def y : nat := const(foo)")
 
     def test_holes_inside_nested_quotations_belong_to_the_outer_template(self, table):
         table.register_rule(CAT_COMMAND, MACRO_RULE)

@@ -209,6 +209,29 @@ class TestTacticHygiene:
         assert code == 0
         assert "theorem triv : p → p := proved" in out
 
+    THEOREM_H = "theorem h (p : Prop) : p → p := by intro x; exact x\n"
+
+    def test_a_macros_theorem_is_not_captured_by_a_hypothesis(self):
+        code, out = run_string(
+            self.THEOREM_H
+            + 'macro "useH" : tactic => `(tactic| exact h)\n'
+            "theorem t (q : Prop) : q → q := by intro h; useH\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "error: exact: 'h : p → p' does not match target 'q'",
+            "  in expansion of useH (scope 1)",
+        ]
+
+    def test_a_user_written_hypothesis_shadows_the_theorem(self):
+        code, out = run_string(
+            self.THEOREM_H + "theorem t (q : Prop) : q → q := by intro h; exact h\n",
+            RunConfig(stage="elaborate"),
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "theorem t : q → q := proved"
+
     def test_two_macro_expansions_do_not_share_hypotheses(self):
         code, out = run_string(
             'macro "introH" : tactic => `(tactic| intro h)\n'
